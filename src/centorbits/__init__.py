@@ -54,10 +54,10 @@ from .lattice import (
     increments_from_type,
     join,
     label_for,
-    lattice_size,
     leq,
     meet,
     top,
+    upper_covers,
 )
 from .linalg import Matrix, ShapeError, as_fraction
 from .oracle import (
@@ -115,7 +115,6 @@ __all__ = [
     "jordan_matrix",
     "jordan_type",
     "label_for",
-    "lattice_size",
     "leq",
     "meet",
     "orbit_count",
@@ -125,4 +124,5 @@ __all__ = [
     "same_solution_class",
     "sample_invertible",
     "top",
+    "upper_covers",
 ]

@@ -27,6 +27,7 @@ from .lattice import (
     OrbitLabel,
     increments_from_type,
     label_for,
+    label_limits,
     leq,
 )
 from .linalg import Matrix, ShapeError
@@ -38,8 +39,12 @@ class OrbitReport:
 
     label: OrbitLabel
     orbit_dimension: int
-    closure_dimension: int  # equal to orbit_dimension: orbits are dense in their closure
     heights: tuple
+
+    @property
+    def closure_dimension(self) -> int:
+        """Equal to orbit_dimension: orbits are dense in their closure."""
+        return self.orbit_dimension
 
     def is_bottom(self) -> bool:
         return self.label.is_bottom()
@@ -58,7 +63,7 @@ def orbit_dimension(jt: JordanType, label: OrbitLabel) -> int:
 
 
 def _validate_label(jt: JordanType, label: OrbitLabel):
-    expected = tuple(inc.deltas for inc in increments_from_type(jt))
+    expected = label_limits(jt)
     if label.limits != expected:
         raise ValueError(f"label bounds {label.limits} do not belong to this type ({expected})")
 
@@ -76,7 +81,7 @@ def _report_for_heights(jt: JordanType, heights) -> OrbitReport:
             prev = h
         deltas.append(tuple(group))
     label = label_for(jt, deltas)
-    return OrbitReport(label, dim, dim, tuple(tuple(h) for h in heights))
+    return OrbitReport(label, dim, tuple(tuple(h) for h in heights))
 
 
 def classify_chain_coordinates(jt: JordanType, coords: Matrix) -> OrbitReport:

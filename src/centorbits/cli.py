@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import counting, oracle
 from .centralizer import centralizer_basis, centralizer_dimension, sample_invertible
-from .classify import classify_vector, comparability
+from .classify import classify_vector, comparability, orbit_dimension, same_solution_class
 from .jordan import (
     JordanBasis,
     JordanType,
@@ -43,9 +43,9 @@ from .lattice import (
     CapExceeded,
     OrbitLabel,
     enumerate_labels,
-    hasse_covers,
+    increments_from_type,
+    upper_covers,
 )
-from .classify import orbit_dimension
 from .linalg import Matrix, as_fraction
 
 DEFAULT_SEED = 0
@@ -68,6 +68,8 @@ def _entry(value, field: str) -> Fraction:
         return as_fraction(value)
     except (TypeError, ValueError):
         raise SpecError(f"{field}: expected an integer or a 'p/q' string, got {value!r}") from None
+    except ZeroDivisionError:
+        raise SpecError(f"{field}: zero denominator in {value!r}") from None
 
 
 def _parse_matrix(raw, field: str) -> Matrix:
@@ -95,6 +97,8 @@ def _parse_eigenvalue(raw, field: str):
             return Fraction(text)
         except ValueError:
             return text
+        except ZeroDivisionError:
+            raise SpecError(f"{field}: zero denominator in {raw!r}") from None
     raise SpecError(f"{field}: expected a rational or symbol string, got {raw!r}")
 
 
@@ -184,10 +188,6 @@ def _parse_vector(text: str, n: int, field: str) -> Matrix:
     return Matrix.column([_entry(p, f"{field}[{i}]") for i, p in enumerate(parts)])
 
 
-def format_eigenvalue(eig) -> str:
-    return str(eig)
-
-
 def label_name(label: OrbitLabel) -> str:
     """Per-eigenvalue digit strings joined by '|'; commas when a bound exceeds 9."""
     groups = []
@@ -209,17 +209,15 @@ def _emit(payload) -> None:
 def cmd_analyze(args) -> int:
     spec = load_spec(args.spec)
     jt = spec_type(spec)
-    from .lattice import increments_from_type
-
     payload = {
         "dimension": jt.dimension,
         "jordan_type": [
-            {"eigenvalue": format_eigenvalue(eig), "blocks": [list(b) for b in blocks]}
+            {"eigenvalue": str(eig), "blocks": [list(b) for b in blocks]}
             for eig, blocks in jt.eigen_blocks
         ],
         "increments": [
             {
-                "eigenvalue": format_eigenvalue(inc.eigenvalue),
+                "eigenvalue": str(inc.eigenvalue),
                 "sizes": list(inc.sizes),
                 "increments": list(inc.deltas),
                 "multiplicities": list(inc.multiplicities),
@@ -240,9 +238,9 @@ def cmd_lattice(args) -> int:
     jt = spec_type(spec)
     cap = args.cap if args.cap is not None else DEFAULT_ENUMERATION_CAP
     labels = enumerate_labels(jt, cap)
-    covers = hasse_covers(jt, cap)
-    nodes = [(label_name(lab), orbit_dimension(jt, lab)) for lab in labels]
-    edges = [(label_name(lo), label_name(hi)) for lo, hi in covers]
+    names = {lab: label_name(lab) for lab in labels}
+    nodes = [(names[lab], orbit_dimension(jt, lab)) for lab in labels]
+    edges = [(names[lo], names[hi]) for lo in labels for hi in upper_covers(lo)]
     if args.format == "json":
         _emit({"nodes": [list(n) for n in nodes], "covers": [list(e) for e in edges]})
     else:
@@ -263,7 +261,7 @@ def _classification_payload(jt, report) -> dict:
         "closure_dimension": report.closure_dimension,
         "eigenvalues": [
             {
-                "eigenvalue": format_eigenvalue(eig),
+                "eigenvalue": str(eig),
                 "deltas": list(deltas),
                 "heights": list(heights),
             }
@@ -304,10 +302,9 @@ def cmd_compare(args) -> int:
         v1, v2 = vectors
     else:
         raise SpecError(f"compare takes one or two --vector flags, got {len(vectors)}")
-    r1 = classify_vector(basis, v1)
-    r2 = classify_vector(basis, v2)
+    equivalent, r1, r2 = same_solution_class(basis, v1, v2)
     payload = {
-        "equivalent": r1.label == r2.label,
+        "equivalent": equivalent,
         "label1": label_name(r1.label),
         "label2": label_name(r2.label),
         "comparable": comparability(r1.label, r2.label),

@@ -1,8 +1,9 @@
 """Orbit counts and the dimension-graded generating function.
 
 Nothing here enumerates the lattice: the total count is a product of
-(1 + Delta_k) over all eigenvalues and positions, and the polynomial whose
-x^n coefficient counts orbits of dimension n is a product of sparse factors
+(1 + Delta_k) over all eigenvalues and positions (``orbit_count``, defined in
+``lattice`` next to the enumeration it caps), and the polynomial whose x^n
+coefficient counts orbits of dimension n is a product of sparse factors
 sum_{i=0..Delta_k} x^{i * M_k}, where M_k are the tail sums of the block
 multiplicities. The total depends only on the increments; the refined count
 depends on the multiplicities too.
@@ -11,7 +12,7 @@ depends on the multiplicities too.
 from __future__ import annotations
 
 from .jordan import JordanType
-from .lattice import IncrementSequence, increments_from_type
+from .lattice import IncrementSequence, increments_from_type, orbit_count  # noqa: F401 (re-exported)
 
 
 class IntPolynomial:
@@ -92,11 +93,3 @@ def gen_function(jt: JordanType) -> IntPolynomial:
         poly = poly * gen_function_eigenvalue(inc)
     return poly
 
-
-def orbit_count(jt: JordanType) -> int:
-    """Total number of orbits, the product of (1 + Delta_k) over everything."""
-    total = 1
-    for inc in increments_from_type(jt):
-        for delta in inc.deltas:
-            total *= delta + 1
-    return total

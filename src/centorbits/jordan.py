@@ -10,13 +10,19 @@ in for the eigenvalues.
 
 Conventions, pinned for reproducibility:
 
-* Jordan blocks carry their 1s on the subdiagonal (``LOWER_SUBDIAGONAL_ONES``
-  below; the chain-coordinate code assumes this orientation).
+* Jordan blocks carry their 1s on the subdiagonal. The orientation is fixed:
+  the chain basis and the chain-coordinate code both depend on it.
 * The chain basis of a block of size s is (v, Nv, ..., N^{s-1}v) with
   N = T - lambda, and the change of basis lists chains by eigenvalue (in the
   canonical order below), then by increasing block size, then by chain index.
 * Rational eigenvalues are ordered by (numerator, denominator) of their
   canonical form; symbolic labels follow all rationals, ordered as strings.
+
+Both the type and the basis come from one kernel chain per eigenvalue: the
+powers N^k and the kernel bases of ker N ⊂ ker N^2 ⊂ ..., built once and
+stopped where dim ker N^k reaches the algebraic multiplicity, which happens
+exactly at the largest block size. With d_k = dim ker N^k, the number of
+blocks of size exactly i is 2 d_i - d_{i-1} - d_{i+1}.
 
 Chain construction walks block sizes from largest to smallest. At size s the
 vectors already forced into ker N^s are a basis of ker N^{s-1} together with
@@ -25,7 +31,8 @@ new chain generators are taken from the kernel basis of N^s, in its
 deterministic order, whenever they extend the span of those forced vectors.
 The count of generators found this way must match the block multiplicities,
 and the result is verified outright: the assembled change of basis P must
-satisfy P^-1 T P == the canonical block matrix of the type.
+satisfy T P == P J for the canonical block matrix J of the type, and
+computing P^-1 certifies that P is invertible, so P^-1 T P == J.
 """
 
 from __future__ import annotations
@@ -38,12 +45,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 from .linalg import Matrix, ShapeError
 
 Eigenvalue = Union[Fraction, str]
-
-# Orientation of the 1s in a canonical block. The classification code in this
-# package assumes the lower convention; flipping this constant only changes
-# jordan_block / jordan_matrix output.
-LOWER_SUBDIAGONAL_ONES = True
-
 
 class NonSplittingCharPoly(ValueError):
     """The characteristic polynomial has an irrational or complex root."""
@@ -256,46 +257,32 @@ def rational_eigenvalues(t: Matrix) -> list:
 # -- Jordan type and basis ----------------------------------------------
 
 
-def jordan_type(t: Matrix) -> JordanType:
-    """Block structure via the rank sequence of powers of T - lambda.
+def _kernel_chains(t: Matrix):
+    """Per rational eigenvalue, in canonical order: (eig, blocks, powers, kernels).
 
-    With r_k = rank((T - lambda)^k), the number of blocks of size exactly i
-    equals r_{i-1} - 2 r_i + r_{i+1}.
+    ``powers[k]`` is N^k for N = T - eig and ``kernels[k]`` a basis of its
+    kernel, for k = 0 up to the largest block size, the first k where
+    dim ker N^k reaches the algebraic multiplicity.
     """
-    n = t.rows
-    ident = Matrix.identity(n)
-    data = {}
+    ident = Matrix.identity(t.rows)
     for eig, alg_mult in rational_eigenvalues(t):
-        a = t - ident.scaled(eig)
-        ranks = [n]
-        power = ident
-        while ranks[-1] > n - alg_mult:
-            power = power @ a
-            ranks.append(power.rank())
-
-        def r(i, _ranks=ranks):
-            return _ranks[i] if i < len(_ranks) else _ranks[-1]
-
+        nilpotent = t - ident.scaled(eig)
+        powers, kernels = [ident], [[]]
+        while len(kernels[-1]) < alg_mult:
+            powers.append(nilpotent @ powers[-1])
+            kernels.append(powers[-1].kernel_basis())
+        dims = [len(basis) for basis in kernels] + [alg_mult]
         blocks = []
-        for size in range(1, len(ranks)):
-            count = r(size - 1) - 2 * r(size) + r(size + 1)
+        for size in range(1, len(kernels)):
+            count = 2 * dims[size] - dims[size - 1] - dims[size + 1]
             if count:
                 blocks.append((size, count))
-        assert sum(size * mult for size, mult in blocks) == alg_mult
-        data[eig] = blocks
-    return JordanType.of(data)
+        yield eig, blocks, powers, kernels
 
 
-def jordan_block(eig: Fraction, size: int) -> Matrix:
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        rows[i][i] = Fraction(eig)
-    for i in range(size - 1):
-        if LOWER_SUBDIAGONAL_ONES:
-            rows[i + 1][i] = Fraction(1)
-        else:
-            rows[i][i + 1] = Fraction(1)
-    return Matrix(rows)
+def jordan_type(t: Matrix) -> JordanType:
+    """Block structure read off the kernel dimensions of powers of T - lambda."""
+    return JordanType.of({eig: blocks for eig, blocks, _, _ in _kernel_chains(t)})
 
 
 def jordan_matrix(jt: JordanType) -> Matrix:
@@ -310,10 +297,7 @@ def jordan_matrix(jt: JordanType) -> Matrix:
         for k in range(slot.size):
             rows[slot.offset + k][slot.offset + k] = slot.eigenvalue
         for k in range(slot.size - 1):
-            if LOWER_SUBDIAGONAL_ONES:
-                rows[slot.offset + k + 1][slot.offset + k] = Fraction(1)
-            else:
-                rows[slot.offset + k][slot.offset + k + 1] = Fraction(1)
+            rows[slot.offset + k + 1][slot.offset + k] = Fraction(1)
     return Matrix(rows)
 
 
@@ -362,20 +346,13 @@ class _SpanTracker:
 
 
 def jordan_basis(t: Matrix) -> JordanBasis:
-    jt = jordan_type(t)
-    n = t.rows
-    ident = Matrix.identity(n)
+    data = {}
     all_chains = []
-    for eig, blocks in jt.eigen_blocks:
-        nilpotent = t - ident.scaled(eig)
-        largest = blocks[-1][0]
-        powers = [ident]
-        for _ in range(largest):
-            powers.append(nilpotent @ powers[-1])
-        kernels = [[]] + [powers[k].kernel_basis() for k in range(1, largest + 1)]
+    for eig, blocks, powers, kernels in _kernel_chains(t):
+        data[eig] = blocks
         mult = dict(blocks)
         tops = []  # (size, generator), found from the largest size down
-        for size in range(largest, 0, -1):
+        for size in range(len(kernels) - 1, 0, -1):
             tracker = _SpanTracker()
             for vec in kernels[size - 1]:
                 tracker.add(vec)
@@ -396,10 +373,11 @@ def jordan_basis(t: Matrix) -> JordanBasis:
             counters[size] = counters.get(size, 0) + 1
             vectors = tuple(powers[k] @ top for k in range(size))
             all_chains.append(JordanChain(eig, size, counters[size], vectors))
+    jt = JordanType.of(data)
     columns = [vec for chain in all_chains for vec in chain.vectors]
     p = Matrix.from_columns(columns)
     p_inv = p.inverse()
-    if p_inv @ t @ p != jordan_matrix(jt):
+    if t @ p != p @ jordan_matrix(jt):
         raise RuntimeError("Jordan basis reconstruction check failed; this is a bug")
     return JordanBasis(t, jt, tuple(all_chains), p, p_inv)
 

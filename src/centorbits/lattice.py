@@ -17,9 +17,11 @@ of nondecreasing sequences is nondecreasing, so 0 <= G_k - G_{k-1} as well,
 and the min case is symmetric. Since the order is componentwise on heights,
 pointwise max and min are the least upper and greatest lower bounds.
 
-Labels store their bounds, so duality and validity need no extra context.
-Enumeration is guarded by a size cap; counting (see ``counting``) never
-enumerates and has no cap.
+Every cover is a single step H -> H + e_k in height coordinates, so each
+label lists its own upper covers and the Hasse diagram needs no comparison
+between labels. Labels store their bounds, so duality, validity and covers
+need no extra context. Enumeration is guarded by a size cap; the count
+(:func:`orbit_count`) never enumerates and has no cap.
 """
 
 from __future__ import annotations
@@ -119,10 +121,6 @@ class OrbitLabel:
     def heights(self) -> tuple:
         return tuple(_partial_sums(group) for group in self.deltas)
 
-    def grade(self) -> int:
-        """Total number of occupied flag steps; covers raise this by exactly 1."""
-        return sum(sum(h) for h in self.heights())
-
     def is_bottom(self) -> bool:
         return all(d == 0 for group in self.deltas for d in group)
 
@@ -194,7 +192,29 @@ def dual(a: OrbitLabel) -> OrbitLabel:
     return OrbitLabel(tuple(groups), a.limits)
 
 
-def lattice_size(jt: JordanType) -> int:
+def upper_covers(a: OrbitLabel) -> list:
+    """Every label covering a, in lexicographic order: the valid steps H -> H + e_k.
+
+    Raising height k adds 1 to delta_k and, when k is not last in its group,
+    takes 1 from delta_{k+1}, so the step is valid when delta_k < Delta_k
+    and, for such k, delta_{k+1} > 0. A step at an earlier position gives
+    the larger label, so positions are walked from last to first.
+    """
+    covers = []
+    for g in reversed(range(len(a.deltas))):
+        group, bounds = a.deltas[g], a.limits[g]
+        for k in reversed(range(len(group))):
+            raised = list(group)
+            raised[k] += 1
+            if k + 1 < len(group):
+                raised[k + 1] -= 1
+            if raised[k] <= bounds[k] and min(raised) >= 0:
+                covers.append(OrbitLabel(a.deltas[:g] + (tuple(raised),) + a.deltas[g + 1:], a.limits))
+    return covers
+
+
+def orbit_count(jt: JordanType) -> int:
+    """Total number of orbits, the product of (1 + Delta_k) over everything."""
     total = 1
     for bounds in label_limits(jt):
         for d in bounds:
@@ -204,7 +224,7 @@ def lattice_size(jt: JordanType) -> int:
 
 def enumerate_labels(jt: JordanType, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
     """All labels in lexicographic order of their flattened delta sequences."""
-    total = lattice_size(jt)
+    total = orbit_count(jt)
     if total > cap:
         raise CapExceeded(total, cap)
     limits = label_limits(jt)
@@ -224,18 +244,8 @@ def enumerate_labels(jt: JordanType, cap: int = DEFAULT_ENUMERATION_CAP) -> list
 def hasse_covers(jt: JordanType, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
     """All covering pairs (lower, upper), in lexicographic order of the pair.
 
-    The lattice is graded by :meth:`OrbitLabel.grade` (each cover adds one
-    flag step to the closure), so b covers a exactly when a <= b and the
-    grades differ by 1. Tests pin this against the definition by exhaustive
-    search for intermediates.
+    The labels come in lexicographic order and so do the upper covers of
+    each, so the flat list needs no sorting. Tests pin the pairs against the
+    definition by exhaustive search for intermediates.
     """
-    labels = enumerate_labels(jt, cap)
-    by_grade: dict = {}
-    for label in labels:
-        by_grade.setdefault(label.grade(), []).append(label)
-    covers = []
-    for lower in labels:
-        for upper in by_grade.get(lower.grade() + 1, ()):
-            if leq(lower, upper):
-                covers.append((lower, upper))
-    return covers
+    return [(lower, upper) for lower in enumerate_labels(jt, cap) for upper in upper_covers(lower)]

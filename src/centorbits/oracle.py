@@ -24,7 +24,7 @@ from fractions import Fraction
 from .centralizer import shift_operator_rows, shift_tags
 from .classify import invariant_positions, orbit_dimension
 from .jordan import JordanType
-from .lattice import CapExceeded, OrbitLabel, enumerate_labels
+from .lattice import CapExceeded, enumerate_labels
 
 DEFAULT_SUBSPACE_CAP = 100_000
 

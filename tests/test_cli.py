@@ -98,6 +98,8 @@ def test_analyze_non_splitting_matrix(tmp_path, capsys):
         ({"jordan": [{"eigenvalue": "", "blocks": [[1, 1]]}]}, "nonempty"),
         ({"jordan": [{"eigenvalue": "0", "blocks": [[0, 1]]}]}, ">= 1"),
         ({"spam": 1}, "unknown field"),
+        ({"matrix": [["1/0"]]}, "matrix[0][0]"),
+        ({"jordan": [{"eigenvalue": "1/0", "blocks": [[1, 1]]}]}, "jordan[0].eigenvalue"),
     ],
 )
 def test_input_validation_names_fields(tmp_path, capsys, doc, fragment):
@@ -188,6 +190,13 @@ def test_classify_vector_length_mismatch(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", spec, "--vector", "1,2")
     assert code == 2
     assert "expected 5 components" in err
+
+
+def test_classify_zero_denominator_component(tmp_path, capsys):
+    spec = write(tmp_path, "j23.json", J23_DOC)
+    code, _, err = run_cli(capsys, "classify", spec, "--vector", "1/0,0,0,0,0")
+    assert code == 2
+    assert "vector[0]" in err
 
 
 def test_compare_scalar_multiple(tmp_path, capsys):
