@@ -10,9 +10,10 @@ Annihilation forces t >= i' - i, so t ranges over max(0, i'-i) .. i'-1 and
 each ordered chain pair contributes min(i, i') basis operators. Chains of
 distinct eigenvalues admit no nonzero commuting maps at all.
 
-The basis operators are materialized in the original coordinates (conjugated
-by the chain basis), so they act directly on raw input vectors; the
-(source, target, shift) tags retain the chain-coordinate description.
+A basis operator is kept as its (source, target, shift) tag alone; its 0/1
+matrix in chain coordinates is ``shift_operator_rows``. Only a sampled
+combination is conjugated by the chain basis into the original coordinates,
+once per sample, so that it acts directly on raw input vectors.
 """
 
 from __future__ import annotations
@@ -26,24 +27,21 @@ from .linalg import Matrix
 
 
 class CentralizerOperator(NamedTuple):
+    """One shift operator, in chain coordinates: source generator to N^shift target."""
+
     source: ChainSlot
     target: ChainSlot
     shift: int
-    matrix: Matrix  # original coordinates
 
 
 @dataclass(frozen=True)
 class CentralizerBasis:
     basis: JordanBasis
-    operators: tuple
-
-    @property
-    def dimension(self) -> int:
-        return len(self.operators)
+    operators: tuple  # CentralizerOperator tags, in shift_tags order
 
 
 def shift_tags(jt: JordanType) -> tuple:
-    """All (source, target, shift) triples, ordered by source, target, shift."""
+    """All shift operators of the type, ordered by source, target, shift."""
     slots = chain_slots(jt)
     tags = []
     for src in slots:
@@ -51,7 +49,7 @@ def shift_tags(jt: JordanType) -> tuple:
             if src.eigenvalue != tgt.eigenvalue:
                 continue
             for t in range(max(0, tgt.size - src.size), tgt.size):
-                tags.append((src, tgt, t))
+                tags.append(CentralizerOperator(src, tgt, t))
     return tuple(tags)
 
 
@@ -65,14 +63,7 @@ def shift_operator_rows(n: int, source: ChainSlot, target: ChainSlot, shift: int
 
 
 def centralizer_basis(basis: JordanBasis) -> CentralizerBasis:
-    n = basis.dimension
-    p = basis.transform
-    p_inv = basis.inverse_transform
-    operators = []
-    for src, tgt, t in shift_tags(basis.jordan_type):
-        chain_form = Matrix(shift_operator_rows(n, src, tgt, t))
-        operators.append(CentralizerOperator(src, tgt, t, p @ chain_form @ p_inv))
-    return CentralizerBasis(basis, tuple(operators))
+    return CentralizerBasis(basis, shift_tags(basis.jordan_type))
 
 
 def centralizer_dimension(jt: JordanType) -> int:
@@ -91,19 +82,23 @@ def sample_invertible(cb: CentralizerBasis, rng_seed: int) -> Matrix:
     Coefficients are drawn uniformly from [-9, 9]; the coefficient of each
     diagonal shift-0 operator (these sum to the identity) is forced nonzero.
     Generic combinations are invertible, so a handful of retries suffices;
-    the draw sequence is fully determined by the seed.
+    the draw sequence is fully determined by the seed. The combination is
+    summed and tested for invertibility in chain coordinates, and only the
+    accepted one is conjugated into the original coordinates.
     """
     rng = random.Random(rng_seed)
     n = cb.basis.dimension
     for _ in range(64):
-        acc = Matrix.zero(n, n)
+        acc = [[0] * n for _ in range(n)]
         for op in cb.operators:
             c = rng.randint(-9, 9)
             if op.source == op.target and op.shift == 0:
                 while c == 0:
                     c = rng.randint(-9, 9)
             if c:
-                acc = acc + op.matrix.scaled(c)
-        if acc.rank() == n:
-            return acc
+                rows = shift_operator_rows(n, *op)
+                acc = [[a + c * x for a, x in zip(ra, rx)] for ra, rx in zip(acc, rows)]
+        chain_form = Matrix(acc)
+        if chain_form.rank() == n:
+            return cb.basis.transform @ chain_form @ cb.basis.inverse_transform
     raise RuntimeError("no invertible combination found in 64 attempts; this is a bug")

@@ -27,7 +27,6 @@ from .lattice import (
     OrbitLabel,
     increments_from_type,
     label_for,
-    label_limits,
     leq,
 )
 from .linalg import Matrix, ShapeError
@@ -55,17 +54,19 @@ class OrbitReport:
 
 def orbit_dimension(jt: JordanType, label: OrbitLabel) -> int:
     """sum over eigenvalues and positions of delta_k * M_k (tail-sum form)."""
-    _validate_label(jt, label)
     total = 0
-    for inc, group in zip(increments_from_type(jt), label.deltas):
+    for inc, group in zip(_validate_label(jt, label), label.deltas):
         total += sum(d * m for d, m in zip(group, inc.tail_sums))
     return total
 
 
-def _validate_label(jt: JordanType, label: OrbitLabel):
-    expected = label_limits(jt)
+def _validate_label(jt: JordanType, label: OrbitLabel) -> tuple:
+    """The type's increment sequences, once the label's bounds match them."""
+    incs = increments_from_type(jt)
+    expected = tuple(inc.deltas for inc in incs)
     if label.limits != expected:
         raise ValueError(f"label bounds {label.limits} do not belong to this type ({expected})")
+    return incs
 
 
 def _report_for_heights(jt: JordanType, heights) -> OrbitReport:
@@ -125,7 +126,7 @@ def representative(jt: JordanType, label: OrbitLabel) -> Matrix:
     first chain of that column; classify_chain_coordinates round-trips to the
     label exactly.
     """
-    _validate_label(jt, label)
+    incs = _validate_label(jt, label)
     n = jt.dimension
     coords = [0] * n
     first_chain = {
@@ -133,7 +134,7 @@ def representative(jt: JordanType, label: OrbitLabel) -> Matrix:
         for slot in chain_slots(jt)
         if slot.index == 1
     }
-    for inc, heights in zip(increments_from_type(jt), label.heights()):
+    for inc, heights in zip(incs, label.heights()):
         for size, h in zip(inc.sizes, heights):
             if h > 0:
                 slot = first_chain[(inc.eigenvalue, size)]
@@ -143,9 +144,8 @@ def representative(jt: JordanType, label: OrbitLabel) -> Matrix:
 
 def invariant_positions(jt: JordanType, label: OrbitLabel) -> tuple:
     """Chain coordinates spanning the orbit closure: top H_k shifts of every chain."""
-    _validate_label(jt, label)
     height_of = {}
-    for inc, heights in zip(increments_from_type(jt), label.heights()):
+    for inc, heights in zip(_validate_label(jt, label), label.heights()):
         for size, h in zip(inc.sizes, heights):
             height_of[(inc.eigenvalue, size)] = h
     positions = []

@@ -35,6 +35,7 @@ from .jordan import (
     JordanBasis,
     JordanType,
     NonSplittingCharPoly,
+    _normalize_eigenvalue,
     jordan_basis,
     jordan_type,
 )
@@ -62,8 +63,6 @@ class OperatorSpec:
 
 
 def _entry(value, field: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise SpecError(f"{field}: expected an integer or a 'p/q' string, got {value!r}")
     try:
         return as_fraction(value)
     except (TypeError, ValueError):
@@ -85,21 +84,18 @@ def _parse_matrix(raw, field: str) -> Matrix:
 
 
 def _parse_eigenvalue(raw, field: str):
-    if isinstance(raw, bool) or isinstance(raw, float):
-        raise SpecError(f"{field}: expected a rational or symbol string, got {raw!r}")
-    if isinstance(raw, int):
-        return Fraction(raw)
+    """A rational when the string reads as one, else whatever the type accepts."""
     if isinstance(raw, str):
-        text = raw.strip()
-        if not text:
-            raise SpecError(f"{field}: eigenvalue must be nonempty")
         try:
-            return Fraction(text)
+            return Fraction(raw)
         except ValueError:
-            return text
+            pass
         except ZeroDivisionError:
             raise SpecError(f"{field}: zero denominator in {raw!r}") from None
-    raise SpecError(f"{field}: expected a rational or symbol string, got {raw!r}")
+    try:
+        return _normalize_eigenvalue(raw)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{field}: {exc}") from None
 
 
 def _parse_jordan(raw, field: str) -> JordanType:

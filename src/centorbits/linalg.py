@@ -84,12 +84,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self._data[i]
 
-    def column_vector(self, j: int) -> "Matrix":
-        return Matrix.column([self._data[i][j] for i in range(self.rows)])
-
-    def column_entries(self, j: int) -> tuple:
-        return tuple(self._data[i][j] for i in range(self.rows))
-
     # -- structural ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -143,15 +137,9 @@ class Matrix:
             )
         return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)])
 
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in row] for row in self._data])
-
     def scaled(self, c: Scalar) -> "Matrix":
         c = as_fraction(c)
         return Matrix([[c * x for x in row] for row in self._data])
-
-    def __rmul__(self, c: Scalar) -> "Matrix":
-        return self.scaled(c)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -181,8 +169,6 @@ class Matrix:
             if k:
                 base = base @ base
         return result
-
-    __pow__ = pow
 
     # -- elimination ---------------------------------------------------
 

@@ -29,9 +29,33 @@ from .lattice import CapExceeded, enumerate_labels
 DEFAULT_SUBSPACE_CAP = 100_000
 
 
+# Miller-Rabin with these witnesses is exact below _WITNESS_BOUND (the least
+# strong pseudoprime to all of them is 3317044064679887385961981).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _require_prime(p: int):
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    """Reject p unless it is certainly prime (deterministic Miller-Rabin)."""
+    if p >= _WITNESS_BOUND:
+        raise ValueError(f"{p} is too large to certify as prime")
+    if p < 2:
         raise ValueError(f"{p} is not a prime")
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _WITNESSES:
+        if a >= p:
+            break
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise ValueError(f"{p} is not a prime")
 
 
 @dataclass(frozen=True)
@@ -111,11 +135,6 @@ def _contains(sub: PrimeFieldMatrix, pivots: tuple, vec) -> bool:
     return not any(v)
 
 
-def _operator_rows_mod_p(jt: JordanType) -> list:
-    n = jt.dimension
-    return [shift_operator_rows(n, src, tgt, t) for src, tgt, t in shift_tags(jt)]
-
-
 def eigenvalues_mod_p(jt: JordanType, p: int) -> dict:
     """Map rational eigenvalues into F_p; reject collisions and zero denominators."""
     _require_prime(p)
@@ -145,7 +164,7 @@ def invariant_subspaces_bruteforce(
     """
     eigenvalues_mod_p(jt, p)
     n = jt.dimension
-    operators = _operator_rows_mod_p(jt)
+    operators = [shift_operator_rows(n, *op) for op in shift_tags(jt)]
     survivors = []
     for sub in all_subspaces(p, n, cap):
         pivots = _pivot_columns(sub)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from centorbits import JordanType, Matrix
+from centorbits.centralizer import shift_operator_rows
 
 
 def j23_matrix() -> Matrix:
@@ -16,6 +17,12 @@ def j23_matrix() -> Matrix:
             [0, 0, 0, 1, 0],
         ]
     )
+
+
+def operator_matrix(basis, op) -> Matrix:
+    """A centralizer basis operator in the original coordinates: P S P^-1."""
+    chain_form = Matrix(shift_operator_rows(basis.dimension, *op))
+    return basis.transform @ chain_form @ basis.inverse_transform
 
 
 def corpus_types() -> list:

@@ -19,7 +19,7 @@ from centorbits.lattice import dual, enumerate_labels, hasse_covers, label_for, 
 from centorbits.linalg import Matrix
 from centorbits.oracle import compare_with_prediction
 
-from conftest import corpus_types, j23_matrix
+from conftest import corpus_types, j23_matrix, operator_matrix
 
 T135 = JordanType.of({0: [(1, 1), (3, 1), (5, 1)]})
 
@@ -82,7 +82,8 @@ def test_criterion_04_centralizer_example():
     from centorbits.centralizer import centralizer_dimension
 
     ok = centralizer_dimension(jt) == 9 and len(cb.operators) == 9
-    ok = ok and all(op.matrix @ t == t @ op.matrix for op in cb.operators)
+    matrices = [operator_matrix(cb.basis, op) for op in cb.operators]
+    ok = ok and all(m @ t == t @ m for m in matrices)
     report(4, "two-block centralizer has dimension 9 and commutes exactly", ok)
 
 

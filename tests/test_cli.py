@@ -274,6 +274,22 @@ def test_verify_cap_exceeded(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("blocks, expected", [([[3, 1]], 3), ([[1, 1]], 0)])
+def test_verify_large_prime_ends_at_once(tmp_path, capsys, blocks, expected):
+    spec = write(tmp_path, "big.json", {"jordan": [{"eigenvalue": "0", "blocks": blocks}]})
+    code, _, err = run_cli(capsys, "verify", spec, "--prime", str(10**17 + 3))
+    assert code == expected
+    assert "Traceback" not in err
+
+
+def test_verify_prime_too_large_to_certify(tmp_path, capsys):
+    spec = write(tmp_path, "one.json", {"jordan": [{"eigenvalue": "0", "blocks": [[1, 1]]}]})
+    code, _, err = run_cli(capsys, "verify", spec, "--prime", str(2**89 - 1))
+    assert code == 2
+    assert "too large to certify" in err
+    assert err.count("\n") == 1
+
+
 def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     from centorbits.oracle import OracleVerdict
 

@@ -5,6 +5,10 @@ prints on the test corpus and on a few fixed rational matrices, so that a
 refactor of the exact core or the lattice code cannot change any output
 unnoticed. The table is data, not code: a run missing from it, or a
 recorded run this file no longer makes, fails the test.
+
+The CLI prints labels only, never a sampled commuting invertible, so
+``golden_samples.json`` separately pins the sha256 of
+``str(sample_invertible(...))`` for each fixed matrix and seeds 0-3.
 """
 
 import hashlib
@@ -13,11 +17,13 @@ from pathlib import Path
 
 import pytest
 
-from centorbits import cli
+from centorbits import Matrix, centralizer_basis, cli, jordan_basis, sample_invertible
 
 from conftest import corpus_types, j23_matrix
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
+GOLDEN_SAMPLES = Path(__file__).with_name("golden_samples.json")
+SAMPLE_SEEDS = range(4)
 
 # Fixed rational matrices: S J S^-1 for integer S of determinant 1.
 MATRICES = {
@@ -106,3 +112,15 @@ def test_golden_table_covers_exactly_the_runs(recorded):
 )
 def test_cli_output_matches_golden(tmp_path, capsys, recorded, name, doc, argv):
     assert transcript(tmp_path, capsys, doc, argv) == recorded[name]
+
+
+def test_sampled_invertibles_match_golden():
+    recorded = json.loads(GOLDEN_SAMPLES.read_text())
+    assert sorted(recorded) == sorted(MATRICES)
+    for name, rows in MATRICES.items():
+        cb = centralizer_basis(jordan_basis(Matrix(rows)))
+        digests = [
+            hashlib.sha256(str(sample_invertible(cb, s)).encode("utf-8")).hexdigest()
+            for s in SAMPLE_SEEDS
+        ]
+        assert digests == recorded[name], name

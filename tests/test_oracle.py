@@ -6,6 +6,7 @@ from centorbits.jordan import JordanType, jordan_matrix
 from centorbits.lattice import CapExceeded, enumerate_labels
 from centorbits.oracle import (
     PrimeFieldMatrix,
+    _require_prime,
     all_subspaces,
     compare_with_prediction,
     eigenvalues_mod_p,
@@ -33,6 +34,29 @@ def test_all_subspaces_rejects_nonprime_and_cap():
         list(all_subspaces(4, 2))
     with pytest.raises(CapExceeded):
         list(all_subspaces(2, 3, cap=3))
+
+
+@pytest.mark.parametrize(
+    "p, prime",
+    [
+        (2, True), (3, True), (37, True), (41, True), (1, False), (0, False), (-7, False),
+        (561, False),  # Carmichael number
+        (3215031751, False),  # strong pseudoprime to bases 2, 3, 5 and 7
+        (10**17 + 1, False),
+        (10**17 + 3, True),
+    ],
+)
+def test_require_prime_is_exact(p, prime):
+    if prime:
+        _require_prime(p)
+    else:
+        with pytest.raises(ValueError, match="is not a prime"):
+            _require_prime(p)
+
+
+def test_require_prime_refuses_what_it_cannot_certify():
+    with pytest.raises(ValueError, match="too large to certify"):
+        _require_prime(3317044064679887385961981)
 
 
 def test_single_block_flag_subspaces():
