@@ -23,12 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .jordan import JordanBasis, JordanType, chain_slots, coords_in_jordan_basis
-from .lattice import (
-    OrbitLabel,
-    increments_from_type,
-    label_for,
-    leq,
-)
+from .lattice import OrbitLabel, increments_from_type, label_for, label_limits, leq
 from .linalg import Matrix, ShapeError
 
 
@@ -63,7 +58,7 @@ def orbit_dimension(jt: JordanType, label: OrbitLabel) -> int:
 def _validate_label(jt: JordanType, label: OrbitLabel) -> tuple:
     """The type's increment sequences, once the label's bounds match them."""
     incs = increments_from_type(jt)
-    expected = tuple(inc.deltas for inc in incs)
+    expected = label_limits(incs)
     if label.limits != expected:
         raise ValueError(f"label bounds {label.limits} do not belong to this type ({expected})")
     return incs

@@ -74,8 +74,9 @@ def increments_from_type(jt: JordanType) -> tuple:
     )
 
 
-def label_limits(jt: JordanType) -> tuple:
-    return tuple(inc.deltas for inc in increments_from_type(jt))
+def label_limits(incs) -> tuple:
+    """Label bounds: the increment sequence of every eigenvalue."""
+    return tuple(inc.deltas for inc in incs)
 
 
 def _partial_sums(deltas) -> tuple:
@@ -130,16 +131,17 @@ class OrbitLabel:
 
 def label_for(jt: JordanType, deltas) -> OrbitLabel:
     """Validate raw per-eigenvalue delta sequences against a type."""
-    return OrbitLabel(tuple(tuple(group) for group in deltas), label_limits(jt))
+    limits = label_limits(increments_from_type(jt))
+    return OrbitLabel(tuple(tuple(group) for group in deltas), limits)
 
 
 def bottom(jt: JordanType) -> OrbitLabel:
-    limits = label_limits(jt)
+    limits = label_limits(increments_from_type(jt))
     return OrbitLabel(tuple(tuple(0 for _ in g) for g in limits), limits)
 
 
 def top(jt: JordanType) -> OrbitLabel:
-    limits = label_limits(jt)
+    limits = label_limits(increments_from_type(jt))
     return OrbitLabel(limits, limits)
 
 
@@ -216,7 +218,7 @@ def upper_covers(a: OrbitLabel) -> list:
 def orbit_count(jt: JordanType) -> int:
     """Total number of orbits, the product of (1 + Delta_k) over everything."""
     total = 1
-    for bounds in label_limits(jt):
+    for bounds in label_limits(increments_from_type(jt)):
         for d in bounds:
             total *= d + 1
     return total
@@ -227,7 +229,7 @@ def enumerate_labels(jt: JordanType, cap: int = DEFAULT_ENUMERATION_CAP) -> list
     total = orbit_count(jt)
     if total > cap:
         raise CapExceeded(total, cap)
-    limits = label_limits(jt)
+    limits = label_limits(increments_from_type(jt))
     flat_bounds = [d for bounds in limits for d in bounds]
     group_lengths = [len(bounds) for bounds in limits]
     labels = []

@@ -31,7 +31,7 @@ DEFAULT_SUBSPACE_CAP = 100_000
 
 # Miller-Rabin with these witnesses is exact below _WITNESS_BOUND (the least
 # strong pseudoprime to all of them is 3317044064679887385961981).
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
 
 

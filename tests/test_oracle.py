@@ -42,6 +42,7 @@ def test_all_subspaces_rejects_nonprime_and_cap():
         (2, True), (3, True), (37, True), (41, True), (1, False), (0, False), (-7, False),
         (561, False),  # Carmichael number
         (3215031751, False),  # strong pseudoprime to bases 2, 3, 5 and 7
+        (318665857834031151167461, False),  # strong pseudoprime to bases 2 through 37
         (10**17 + 1, False),
         (10**17 + 3, True),
     ],
