@@ -8,14 +8,15 @@ size. Closing under the commuting action then forces
 
 * left to right, H_k = max(h_k, H_{k-1}): whatever a column reaches at some
   height, every larger column reaches at the same height;
-* right to left, H_k = max(H_k, H_{k+1} - Delta_{k+1}): whatever a column
-  reaches, every smaller column reaches at the depth measured from the top.
+* right to left, H_k = max(H_k, H_{k+1} - (s_{k+1} - s_k)): whatever a
+  column reaches, every smaller column reaches at the depth measured from
+  the top.
 
-The resulting heights are the partial sums of a valid label. The span of
-the centralizer basis applied to the vector (the closure subspace) is the
+The resulting heights are those of a valid label. The span of the
+centralizer basis applied to the vector (the closure subspace) is the
 coordinate subspace holding the top H_k positions of every chain in column
-k; its dimension equals sum_k delta_k * M_k with M_k the multiplicity tail
-sums. Tests validate the two-pass rule against that span directly.
+k; its dimension is sum_k m_k * H_k with m_k the number of blocks of size
+s_k. Tests validate the two-pass rule against that span directly.
 """
 
 from __future__ import annotations
@@ -23,17 +24,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .jordan import JordanBasis, JordanType, chain_slots, coords_in_jordan_basis
-from .lattice import OrbitLabel, increments_from_type, label_for, label_limits, leq
+from .lattice import OrbitLabel, column_sizes, leq, top
 from .linalg import Matrix, ShapeError
 
 
 @dataclass(frozen=True)
 class OrbitReport:
-    """Where one vector's orbit sits: label, dimension, per-eigenvalue heights."""
+    """Where one vector's orbit sits: label and dimension."""
 
     label: OrbitLabel
     orbit_dimension: int
-    heights: tuple
+
+    @property
+    def heights(self) -> tuple:
+        return self.label.heights
 
     @property
     def closure_dimension(self) -> int:
@@ -48,36 +52,18 @@ class OrbitReport:
 
 
 def orbit_dimension(jt: JordanType, label: OrbitLabel) -> int:
-    """sum over eigenvalues and positions of delta_k * M_k (tail-sum form)."""
-    total = 0
-    for inc, group in zip(_validate_label(jt, label), label.deltas):
-        total += sum(d * m for d, m in zip(group, inc.tail_sums))
-    return total
+    """sum over eigenvalues and sizes of m_k * H_k (multiplicity times height)."""
+    _validate_label(jt, label)
+    return sum(
+        mult * h
+        for (_, blocks), heights in zip(jt.eigen_blocks, label.heights)
+        for (_, mult), h in zip(blocks, heights)
+    )
 
 
-def _validate_label(jt: JordanType, label: OrbitLabel) -> tuple:
-    """The type's increment sequences, once the label's bounds match them."""
-    incs = increments_from_type(jt)
-    expected = label_limits(incs)
-    if label.limits != expected:
-        raise ValueError(f"label bounds {label.limits} do not belong to this type ({expected})")
-    return incs
-
-
-def _report_for_heights(jt: JordanType, heights) -> OrbitReport:
-    incs = increments_from_type(jt)
-    deltas = []
-    dim = 0
-    for inc, hs in zip(incs, heights):
-        group = []
-        prev = 0
-        for h, tail in zip(hs, inc.tail_sums):
-            group.append(h - prev)
-            dim += (h - prev) * tail
-            prev = h
-        deltas.append(tuple(group))
-    label = label_for(jt, deltas)
-    return OrbitReport(label, dim, tuple(tuple(h) for h in heights))
+def _validate_label(jt: JordanType, label: OrbitLabel):
+    if label.sizes != column_sizes(jt):
+        raise ValueError(f"label bounds {label.limits} do not belong to this type ({top(jt).limits})")
 
 
 def classify_chain_coordinates(jt: JordanType, coords: Matrix) -> OrbitReport:
@@ -85,28 +71,26 @@ def classify_chain_coordinates(jt: JordanType, coords: Matrix) -> OrbitReport:
     n = jt.dimension
     if coords.rows != n or coords.cols != 1:
         raise ShapeError(f"vector must be {n}x1, got {coords.rows}x{coords.cols}")
-    incs = increments_from_type(jt)
-    raw = {inc.eigenvalue: [0] * len(inc.sizes) for inc in incs}
+    sizes = column_sizes(jt)
     column_of = {
-        (inc.eigenvalue, size): k
-        for inc in incs
-        for k, size in enumerate(inc.sizes)
+        (eig, size): (g, k)
+        for g, (eig, blocks) in enumerate(jt.eigen_blocks)
+        for k, (size, _) in enumerate(blocks)
     }
+    raw = [[0] * len(group) for group in sizes]
     for slot in chain_slots(jt):
         entries = [coords[slot.offset + t, 0] for t in range(slot.size)]
         nonzero = [t for t, c in enumerate(entries) if c != 0]
         height = slot.size - nonzero[0] if nonzero else 0
-        k = column_of[(slot.eigenvalue, slot.size)]
-        raw[slot.eigenvalue][k] = max(raw[slot.eigenvalue][k], height)
-    heights = []
-    for inc in incs:
-        h = raw[inc.eigenvalue]
+        g, k = column_of[(slot.eigenvalue, slot.size)]
+        raw[g][k] = max(raw[g][k], height)
+    for h, s in zip(raw, sizes):
         for k in range(1, len(h)):
             h[k] = max(h[k], h[k - 1])
         for k in range(len(h) - 2, -1, -1):
-            h[k] = max(h[k], h[k + 1] - inc.deltas[k + 1])
-        heights.append(tuple(h))
-    return _report_for_heights(jt, heights)
+            h[k] = max(h[k], h[k + 1] - (s[k + 1] - s[k]))
+    label = OrbitLabel(tuple(map(tuple, raw)), sizes)
+    return OrbitReport(label, orbit_dimension(jt, label))
 
 
 def classify_vector(basis: JordanBasis, v: Matrix) -> OrbitReport:
@@ -121,28 +105,29 @@ def representative(jt: JordanType, label: OrbitLabel) -> Matrix:
     first chain of that column; classify_chain_coordinates round-trips to the
     label exactly.
     """
-    incs = _validate_label(jt, label)
-    n = jt.dimension
-    coords = [0] * n
+    _validate_label(jt, label)
+    coords = [0] * jt.dimension
     first_chain = {
         (slot.eigenvalue, slot.size): slot
         for slot in chain_slots(jt)
         if slot.index == 1
     }
-    for inc, heights in zip(incs, label.heights()):
-        for size, h in zip(inc.sizes, heights):
+    for (eig, _), sizes, heights in zip(jt.eigen_blocks, label.sizes, label.heights):
+        for size, h in zip(sizes, heights):
             if h > 0:
-                slot = first_chain[(inc.eigenvalue, size)]
+                slot = first_chain[(eig, size)]
                 coords[slot.offset + size - h] = 1
     return Matrix.column(coords)
 
 
 def invariant_positions(jt: JordanType, label: OrbitLabel) -> tuple:
     """Chain coordinates spanning the orbit closure: top H_k shifts of every chain."""
-    height_of = {}
-    for inc, heights in zip(_validate_label(jt, label), label.heights()):
-        for size, h in zip(inc.sizes, heights):
-            height_of[(inc.eigenvalue, size)] = h
+    _validate_label(jt, label)
+    height_of = {
+        (eig, size): h
+        for (eig, _), sizes, heights in zip(jt.eigen_blocks, label.sizes, label.heights)
+        for size, h in zip(sizes, heights)
+    }
     positions = []
     for slot in chain_slots(jt):
         h = height_of[(slot.eigenvalue, slot.size)]

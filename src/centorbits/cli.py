@@ -34,7 +34,6 @@ from .classify import classify_vector, comparability, orbit_dimension, same_solu
 from .jordan import (
     JordanBasis,
     JordanType,
-    NonSplittingCharPoly,
     _normalize_eigenvalue,
     jordan_basis,
     jordan_type,
@@ -140,7 +139,7 @@ def parse_operator_spec(doc) -> OperatorSpec:
         raise SpecError("input document must be a JSON object")
     unknown = set(doc) - {"matrix", "jordan"}
     if unknown:
-        raise SpecError(f"unknown field(s): {', '.join(sorted(unknown))}")
+        raise SpecError(f"unknown field(s): {', '.join(map(repr, sorted(unknown)))}")
     if ("matrix" in doc) == ("jordan" in doc):
         raise SpecError("exactly one of 'matrix' or 'jordan' must be given")
     if "matrix" in doc:
@@ -186,13 +185,10 @@ def _parse_vector(text: str, n: int, field: str) -> Matrix:
 
 def label_name(label: OrbitLabel) -> str:
     """Per-eigenvalue digit strings joined by '|'; commas when a bound exceeds 9."""
-    groups = []
-    for deltas, bounds in zip(label.deltas, label.limits):
-        if all(b <= 9 for b in bounds):
-            groups.append("".join(str(d) for d in deltas))
-        else:
-            groups.append(",".join(str(d) for d in deltas))
-    return "|".join(groups)
+    return "|".join(
+        ("" if all(b <= 9 for b in bounds) else ",").join(map(str, deltas))
+        for deltas, bounds in zip(label.deltas, label.limits)
+    )
 
 
 def _emit(payload) -> None:
@@ -375,9 +371,6 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NonSplittingCharPoly as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ depends on the multiplicities too.
 from __future__ import annotations
 
 from .jordan import JordanType
+from .lattice import DEFAULT_ENUMERATION_CAP, CapExceeded
 from .lattice import IncrementSequence, increments_from_type, orbit_count  # noqa: F401 (re-exported)
 
 
@@ -87,7 +88,9 @@ def gen_function_eigenvalue(inc: IncrementSequence) -> IntPolynomial:
 
 
 def gen_function(jt: JordanType) -> IntPolynomial:
-    """x^n coefficient = number of orbits whose dimension is n."""
+    """x^n coefficient = number of orbits whose dimension is n; dense, so capped by dimension."""
+    if jt.dimension > DEFAULT_ENUMERATION_CAP:
+        raise CapExceeded(jt.dimension, DEFAULT_ENUMERATION_CAP, what="generating-function degrees")
     poly = IntPolynomial.one()
     for inc in increments_from_type(jt):
         poly = poly * gen_function_eigenvalue(inc)

@@ -92,6 +92,14 @@ def subspace_count(n: int, p: int) -> int:
     return sum(gaussian_binomial(n, k, p) for k in range(n + 1))
 
 
+def _check_cap(p: int, n: int, cap: int):
+    """Refuse a scan over cap; F_p^n has at least 2^n subspaces, so a large n goes uncounted."""
+    if n >= cap.bit_length():
+        raise CapExceeded(f"at least 2^{n}", cap, what=f"subspaces of F_{p}^{n}")
+    if subspace_count(n, p) > cap:
+        raise CapExceeded(subspace_count(n, p), cap, what=f"subspaces of F_{p}^{n}")
+
+
 def all_subspaces(p: int, n: int, cap: int = DEFAULT_SUBSPACE_CAP):
     """Every subspace of F_p^n exactly once, as its reduced echelon basis.
 
@@ -100,9 +108,7 @@ def all_subspaces(p: int, n: int, cap: int = DEFAULT_SUBSPACE_CAP):
     values, so the stream is deterministic.
     """
     _require_prime(p)
-    total = subspace_count(n, p)
-    if total > cap:
-        raise CapExceeded(total, cap, what=f"subspaces of F_{p}^{n}")
+    _check_cap(p, n, cap)
     for k in range(n + 1):
         for pivots in itertools.combinations(range(n), k):
             pivot_set = set(pivots)
@@ -164,6 +170,7 @@ def invariant_subspaces_bruteforce(
     """
     eigenvalues_mod_p(jt, p)
     n = jt.dimension
+    _check_cap(p, n, cap)
     operators = [shift_operator_rows(n, *op) for op in shift_tags(jt)]
     survivors = []
     for sub in all_subspaces(p, n, cap):
@@ -212,9 +219,12 @@ def compare_with_prediction(
 
     ``labels`` defaults to the full predicted label set; passing a mutated
     list exists so the harness can be shown to catch corrupted predictions.
-    A mismatch is a verdict, not an exception.
+    A mismatch is a verdict, not an exception; p and the subspace cap are
+    checked before any label or subspace is built.
     """
     n = jt.dimension
+    eigenvalues_mod_p(jt, p)
+    _check_cap(p, n, cap)
     if labels is None:
         labels = enumerate_labels(jt)
     predicted = []

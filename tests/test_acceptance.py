@@ -168,7 +168,7 @@ def test_criterion_08_lattice_laws():
         labels = enumerate_labels(jt)
         if len(labels) > 200:
             continue
-        heights = {lab: tuple(h for grp in lab.heights() for h in grp) for lab in labels}
+        heights = {lab: tuple(h for grp in lab.heights for h in grp) for lab in labels}
         by_height = {h: lab for lab, h in heights.items()}
         # library meet/join coincide with pointwise min/max of heights (all pairs)
         for a in labels:

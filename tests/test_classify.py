@@ -134,7 +134,7 @@ def test_orbit_dimension_tail_sum_equals_weighted_heights(corpus):
         for label in enumerate_labels(jt):
             weighted = sum(
                 m * h
-                for inc, heights in zip(incs, label.heights())
+                for inc, heights in zip(incs, label.heights)
                 for m, h in zip(inc.multiplicities, heights)
             )
             assert orbit_dimension(jt, label) == weighted

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -288,6 +289,23 @@ def test_verify_prime_too_large_to_certify(tmp_path, capsys):
     assert code == 2
     assert "too large to certify" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, blocks",
+    [
+        (["verify", "--prime", "2"], [[1, 200]]),
+        (["verify", "--prime", "2"], [[1, 2000]]),
+        (["analyze"], [[10**8, 1]]),
+    ],
+)
+def test_huge_type_hits_a_cap_at_once(tmp_path, capsys, argv, blocks):
+    spec = write(tmp_path, "huge.json", {"jordan": [{"eigenvalue": "0", "blocks": blocks}]})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], spec, *argv[1:])
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    assert err.startswith("error: refusing to enumerate") and err.count("\n") == 1
 
 
 def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):

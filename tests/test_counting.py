@@ -3,11 +3,16 @@ import pytest
 from centorbits.counting import IntPolynomial, gen_function, gen_function_eigenvalue, orbit_count
 from centorbits.classify import orbit_dimension
 from centorbits.jordan import JordanType
-from centorbits.lattice import enumerate_labels, increments_from_type
+from centorbits.lattice import CapExceeded, enumerate_labels, increments_from_type
 
 from conftest import corpus_types
 
 T135 = JordanType.of({0: [(1, 1), (3, 1), (5, 1)]})
+
+
+def test_gen_function_refuses_a_dimension_over_the_cap():
+    with pytest.raises(CapExceeded, match="refusing to enumerate 1000001 generating-function degrees"):
+        gen_function(JordanType.of({0: [(10**6 + 1, 1)]}))
 
 
 def test_intpolynomial_canonical_form():

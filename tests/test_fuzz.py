@@ -1,0 +1,85 @@
+"""Malformed documents and vectors through the CLI: a result or one error line, never a traceback.
+
+Every verb that reads a document is driven in-process with small fuzzed
+input on stdin. A run must return 0, 2 or 3 (1 is kept for a failed
+verification); a nonzero run writes exactly one stderr line starting
+``error: ``. Entries stay small, so no run reaches the slow root search of
+a large constant term, and ``verify`` runs under a small subspace cap.
+"""
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from centorbits import cli
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.floats(width=16),
+    st.sampled_from(["0", "1", "-2", "1/2", "-3/4", "1/0", "x", "", " ", "1.5", "2/", "0x1"]),
+)
+ENTRIES = st.one_of(SCALARS, st.lists(st.integers(0, 1), max_size=2))
+MATRICES = st.one_of(ENTRIES, st.lists(st.one_of(ENTRIES, st.lists(ENTRIES, max_size=3)), max_size=3))
+BLOCKS = st.one_of(ENTRIES, st.lists(st.one_of(ENTRIES, st.lists(st.integers(-1, 3), max_size=3)), max_size=3))
+EIGENVALUES = st.one_of(ENTRIES, st.text(max_size=3))
+JORDAN = st.one_of(
+    ENTRIES,
+    st.lists(
+        st.one_of(ENTRIES, st.fixed_dictionaries({"eigenvalue": EIGENVALUES, "blocks": BLOCKS})),
+        max_size=3,
+    ),
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+DOCUMENTS = st.one_of(
+    st.fixed_dictionaries({"matrix": MATRICES}),
+    st.fixed_dictionaries({"jordan": JORDAN}),
+    st.dictionaries(st.sampled_from(["matrix", "jordan", "other"]), st.one_of(MATRICES, JORDAN), max_size=3),
+    JSON_VALUES,
+)
+TEXTS = st.one_of(DOCUMENTS.map(json.dumps), st.text(max_size=12))
+VECTORS = st.text(alphabet="0123456789/-,. x", max_size=12)
+
+
+@st.composite
+def invocations(draw):
+    verb = draw(st.sampled_from(["analyze", "lattice", "classify", "verify"]))
+    argv = [verb, "-"]
+    if verb == "lattice":
+        argv += ["--format", draw(st.sampled_from(["json", "dot"]))]
+    elif verb == "classify":
+        argv.append("--vector=" + draw(VECTORS))
+    elif verb == "verify":
+        argv += ["--prime", draw(st.sampled_from(["1", "2", "3", "4"])), "--cap", "2000"]
+    return argv, draw(TEXTS)
+
+
+@given(invocations())
+@settings(deadline=None, max_examples=300)
+def test_malformed_input_ends_in_a_result_or_one_error_line(invocation):
+    argv, text = invocation
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert err.getvalue().endswith("\n") and "Traceback" not in err.getvalue()

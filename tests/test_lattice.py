@@ -6,7 +6,6 @@ from centorbits.jordan import JordanType
 from centorbits.lattice import (
     CapExceeded,
     MismatchedLabels,
-    OrbitLabel,
     bottom,
     dual,
     enumerate_labels,
@@ -191,7 +190,7 @@ def test_heights_stay_between_zero_and_sizes():
     for jt in corpus_types()[:6]:
         incs = increments_from_type(jt)
         for label in enumerate_labels(jt):
-            for inc, heights in zip(incs, label.heights()):
+            for inc, heights in zip(incs, label.heights):
                 for h, size in zip(heights, inc.sizes):
                     assert 0 <= h <= size
 
@@ -208,10 +207,7 @@ def type_and_labels(draw):
     limits = tuple(inc.deltas for inc in increments_from_type(jt))
 
     def draw_label():
-        return OrbitLabel(
-            tuple(tuple(draw(st.integers(0, b)) for b in bounds) for bounds in limits),
-            limits,
-        )
+        return label_for(jt, [[draw(st.integers(0, b)) for b in bounds] for bounds in limits])
 
     return draw_label(), draw_label(), draw_label()
 

@@ -36,6 +36,24 @@ def test_all_subspaces_rejects_nonprime_and_cap():
         list(all_subspaces(2, 3, cap=3))
 
 
+def test_scan_refused_before_anything_is_built(monkeypatch):
+    import centorbits.oracle as oracle
+
+    def never(*args):
+        raise AssertionError("built before the cap check")
+
+    monkeypatch.setattr(oracle, "enumerate_labels", never)
+    monkeypatch.setattr(oracle, "shift_operator_rows", never)
+    huge = JordanType.of({0: [(1, 200)]})
+    for scan in (oracle.compare_with_prediction, oracle.invariant_subspaces_bruteforce):
+        with pytest.raises(CapExceeded, match=r"at least 2\^200 subspaces of F_2\^200"):
+            scan(huge, 2)
+    with pytest.raises(CapExceeded):
+        oracle.compare_with_prediction(JordanType.of({0: [(3, 1)]}), 2, cap=15)
+    with pytest.raises(ValueError, match="not a prime"):
+        oracle.compare_with_prediction(huge, 4)
+
+
 @pytest.mark.parametrize(
     "p, prime",
     [
