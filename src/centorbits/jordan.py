@@ -18,6 +18,20 @@ Conventions, pinned for reproducibility:
 * Rational eigenvalues are ordered by (numerator, denominator) of their
   canonical form; symbolic labels follow all rationals, ordered as strings.
 
+The eigenvalues come from the characteristic polynomial, computed in O(n^3)
+by reducing T to upper Hessenberg form with elimination similarities and
+expanding the Hessenberg determinant by its minor recurrence. Its rational
+roots are found without factoring any coefficient. The square-free part g
+of the polynomial, cleared to integers, is taken modulo the smallest prime p
+that does not divide its leading coefficient and at which every root of g
+mod p is simple. Every rational root a/b of g reduces to a root mod p; the
+roots mod p are found by evaluation, lifted by Newton's (Hensel's) iteration
+to a modulus above 2 B^2, where B = max(|lc(g)|, |g(0)|) bounds |a| and b,
+and recovered by rational reconstruction (von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 5 and 15). A candidate is accepted, with its
+multiplicity, only by exact synthetic division of the polynomial; a factor
+left over means an irrational or complex root.
+
 Both the type and the basis come from one kernel chain per eigenvalue: the
 powers N^k and the kernel bases of ker N ⊂ ker N^2 ⊂ ..., built once and
 stopped where dim ker N^k reaches the algebraic multiplicity, which happens
@@ -32,17 +46,19 @@ deterministic order, whenever they extend the span of those forced vectors.
 The count of generators found this way must match the block multiplicities,
 and the result is verified outright: the assembled change of basis P must
 satisfy T P == P J for the canonical block matrix J of the type, and
-computing P^-1 certifies that P is invertible, so P^-1 T P == J.
+computing P^-1 certifies that P is invertible, so P^-1 T P == J. P J is
+read off the chains in O(n^2): its column for p_j is lambda p_j + p_{j+1}
+inside a chain and lambda p_j at the chain's end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .linalg import Matrix, ShapeError
+from .linalg import Matrix, ShapeError, _integer_vector, _primitive
 
 Eigenvalue = Union[Fraction, str]
 
@@ -165,43 +181,153 @@ def chain_slots(jt: JordanType) -> tuple:
 
 
 def characteristic_polynomial(t: Matrix) -> tuple:
-    """Monic characteristic polynomial det(xI - T), coefficients highest first."""
+    """Monic characteristic polynomial det(xI - T), coefficients highest first.
+
+    T is reduced to upper Hessenberg form H by elimination similarities, and
+    the characteristic polynomials p_m of the leading m x m blocks of H
+    follow from the minor recurrence (Cohen, Alg. 2.2.9)
+    p_m = (x - h_mm) p_{m-1} - sum_i h_{m-i,m} h_{m,m-1} ... h_{m-i+1,m-i} p_{m-i-1}.
+    """
     if not t.is_square():
         raise ShapeError(f"characteristic polynomial needs a square matrix, got {t.rows}x{t.cols}")
     n = t.rows
-    coeffs = [Fraction(1)]
-    m = Matrix.identity(n)
-    for k in range(1, n + 1):
-        m = t @ m
-        ck = -m.trace() / k
-        coeffs.append(ck)
-        if k < n:
-            m = m + Matrix.identity(n).scaled(ck)
-    return tuple(coeffs)
+    h = [list(t.row(i)) for i in range(n)]
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if h[i][m - 1] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            h[m], h[pivot] = h[pivot], h[m]
+            for row in h:
+                row[m], row[pivot] = row[pivot], row[m]
+        inv = 1 / h[m][m - 1]
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv
+            if u == 0:
+                continue
+            h[i][m - 1:] = [a - u * b for a, b in zip(h[i][m - 1:], h[m][m - 1:])]
+            for row in h:
+                row[m] += u * row[i]
+    # polys[k] is p_k, coefficients lowest first
+    polys = [[Fraction(1)]]
+    for m in range(n):
+        p = [Fraction(0)] + polys[m]
+        for k, c in enumerate(polys[m]):
+            p[k] -= h[m][m] * c
+        sub = Fraction(1)
+        for i in range(1, m + 1):
+            sub *= h[m - i + 1][m - i]
+            if sub == 0:
+                break
+            factor = sub * h[m - i][m]
+            for k, c in enumerate(polys[m - i]):
+                p[k] -= factor * c
+        polys.append(p)
+    return tuple(reversed(polys[n]))
 
 
-def _positive_divisors(n: int) -> list:
-    n = abs(n)
-    factors = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    divisors = [1]
-    for prime, power in factors.items():
-        divisors = [d * prime**k for d in divisors for k in range(power + 1)]
-    return sorted(divisors)
+def _derivative(poly: list) -> list:
+    return [c * (len(poly) - 1 - k) for k, c in enumerate(poly[:-1])]
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """A multiple of a mod b by a nonzero constant, leading zeros stripped (highest first)."""
+    lead = b[0]
+    while len(a) >= len(b):
+        c = a[0]
+        a = [lead * x for x in a[1:]]
+        for k in range(len(b) - 1):
+            a[k] -= c * b[k + 1]
+        while a and a[0] == 0:
+            a.pop(0)
+    return a
+
+
+def _square_free_part(f: list) -> list:
+    """f / gcd(f, f') as a primitive integer polynomial, by a primitive remainder sequence.
+
+    Coefficients are listed highest first; the gcd and the result are fixed up
+    to sign only, which changes no root.
+    """
+    a, b = _primitive(f), _primitive(_derivative(f))
+    common = [1]
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            common = b
+            break
+        a, b = b, _primitive(r)
+    # common is primitive and divides f, so by Gauss's lemma the quotient is integral
+    quotient, rest = [], list(f)
+    while len(rest) >= len(common):
+        q = rest[0] // common[0]
+        quotient.append(q)
+        rest = [x - q * y for x, y in zip(rest[1:], common[1:] + [0] * len(rest))]
+    return _primitive(quotient)
+
+
+def _next_prime(p: int) -> int:
+    p += 1
+    while any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        p += 1
+    return p
+
+
+def _eval_mod(poly: list, x: int, m: int) -> int:
+    value = 0
+    for c in poly:
+        value = (value * x + c) % m
+    return value
+
+
+def _rational_reconstruction(r: int, m: int, bound: int):
+    """The a/b with |a|, b <= bound and a = b r mod m, or None; needs m > 2 bound^2."""
+    r0, r1, t0, t1 = m, r % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _root_candidates(g: list) -> list:
+    """Every rational root of the square-free primitive integer polynomial g, and maybe more.
+
+    At the smallest prime p not dividing lc(g) at which every root of g mod p
+    is simple, each rational root a/b of g reduces to a root mod p (b | lc(g)
+    is prime to p), which Newton's iteration lifts uniquely to a root mod
+    p^(2^k) > 2 B^2, B = max(|lc(g)|, |g(0)|). Since |a| <= |g(0)| and
+    b <= |lc(g)|, rational reconstruction recovers a/b from it.
+    """
+    derivative = _derivative(g)
+    p = 2
+    while True:
+        if g[0] % p:
+            roots = [x for x in range(p) if _eval_mod(g, x, p) == 0]
+            if all(_eval_mod(derivative, x, p) for x in roots):
+                break
+        p = _next_prime(p)
+    bound = max(abs(g[0]), abs(g[-1]))
+    candidates = []
+    for x in roots:
+        m = p
+        while m <= 2 * bound * bound:
+            m *= m
+            x = (x - _eval_mod(g, x, m) * pow(_eval_mod(derivative, x, m), -1, m)) % m
+        cand = _rational_reconstruction(x, m, bound)
+        if cand is not None:
+            candidates.append(cand)
+    return candidates
 
 
 def _rational_roots(coeffs: Sequence[Fraction]) -> list:
     """All rational roots (root, multiplicity) of a monic polynomial.
 
-    Raises NonSplittingCharPoly when a nontrivial factor remains after every
-    rational root has been divided out.
+    The candidates come from p-adic lifting of the roots of the square-free
+    part modulo a small prime; each one, and its multiplicity, is confirmed by
+    exact synthetic division. Raises NonSplittingCharPoly when a nontrivial
+    factor remains after every rational root has been divided out.
     """
     work = list(coeffs)
     roots = []
@@ -212,17 +338,7 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list:
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
     if len(work) > 1:
-        scale = 1
-        for c in work:
-            scale = lcm(scale, c.denominator)
-        ints = [int(c * scale) for c in work]
-        candidates = set()
-        for p in _positive_divisors(ints[-1]):
-            for q in _positive_divisors(ints[0]):
-                cand = Fraction(p, q)
-                candidates.add(cand)
-                candidates.add(-cand)
-        for cand in sorted(candidates, key=eigenvalue_sort_key):
+        for cand in _root_candidates(_square_free_part(_integer_vector(work)[0])):
             mult = 0
             while len(work) > 1:
                 quotient = [work[0]]
@@ -266,7 +382,9 @@ def _kernel_chains(t: Matrix):
     """
     ident = Matrix.identity(t.rows)
     for eig, alg_mult in rational_eigenvalues(t):
-        nilpotent = t - ident.scaled(eig)
+        nilpotent = Matrix(
+            [[x - eig if i == j else x for j, x in enumerate(t.row(i))] for i in range(t.rows)]
+        )
         powers, kernels = [ident], [[]]
         while len(kernels[-1]) < alg_mult:
             powers.append(nilpotent @ powers[-1])
@@ -377,7 +495,13 @@ def jordan_basis(t: Matrix) -> JordanBasis:
     columns = [vec for chain in all_chains for vec in chain.vectors]
     p = Matrix.from_columns(columns)
     p_inv = p.inverse()
-    if t @ p != p @ jordan_matrix(jt):
+    # column j of P J is lambda p_j + p_{j+1} inside a chain and lambda p_j at its end
+    p_times_j = []
+    for chain in all_chains:
+        for k, vec in enumerate(chain.vectors):
+            column = vec.scaled(chain.eigenvalue)
+            p_times_j.append(column + chain.vectors[k + 1] if k + 1 < chain.size else column)
+    if t @ p != Matrix.from_columns(p_times_j):
         raise RuntimeError("Jordan basis reconstruction check failed; this is a bug")
     return JordanBasis(t, jt, tuple(all_chains), p, p_inv)
 

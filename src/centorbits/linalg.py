@@ -4,6 +4,19 @@ Every entry is a ``fractions.Fraction``, so all results are exact: no
 rounding, no overflow, no precision loss anywhere in this module. Vectors
 are represented as n x 1 matrices to keep a single arithmetic path.
 
+The inner loops run on Python integers, not on fractions. A product writes
+each row of the left factor and each column of the right one as an integer
+vector over the lcm of its denominators, so every output entry is one
+integer dot product over one integer denominator. Elimination scales each
+row to integers and eliminates fraction-free: the target row is multiplied
+by the pivot before the pivot row is subtracted, and each updated row is
+divided by its content (the gcd of its entries) to keep the integers short.
+Scaling a row by a nonzero number changes neither its span nor the span of
+the rows, and the reduced row echelon form of a matrix depends only on that
+row space, so the reduced form built from the integer rows at the end is
+the one exact rational Gauss-Jordan elimination gives: ranks, kernel bases
+and inverses are unchanged.
+
 Row reduction pivots on the first nonzero entry of each column (exact
 arithmetic needs no numerical pivot selection), which makes ranks, reduced
 forms and kernel bases fully deterministic.
@@ -12,6 +25,8 @@ forms and kernel bases fully deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[Fraction, int, str]
@@ -36,6 +51,18 @@ def as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def _primitive(row: list) -> list:
+    """The integer row divided by its content (the gcd of its entries)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _integer_vector(values: Sequence[Fraction]) -> tuple[list, int]:
+    """(integers, d) with values[i] == integers[i] / d, d the lcm of the denominators."""
+    d = lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
 
 
 class Matrix:
@@ -148,11 +175,14 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = list(zip(*other._data))
-        return Matrix(
-            [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols]
-             for row in self._data]
-        )
+        cols = [_integer_vector(col) for col in zip(*other._data)]
+        out = []
+        for row in self._data:
+            ints, denom = _integer_vector(row)
+            out.append(
+                [Fraction(sum(map(mul, ints, col)), denom * col_denom) for col, col_denom in cols]
+            )
+        return Matrix(out)
 
     def pow(self, k: int) -> "Matrix":
         """Exact k-th power; k = 0 gives the identity."""
@@ -172,9 +202,13 @@ class Matrix:
 
     # -- elimination ---------------------------------------------------
 
-    def rref(self) -> tuple["Matrix", tuple]:
-        """Reduced row echelon form and the tuple of pivot columns."""
-        m = [list(row) for row in self._data]
+    def _integer_rref(self) -> tuple[list, tuple]:
+        """Integer rows whose scaled form is the reduced row echelon form, and the pivots.
+
+        Row i < rank divided by its entry in pivot column ``pivots[i]`` is
+        row i of the reduced form; the rows below are zero.
+        """
+        m = [_primitive(_integer_vector(row)[0]) for row in self._data]
         pivots = []
         pr = 0
         for pc in range(self.cols):
@@ -186,20 +220,27 @@ class Matrix:
             if pivot_row is None:
                 continue
             m[pr], m[pivot_row] = m[pivot_row], m[pr]
-            inv = 1 / m[pr][pc]
-            m[pr] = [x * inv for x in m[pr]]
+            prow = m[pr]
+            p = prow[pc]
             for r in range(self.rows):
-                if r != pr and m[r][pc] != 0:
-                    f = m[r][pc]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
+                f = m[r][pc]
+                if r != pr and f != 0:
+                    m[r] = _primitive([p * a - f * b for a, b in zip(m[r], prow)])
             pivots.append(pc)
             pr += 1
             if pr == self.rows:
                 break
-        return Matrix(m), tuple(pivots)
+        return m, tuple(pivots)
+
+    def rref(self) -> tuple["Matrix", tuple]:
+        """Reduced row echelon form and the tuple of pivot columns."""
+        m, pivots = self._integer_rref()
+        reduced = [[Fraction(x, m[i][pc]) for x in m[i]] for i, pc in enumerate(pivots)]
+        reduced += [[0] * self.cols for _ in range(self.rows - len(pivots))]
+        return Matrix(reduced), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._integer_rref()[1])
 
     def kernel_basis(self) -> list:
         """Basis of the right kernel as n x 1 matrices.
@@ -207,7 +248,7 @@ class Matrix:
         One vector per free column, free columns in increasing order, so the
         result is reproducible: rank + len(kernel) == cols always holds.
         """
-        reduced, pivots = self.rref()
+        m, pivots = self._integer_rref()
         pivot_set = set(pivots)
         basis = []
         for free in range(self.cols):
@@ -216,7 +257,7 @@ class Matrix:
             coords = [Fraction(0)] * self.cols
             coords[free] = Fraction(1)
             for r, pc in enumerate(pivots):
-                coords[pc] = -reduced[r, free]
+                coords[pc] = Fraction(-m[r][free], m[r][pc])
             basis.append(Matrix.column(coords))
         return basis
 
@@ -224,7 +265,7 @@ class Matrix:
         if not self.is_square():
             raise ShapeError(f"only square matrices invert, got {self.rows}x{self.cols}")
         n = self.rows
-        reduced, pivots = self.augment(Matrix.identity(n)).rref()
-        if len(pivots) < n or tuple(pivots[:n]) != tuple(range(n)):
+        m, pivots = self.augment(Matrix.identity(n))._integer_rref()
+        if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in reduced._data])
+        return Matrix([[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(m[:n])])

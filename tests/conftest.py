@@ -1,9 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from centorbits import JordanType, Matrix
 from centorbits.centralizer import shift_operator_rows
+
+
+# Rational entries for property tests: zeros, small integers and fractions
+# with mixed denominators.
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
 
 
 def j23_matrix() -> Matrix:

@@ -308,6 +308,15 @@ def test_huge_type_hits_a_cap_at_once(tmp_path, capsys, argv, blocks):
     assert err.startswith("error: refusing to enumerate") and err.count("\n") == 1
 
 
+def test_large_prime_eigenvalues_end_at_once(tmp_path, capsys):
+    spec = write(tmp_path, "primes.json", {"matrix": [["100000007", "0"], ["0", "100000037"]]})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", spec)
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    assert [e["eigenvalue"] for e in json.loads(out)["jordan_type"]] == ["100000007", "100000037"]
+
+
 def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     from centorbits.oracle import OracleVerdict
 

@@ -3,8 +3,8 @@
 Every verb that reads a document is driven in-process with small fuzzed
 input on stdin. A run must return 0, 2 or 3 (1 is kept for a failed
 verification); a nonzero run writes exactly one stderr line starting
-``error: ``. Entries stay small, so no run reaches the slow root search of
-a large constant term, and ``verify`` runs under a small subspace cap.
+``error: ``. Integer entries and ``p/q`` strings reach about 10^12 in size,
+and ``verify`` runs under a small subspace cap.
 """
 
 import io
@@ -17,10 +17,13 @@ from hypothesis import strategies as st
 
 from centorbits import cli
 
+BIG = st.integers(-(10**12), 10**12)
 SCALARS = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-2, 3),
+    BIG,
+    st.builds("{}/{}".format, BIG, BIG),
     st.floats(width=16),
     st.sampled_from(["0", "1", "-2", "1/2", "-3/4", "1/0", "x", "", " ", "1.5", "2/", "0x1"]),
 )

@@ -8,16 +8,27 @@ recorded run this file no longer makes, fails the test.
 
 The CLI prints labels only, never a sampled commuting invertible, so
 ``golden_samples.json`` separately pins the sha256 of
-``str(sample_invertible(...))`` for each fixed matrix and seeds 0-3.
+``str(sample_invertible(...))`` for each fixed matrix and seeds 0-3, and
+``golden_exact.json`` pins the characteristic polynomial, the eigenvalues
+and the chain basis P and P^-1 of 20 seeded planted matrices of dimension
+6-21.
 """
 
 import hashlib
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from centorbits import Matrix, centralizer_basis, cli, jordan_basis, sample_invertible
+from centorbits.jordan import (
+    JordanType,
+    characteristic_polynomial,
+    jordan_matrix,
+    rational_eigenvalues,
+)
 
 from conftest import corpus_types, j23_matrix
 
@@ -124,3 +135,59 @@ def test_sampled_invertibles_match_golden():
             for s in SAMPLE_SEEDS
         ]
         assert digests == recorded[name], name
+
+
+# -- exact core --------------------------------------------------------------
+
+GOLDEN_EXACT = Path(__file__).with_name("golden_exact.json")
+EXACT_SEEDS = range(20)
+PRIMES = (10007, 10009, 65537, 99991)
+FRACTIONS = (Fraction(-7, 3), Fraction(5, 2), Fraction(1, 4), Fraction(-9, 5))
+
+
+def planted_matrix(seed: int) -> Matrix:
+    """S J S^-1 for a seeded Jordan type of dimension 6-21 and a seeded S of determinant 1.
+
+    Every type has a 5-digit prime and a fractional eigenvalue, and every
+    other one has 0 as well. S is a product of unit triangular matrices
+    with sparse entries in {-1, 0, 1}.
+    """
+    rng = random.Random(seed)
+    n = 6 + 15 * seed // (len(EXACT_SEEDS) - 1)
+    eigs = [Fraction(rng.choice(PRIMES)), rng.choice(FRACTIONS)]
+    if seed % 2 == 0:
+        eigs.append(Fraction(0))
+    blocks: dict = {}
+    left, k = n, 0
+    while left:
+        size = rng.randint(1, min(left, 4))
+        blocks.setdefault(eigs[k % len(eigs)], []).append((size, 1))
+        left -= size
+        k += 1
+
+    def unit_triangular(lower: bool) -> Matrix:
+        return Matrix(
+            [[1 if i == j else (rng.choice((-1, 0, 0, 1)) if (i > j) == lower else 0)
+              for j in range(n)] for i in range(n)]
+        )
+
+    s = unit_triangular(True) @ unit_triangular(False)
+    return s @ jordan_matrix(JordanType.of(blocks)) @ s.inverse()
+
+
+def exact_digests(t: Matrix) -> list:
+    basis = jordan_basis(t)
+    texts = [
+        str(characteristic_polynomial(t)),
+        str(rational_eigenvalues(t)),
+        str(basis.transform),
+        str(basis.inverse_transform),
+    ]
+    return [hashlib.sha256(text.encode("utf-8")).hexdigest() for text in texts]
+
+
+def test_exact_core_matches_golden():
+    recorded = json.loads(GOLDEN_EXACT.read_text())
+    assert sorted(recorded) == sorted(f"planted{seed}" for seed in EXACT_SEEDS)
+    for seed in EXACT_SEEDS:
+        assert exact_digests(planted_matrix(seed)) == recorded[f"planted{seed}"], seed

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centorbits.jordan import (
     JordanType,
@@ -16,7 +18,7 @@ from centorbits.jordan import (
 )
 from centorbits.linalg import Matrix
 
-from conftest import rational_corpus_types
+from conftest import RATIONALS, rational_corpus_types
 
 
 def diag(*values):
@@ -41,6 +43,77 @@ def test_characteristic_polynomial_examples():
         Fraction(0),
         Fraction(0),
     )
+
+
+def faddeev_leverrier(t: Matrix) -> tuple:
+    """Reference char poly: c_k = -tr(T M_k) / k with M_{k+1} = T M_k + c_k I."""
+    n = t.rows
+    coeffs = [Fraction(1)]
+    m = Matrix.identity(n)
+    for k in range(1, n + 1):
+        m = t @ m
+        ck = -m.trace() / k
+        coeffs.append(ck)
+        m = m + Matrix.identity(n).scaled(ck)
+    return tuple(coeffs)
+
+
+@st.composite
+def sparse_subdiagonal_matrices(draw, max_dim=6):
+    """Square rational matrices whose entries below the diagonal are mostly zero,
+    so the Hessenberg reduction has to swap rows or skip columns."""
+    n = draw(st.integers(1, max_dim))
+    below = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), RATIONALS)
+    return Matrix([[draw(below if i > j else RATIONALS) for j in range(n)] for i in range(n)])
+
+
+@given(sparse_subdiagonal_matrices())
+@settings(deadline=None)
+def test_characteristic_polynomial_matches_faddeev_leverrier(t):
+    coeffs = characteristic_polynomial(t)
+    assert coeffs == faddeev_leverrier(t)
+    assert all(isinstance(c, Fraction) for c in coeffs)
+
+
+def companion(*coeffs) -> Matrix:
+    """Companion matrix of the monic polynomial x^n + coeffs[0] x^{n-1} + ... + coeffs[-1]."""
+    n = len(coeffs)
+    return Matrix([[int(i == j + 1) if j < n - 1 else -coeffs[n - 1 - i] for j in range(n)]
+                   for i in range(n)])
+
+
+def test_distinct_integer_roots_beyond_the_small_primes():
+    # 0..30 are distinct only modulo a prime of at least 31
+    t = random_conjugate(diag(*range(31)), 5)
+    assert rational_eigenvalues(t) == [(Fraction(i), 1) for i in range(31)]
+
+
+def test_repeated_fractional_root_keeps_its_multiplicity():
+    assert characteristic_polynomial(companion(-4, Fraction(16, 3), Fraction(-64, 27))) == (
+        1, -4, Fraction(16, 3), Fraction(-64, 27))
+    t = jordan_matrix(JordanType.of({Fraction(4, 3): [(3, 1)]}))
+    for m in (companion(-4, Fraction(16, 3), Fraction(-64, 27)), random_conjugate(t, 2)):
+        assert rational_eigenvalues(m) == [(Fraction(4, 3), 3)]
+
+
+def test_large_prime_roots():
+    assert rational_eigenvalues(diag(100000007, 100000037)) == [
+        (Fraction(100000007), 1), (Fraction(100000037), 1)]
+    assert rational_eigenvalues(diag(Fraction(-100000007, 99991), 0, 0)) == [
+        (Fraction(-100000007, 99991), 1), (Fraction(0), 2)]
+    # the denominators, not the numerators, set the size of the lifted modulus
+    assert rational_eigenvalues(diag(Fraction(1, 99991), Fraction(-2, 10007))) == [
+        (Fraction(-2, 10007), 1), (Fraction(1, 99991), 1)]
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(0, -2), (0, 1), (-2, 2, -2, 1)],
+    ids=["x^2-2", "x^2+1", "(x-1)^2(x^2+1)"],
+)
+def test_irrational_and_complex_roots_raise_with_hint(coeffs):
+    with pytest.raises(NonSplittingCharPoly, match="Jordan block data directly"):
+        rational_eigenvalues(companion(*coeffs))
 
 
 def test_rational_eigenvalues_examples():

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from centorbits.linalg import Matrix, ShapeError, as_fraction
 
+from conftest import RATIONALS
+
 
 def small_matrices(max_dim=4):
     @st.composite
@@ -133,6 +135,86 @@ def test_arithmetic_is_exact(a, b):
     m = Matrix([[a]])
     n = Matrix([[b]])
     assert (m + n) - n == m
+
+
+# -- the integer core against plain Fraction references ---------------------
+
+@st.composite
+def rational_matrices(draw, max_dim=5, square=False):
+    """Rational matrices with mixed denominators, often rank-deficient.
+
+    A random number of rows is drawn freely; the rest are rational
+    combinations of them, and the rows are then shuffled.
+    """
+    rows = draw(st.integers(1, max_dim))
+    cols = rows if square else draw(st.integers(1, max_dim))
+    data = [[draw(RATIONALS) for _ in range(cols)] for _ in range(draw(st.integers(1, rows)))]
+    while len(data) < rows:
+        coeffs = [draw(RATIONALS) for _ in data]
+        data.append([sum(k * row[j] for k, row in zip(coeffs, data)) for j in range(cols)])
+    return Matrix(draw(st.permutations(data)))
+
+
+def reference_rref(rows: list) -> tuple:
+    """Gauss-Jordan on Fraction rows: reduced rows and pivot columns."""
+    m = [list(row) for row in rows]
+    pivots = []
+    for pc in range(len(m[0])):
+        pr = len(pivots)
+        found = next((r for r in range(pr, len(m)) if m[r][pc] != 0), None)
+        if found is None:
+            continue
+        m[pr], m[found] = m[found], m[pr]
+        m[pr] = [x / m[pr][pc] for x in m[pr]]
+        for r in range(len(m)):
+            if r != pr:
+                m[r] = [a - m[r][pc] * b for a, b in zip(m[r], m[pr])]
+        pivots.append(pc)
+        if len(pivots) == len(m):
+            break
+    return m, tuple(pivots)
+
+
+def rows_of(m: Matrix) -> list:
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+@given(rational_matrices())
+@settings(deadline=None)
+def test_rref_rank_and_kernel_match_fraction_gauss_jordan(m):
+    reduced, pivots = reference_rref(rows_of(m))
+    assert m.rref() == (Matrix(reduced), pivots)
+    assert m.rank() == len(pivots)
+    kernel = []
+    for free in (j for j in range(m.cols) if j not in pivots):
+        coords = [Fraction(int(j == free)) for j in range(m.cols)]
+        for r, pc in enumerate(pivots):
+            coords[pc] = -reduced[r][free]
+        kernel.append(Matrix.column(coords))
+    assert m.kernel_basis() == kernel
+
+
+@given(rational_matrices(square=True))
+@settings(deadline=None)
+def test_inverse_matches_fraction_gauss_jordan(m):
+    n = m.rows
+    reduced, pivots = reference_rref([row + [Fraction(int(i == j)) for j in range(n)]
+                                      for i, row in enumerate(rows_of(m))])
+    if pivots[:n] != tuple(range(n)):
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
+    else:
+        assert m.inverse() == Matrix([row[n:] for row in reduced])
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
+@settings(deadline=None)
+def test_matmul_matches_schoolbook_fraction_sums(r, k, c, data):
+    a = [[data.draw(RATIONALS) for _ in range(k)] for _ in range(r)]
+    b = [[data.draw(RATIONALS) for _ in range(c)] for _ in range(k)]
+    expected = [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(c)]
+                for i in range(r)]
+    assert Matrix(a) @ Matrix(b) == Matrix(expected)
 
 
 def test_transpose_and_trace():
