@@ -23,14 +23,16 @@ identical inputs (and seeds) give byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import counting, oracle
+from . import oracle
 from .centralizer import centralizer_basis, centralizer_dimension, sample_invertible
 from .classify import classify_vector, comparability, orbit_dimension, same_solution_class
+from .counting import _tail_sums, gen_function
 from .jordan import (
     JordanBasis,
     JordanType,
@@ -42,8 +44,10 @@ from .lattice import (
     DEFAULT_ENUMERATION_CAP,
     CapExceeded,
     OrbitLabel,
+    _steps,
+    column_sizes,
     enumerate_labels,
-    increments_from_type,
+    orbit_count,
     upper_covers,
 )
 from .linalg import Matrix, as_fraction
@@ -199,8 +203,7 @@ def _emit(payload) -> None:
 
 
 def cmd_analyze(args) -> int:
-    spec = load_spec(args.spec)
-    jt = spec_type(spec)
+    jt = spec_type(load_spec(args.spec))
     payload = {
         "dimension": jt.dimension,
         "jordan_type": [
@@ -209,26 +212,33 @@ def cmd_analyze(args) -> int:
         ],
         "increments": [
             {
-                "eigenvalue": str(inc.eigenvalue),
-                "sizes": list(inc.sizes),
-                "increments": list(inc.deltas),
-                "multiplicities": list(inc.multiplicities),
-                "tail_sums": list(inc.tail_sums),
+                "eigenvalue": str(eig),
+                "sizes": list(sizes),
+                "increments": list(_steps(sizes)),
+                "multiplicities": [mult for _, mult in blocks],
+                "tail_sums": list(_tail_sums(blocks)),
             }
-            for inc in increments_from_type(jt)
+            for (eig, blocks), sizes in zip(jt.eigen_blocks, column_sizes(jt))
         ],
         "centralizer_dimension": centralizer_dimension(jt),
-        "orbit_count": counting.orbit_count(jt),
-        "generating_function": list(counting.gen_function(jt).coefficients),
+        "orbit_count": orbit_count(jt),
+        "generating_function": list(gen_function(jt)),
     }
     _emit(payload)
     return 0
 
 
+def _cap(args, default: int) -> int:
+    if args.cap is None:
+        return default
+    if args.cap < 1:
+        raise SpecError(f"--cap must be at least 1, got {args.cap}")
+    return args.cap
+
+
 def cmd_lattice(args) -> int:
-    spec = load_spec(args.spec)
-    jt = spec_type(spec)
-    cap = args.cap if args.cap is not None else DEFAULT_ENUMERATION_CAP
+    cap = _cap(args, DEFAULT_ENUMERATION_CAP)
+    jt = spec_type(load_spec(args.spec))
     labels = enumerate_labels(jt, cap)
     names = {lab: label_name(lab) for lab in labels}
     nodes = [(names[lab], orbit_dimension(jt, lab)) for lab in labels]
@@ -267,8 +277,9 @@ def _classification_payload(jt, report) -> dict:
 
 
 def cmd_classify(args) -> int:
-    spec = load_spec(args.spec)
-    basis = spec_basis(spec, "classify")
+    if len(args.vector) != 1:
+        raise SpecError(f"classify takes one --vector flag, got {len(args.vector)}")
+    basis = spec_basis(load_spec(args.spec), "classify")
     v = _parse_vector(args.vector[0], basis.dimension, "vector")
     report = classify_vector(basis, v)
     _emit(_classification_payload(basis.jordan_type, report))
@@ -276,8 +287,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    spec = load_spec(args.spec)
-    basis = spec_basis(spec, "compare")
+    basis = spec_basis(load_spec(args.spec), "compare")
     vectors = [
         _parse_vector(text, basis.dimension, f"vector #{i + 1}")
         for i, text in enumerate(args.vector)
@@ -307,9 +317,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = load_spec(args.spec)
-    jt = spec_type(spec)
-    cap = args.cap if args.cap is not None else oracle.DEFAULT_SUBSPACE_CAP
+    cap = _cap(args, oracle.DEFAULT_SUBSPACE_CAP)
+    jt = spec_type(load_spec(args.spec))
     try:
         verdict = oracle.compare_with_prediction(jt, args.prime, cap)
     except ValueError as exc:
@@ -330,7 +339,9 @@ def cmd_verify(args) -> int:
 # -- entry point ---------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="centorbits",
         description="Classify solutions of x' = Tx up to the invertible operators commuting with T.",

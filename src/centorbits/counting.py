@@ -1,98 +1,43 @@
-"""Orbit counts and the dimension-graded generating function.
+"""The dimension-graded generating function of the orbits.
 
-Nothing here enumerates the lattice: the total count is a product of
+Nothing here enumerates the lattice. The total count is a product of
 (1 + Delta_k) over all eigenvalues and positions (``orbit_count``, defined in
-``lattice`` next to the enumeration it caps), and the polynomial whose x^n
+``lattice`` next to the enumeration it caps). The polynomial whose x^n
 coefficient counts orbits of dimension n is a product of sparse factors
-sum_{i=0..Delta_k} x^{i * M_k}, where M_k are the tail sums of the block
-multiplicities. The total depends only on the increments; the refined count
-depends on the multiplicities too.
+sum_{i=0..Delta_k} x^{i * M_k}, one per eigenvalue and distinct block size,
+read straight from ``JordanType.eigen_blocks``: Delta_k is the step between
+consecutive distinct sizes and M_k the tail sum of the block multiplicities.
+The total depends only on the size steps; the refined count depends on the
+multiplicities too.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from .jordan import JordanType
-from .lattice import DEFAULT_ENUMERATION_CAP, CapExceeded
-from .lattice import IncrementSequence, increments_from_type, orbit_count  # noqa: F401 (re-exported)
+from .lattice import DEFAULT_ENUMERATION_CAP, CapExceeded, _steps, column_sizes
 
 
-class IntPolynomial:
-    """Polynomial with arbitrary-precision integer coefficients.
+def _tail_sums(blocks) -> tuple:
+    """M_k = m_k + m_{k+1} + ... for the (size, multiplicity) pairs of one eigenvalue."""
+    return tuple(itertools.accumulate(mult for _, mult in reversed(blocks)))[::-1]
 
-    Coefficients are indexed by degree; trailing zeros are trimmed, the zero
-    polynomial is the empty tuple.
+
+def gen_function(jt: JordanType) -> tuple:
+    """Coefficients, lowest degree first: entry n counts the orbits of dimension n.
+
+    The list is dense, with one entry per degree up to the space dimension,
+    so the dimension is capped.
     """
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients=()):
-        coeffs = list(coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        for c in coeffs:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                raise ValueError(f"coefficient {c!r} must be a non-negative integer")
-        self.coefficients = tuple(coeffs)
-
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
-
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coefficients)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPolynomial) and self.coefficients == other.coefficients
-
-    def __hash__(self) -> int:
-        return hash(self.coefficients)
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial({list(self.coefficients)})"
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        if not self.coefficients or not other.coefficients:
-            return IntPolynomial()
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a:
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-
-def _sparse_factor(delta: int, weight: int) -> IntPolynomial:
-    """1 + x^weight + x^{2 weight} + ... + x^{delta * weight}."""
-    coeffs = [0] * (delta * weight + 1)
-    for i in range(delta + 1):
-        coeffs[i * weight] = 1
-    return IntPolynomial(coeffs)
-
-
-def gen_function_eigenvalue(inc: IncrementSequence) -> IntPolynomial:
-    poly = IntPolynomial.one()
-    for delta, tail in zip(inc.deltas, inc.tail_sums):
-        poly = poly * _sparse_factor(delta, tail)
-    return poly
-
-
-def gen_function(jt: JordanType) -> IntPolynomial:
-    """x^n coefficient = number of orbits whose dimension is n; dense, so capped by dimension."""
     if jt.dimension > DEFAULT_ENUMERATION_CAP:
         raise CapExceeded(jt.dimension, DEFAULT_ENUMERATION_CAP, what="generating-function degrees")
-    poly = IntPolynomial.one()
-    for inc in increments_from_type(jt):
-        poly = poly * gen_function_eigenvalue(inc)
-    return poly
-
+    coeffs = [1]
+    for (_, blocks), sizes in zip(jt.eigen_blocks, column_sizes(jt)):
+        for step, tail in zip(_steps(sizes), _tail_sums(blocks)):
+            out = [0] * (len(coeffs) + step * tail)
+            for shift in range(0, step * tail + 1, tail):
+                for i, c in enumerate(coeffs, shift):
+                    out[i] += c
+            coeffs = out
+    return tuple(coeffs)

@@ -143,15 +143,6 @@ class JordanType:
     def dimension(self) -> int:
         return sum(size * mult for _, blocks in self.eigen_blocks for size, mult in blocks)
 
-    def eigenvalues(self) -> tuple:
-        return tuple(eig for eig, _ in self.eigen_blocks)
-
-    def blocks_for(self, eig: Eigenvalue) -> tuple:
-        for e, blocks in self.eigen_blocks:
-            if e == eig:
-                return blocks
-        raise KeyError(eig)
-
     def is_rational(self) -> bool:
         return all(isinstance(eig, Fraction) for eig, _ in self.eigen_blocks)
 

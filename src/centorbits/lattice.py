@@ -25,6 +25,10 @@ covers and the Hasse diagram needs no comparison between labels. Labels
 carry their sizes, so duality, validity and covers need no extra context.
 Enumeration is guarded by a size cap; the count (:func:`orbit_count`) never
 enumerates and has no cap.
+
+Label sizes come from ``JordanType.eigen_blocks`` through :func:`column_sizes`
+only, and ``_steps`` turns them into the bounds Delta; the generating
+function and the ``analyze`` report read the same two.
 """
 
 from __future__ import annotations
@@ -53,30 +57,6 @@ class MismatchedLabels(ValueError):
 def _steps(values) -> tuple:
     """Successive differences v_k - v_{k-1}, with v_0 = 0."""
     return tuple(b - a for a, b in zip((0,) + values, values))
-
-
-@dataclass(frozen=True)
-class IncrementSequence:
-    """Per-eigenvalue combinatorial data: sizes, increments, multiplicities, tail sums."""
-
-    eigenvalue: object
-    sizes: tuple
-    deltas: tuple
-    multiplicities: tuple
-    tail_sums: tuple
-
-    @classmethod
-    def from_blocks(cls, eigenvalue, blocks) -> "IncrementSequence":
-        sizes = tuple(size for size, _ in blocks)
-        mults = tuple(mult for _, mult in blocks)
-        tails = tuple(sum(mults[k:]) for k in range(len(mults)))
-        return cls(eigenvalue, sizes, _steps(sizes), mults, tails)
-
-
-def increments_from_type(jt: JordanType) -> tuple:
-    return tuple(
-        IncrementSequence.from_blocks(eig, blocks) for eig, blocks in jt.eigen_blocks
-    )
 
 
 def column_sizes(jt: JordanType) -> tuple:

@@ -85,10 +85,6 @@ class Matrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
     def column(cls, values: Iterable[Scalar]) -> "Matrix":
         """Build an n x 1 matrix (the vector representation used throughout)."""
         return cls([[v] for v in values])
@@ -128,14 +124,6 @@ class Matrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def transpose(self) -> "Matrix":
-        return Matrix([[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise ShapeError(f"trace needs a square matrix, got {self.rows}x{self.cols}")
-        return sum((self._data[i][i] for i in range(self.rows)), Fraction(0))
 
     def augment(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -183,22 +171,6 @@ class Matrix:
                 [Fraction(sum(map(mul, ints, col)), denom * col_denom) for col, col_denom in cols]
             )
         return Matrix(out)
-
-    def pow(self, k: int) -> "Matrix":
-        """Exact k-th power; k = 0 gives the identity."""
-        if not self.is_square():
-            raise ShapeError(f"matrix power needs a square matrix, got {self.rows}x{self.cols}")
-        if k < 0:
-            raise ValueError("negative powers are not supported; use inverse() explicitly")
-        result = Matrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            k >>= 1
-            if k:
-                base = base @ base
-        return result
 
     # -- elimination ---------------------------------------------------
 

@@ -29,6 +29,14 @@ def j23_matrix() -> Matrix:
     )
 
 
+def power(m: Matrix, k: int) -> Matrix:
+    """m^k by repeated products; k = 0 gives the identity."""
+    result = Matrix.identity(m.rows)
+    for _ in range(k):
+        result = result @ m
+    return result
+
+
 def operator_matrix(basis, op) -> Matrix:
     """A centralizer basis operator in the original coordinates: P S P^-1."""
     chain_form = Matrix(shift_operator_rows(basis.dimension, *op))

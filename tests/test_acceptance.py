@@ -13,9 +13,9 @@ from collections import Counter
 
 from centorbits.centralizer import centralizer_basis, sample_invertible, shift_operator_rows, shift_tags
 from centorbits.classify import classify_chain_coordinates, classify_vector, orbit_dimension, representative
-from centorbits.counting import gen_function, orbit_count
+from centorbits.counting import gen_function
 from centorbits.jordan import JordanType, jordan_basis, jordan_matrix
-from centorbits.lattice import dual, enumerate_labels, hasse_covers, label_for, leq
+from centorbits.lattice import dual, enumerate_labels, hasse_covers, label_for, leq, orbit_count
 from centorbits.linalg import Matrix
 from centorbits.oracle import compare_with_prediction
 
@@ -41,7 +41,7 @@ def best_time(fn, repeats=5):
 
 def test_criterion_01_generating_function():
     f = gen_function(T135)
-    ok = f.coefficients == (1, 1, 2, 2, 3, 3, 2, 2, 1, 1) and f(1) == 18
+    ok = f == (1, 1, 2, 2, 3, 3, 2, 2, 1, 1) and sum(f) == 18
     elapsed = best_time(lambda: gen_function(T135))
     ok = ok and elapsed < 0.001
     report(1, "size-1,3,5 generating function and total of 18", ok, f"best {elapsed * 1e6:.0f} us")
@@ -154,7 +154,7 @@ def test_criterion_07_histogram_agreement():
         if len(labels) > 10_000:
             continue
         histogram = Counter(orbit_dimension(jt, label) for label in labels)
-        coeffs = gen_function(jt).coefficients
+        coeffs = gen_function(jt)
         ok = ok and histogram == {d: c for d, c in enumerate(coeffs) if c}
     report(7, "dimension histogram equals the generating function", ok)
 

@@ -150,6 +150,15 @@ def test_lattice_cap_exceeded(tmp_path, capsys):
     assert "18" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("verb", [["lattice"], ["verify", "--prime", "2"]])
+def test_non_positive_cap_is_an_input_error(tmp_path, capsys, verb, cap):
+    spec = write(tmp_path, "t135.json", T135_DOC)
+    code, out, err = run_cli(capsys, verb[0], spec, *verb[1:], "--cap", cap)
+    assert (code, out) == (2, "")
+    assert err == f"error: --cap must be at least 1, got {cap}\n"
+
+
 def test_classify_zero_vector(tmp_path, capsys):
     spec = write(tmp_path, "j23.json", J23_DOC)
     code, out, _ = run_cli(capsys, "classify", spec, "--vector", "0,0,0,0,0")
@@ -198,6 +207,13 @@ def test_classify_zero_denominator_component(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", spec, "--vector", "1/0,0,0,0,0")
     assert code == 2
     assert "vector[0]" in err
+
+
+def test_classify_takes_one_vector(tmp_path, capsys):
+    spec = write(tmp_path, "j23.json", J23_DOC)
+    code, out, err = run_cli(capsys, "classify", spec, "--vector", "1,0,0,0,0", "--vector", "0,1,0,0,0")
+    assert (code, out) == (2, "")
+    assert err == "error: classify takes one --vector flag, got 2\n"
 
 
 def test_compare_scalar_multiple(tmp_path, capsys):
@@ -369,3 +385,18 @@ def test_byte_identical_runs(tmp_path):
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+def test_repeated_calls_match_fresh_processes(tmp_path, capsys):
+    """The parser is built once per process, and no parsed state leaks between calls."""
+    j23 = write(tmp_path, "j23.json", J23_DOC)
+    t135 = write(tmp_path, "t135.json", T135_DOC)
+    for argv in (
+        ["compare", j23, "--vector", "1,0,0,0,0", "--vector", "0,1,0,0,0"],
+        ["classify", j23, "--vector", "0,0,0,1,0"],
+        ["lattice", t135, "--cap", "5"],
+    ):
+        in_process = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "centorbits", *argv], capture_output=True, text=True)
+        assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert cli.build_parser() is cli.build_parser()

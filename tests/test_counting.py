@@ -1,9 +1,9 @@
 import pytest
 
-from centorbits.counting import IntPolynomial, gen_function, gen_function_eigenvalue, orbit_count
+from centorbits.counting import gen_function
 from centorbits.classify import orbit_dimension
 from centorbits.jordan import JordanType
-from centorbits.lattice import CapExceeded, enumerate_labels, increments_from_type
+from centorbits.lattice import CapExceeded, enumerate_labels, orbit_count
 
 from conftest import corpus_types
 
@@ -15,47 +15,26 @@ def test_gen_function_refuses_a_dimension_over_the_cap():
         gen_function(JordanType.of({0: [(10**6 + 1, 1)]}))
 
 
-def test_intpolynomial_canonical_form():
-    assert IntPolynomial((1, 0, 2, 0, 0)).coefficients == (1, 0, 2)
-    assert IntPolynomial(()).coefficients == ()
-    assert not IntPolynomial(())
-    with pytest.raises(ValueError):
-        IntPolynomial((1, -1))
-    with pytest.raises(ValueError):
-        IntPolynomial((True,))
-
-
-def test_intpolynomial_multiplication_and_evaluation():
-    p = IntPolynomial((1, 1))
-    assert (p * p).coefficients == (1, 2, 1)
-    assert (p * IntPolynomial()).coefficients == ()
-    q = IntPolynomial((1, 0, 3))
-    assert q(2) == 13
-    assert q(1) == 4
-
-
 def test_flagship_generating_function():
     f = gen_function(T135)
-    assert f.coefficients == (1, 1, 2, 2, 3, 3, 2, 2, 1, 1)
-    assert f(1) == 18
+    assert f == (1, 1, 2, 2, 3, 3, 2, 2, 1, 1)
+    assert sum(f) == 18
 
 
 def test_single_block_generating_function():
     for n in range(1, 7):
         f = gen_function(JordanType.of({0: [(n, 1)]}))
-        assert f.coefficients == tuple([1] * (n + 1))
+        assert f == tuple([1] * (n + 1))
 
 
 def test_repeated_block_generating_function():
     f = gen_function(JordanType.of({0: [(2, 2)]}))
-    assert f.coefficients == (1, 0, 1, 0, 1)
+    assert f == (1, 0, 1, 0, 1)
 
 
 def test_multi_eigenvalue_product():
     jt = JordanType.of({1: [(1, 1)], 2: [(1, 1)]})
-    assert gen_function(jt).coefficients == (1, 2, 1)
-    single = JordanType.of({0: [(2, 1), (3, 1)]})
-    assert gen_function(single) == gen_function_eigenvalue(increments_from_type(single)[0])
+    assert gen_function(jt) == (1, 2, 1)
 
 
 def test_orbit_count_examples():
@@ -67,17 +46,17 @@ def test_orbit_count_examples():
 
 def test_count_equals_evaluation_at_one():
     for jt in corpus_types():
-        assert gen_function(jt)(1) == orbit_count(jt)
+        assert sum(gen_function(jt)) == orbit_count(jt)
 
 
 def test_degree_equals_dimension():
     for jt in corpus_types():
-        assert gen_function(jt).degree() == jt.dimension
+        assert len(gen_function(jt)) - 1 == jt.dimension
 
 
 def test_coefficients_are_palindromic():
     for jt in corpus_types():
-        coeffs = gen_function(jt).coefficients
+        coeffs = gen_function(jt)
         assert coeffs == tuple(reversed(coeffs))
 
 
@@ -87,7 +66,7 @@ def test_histogram_agreement():
         for label in enumerate_labels(jt):
             d = orbit_dimension(jt, label)
             histogram[d] = histogram.get(d, 0) + 1
-        coeffs = gen_function(jt).coefficients
+        coeffs = gen_function(jt)
         assert histogram == {d: c for d, c in enumerate(coeffs) if c}
 
 

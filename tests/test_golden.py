@@ -22,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from centorbits import Matrix, centralizer_basis, cli, jordan_basis, sample_invertible
+from centorbits import Matrix, centralizer_basis, cli, jordan_basis
+from centorbits.centralizer import sample_invertible
 from centorbits.jordan import (
     JordanType,
     characteristic_polynomial,

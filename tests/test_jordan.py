@@ -18,7 +18,7 @@ from centorbits.jordan import (
 )
 from centorbits.linalg import Matrix
 
-from conftest import RATIONALS, rational_corpus_types
+from conftest import RATIONALS, power, rational_corpus_types
 
 
 def diag(*values):
@@ -52,7 +52,7 @@ def faddeev_leverrier(t: Matrix) -> tuple:
     m = Matrix.identity(n)
     for k in range(1, n + 1):
         m = t @ m
-        ck = -m.trace() / k
+        ck = -sum(m[i, i] for i in range(n)) / k
         coeffs.append(ck)
         m = m + Matrix.identity(n).scaled(ck)
     return tuple(coeffs)
@@ -166,7 +166,7 @@ def test_jordan_type_canonicalization_and_validation():
 
 def test_eigenvalue_order_is_canonical():
     jt = JordanType.of({3: [(1, 1)], Fraction(1, 2): [(1, 1)], "z": [(1, 1)], "a": [(1, 1)]})
-    assert jt.eigenvalues() == (Fraction(1, 2), Fraction(3), "a", "z")
+    assert [eig for eig, _ in jt.eigen_blocks] == [Fraction(1, 2), Fraction(3), "a", "z"]
 
 
 def test_jordan_basis_reconstruction(j23):
@@ -190,7 +190,7 @@ def test_chains_match_type_and_powers(j23):
     for chain in basis.chains:
         shift = basis.matrix - Matrix.identity(5).scaled(chain.eigenvalue)
         for t in range(chain.size):
-            assert chain.vectors[t] == shift.pow(t) @ chain.vectors[0]
+            assert chain.vectors[t] == power(shift, t) @ chain.vectors[0]
 
 
 def test_jordan_form_input_keeps_standard_basis(j23):
@@ -236,7 +236,7 @@ def test_block_sizes_account_for_algebraic_multiplicity():
     for jt in rational_corpus_types(max_dim=6):
         t = jordan_matrix(jt)
         for eig, mult in rational_eigenvalues(t):
-            blocks = jt.blocks_for(eig)
+            blocks = dict(jt.eigen_blocks)[eig]
             assert sum(size * m for size, m in blocks) == mult
 
 

@@ -10,7 +10,6 @@ from centorbits.lattice import (
     dual,
     enumerate_labels,
     hasse_covers,
-    increments_from_type,
     join,
     label_for,
     leq,
@@ -41,26 +40,10 @@ def brute_force_covers(labels):
     return pairs
 
 
-def test_increment_examples():
-    incs = increments_from_type(T135)
-    assert len(incs) == 1
-    assert incs[0].deltas == (1, 2, 2)
-    assert incs[0].tail_sums == (3, 2, 1)
-    assert increments_from_type(JordanType.of({0: [(6, 1)]}))[0].deltas == (6,)
-    assert increments_from_type(JordanType.of({0: [(2, 1), (3, 1), (7, 1)]}))[0].deltas == (2, 1, 4)
-
-
-def test_partial_sums_of_deltas_reproduce_sizes():
-    for jt in corpus_types():
-        for inc in increments_from_type(jt):
-            acc = 0
-            rebuilt = []
-            for d in inc.deltas:
-                acc += d
-                rebuilt.append(acc)
-            assert tuple(rebuilt) == inc.sizes
-            assert list(inc.tail_sums) == sorted(inc.tail_sums, reverse=True)
-            assert inc.tail_sums[-1] == inc.multiplicities[-1]
+def test_limits_are_the_size_steps():
+    assert top(T135).limits == ((1, 2, 2),)
+    assert top(JordanType.of({0: [(6, 1)]})).limits == ((6,),)
+    assert top(JordanType.of({0: [(2, 1), (3, 1), (7, 1)]})).limits == ((2, 1, 4),)
 
 
 def test_label_validation():
@@ -188,10 +171,9 @@ def test_lattice_laws_exhaustive_on_flagship_lattice():
 
 def test_heights_stay_between_zero_and_sizes():
     for jt in corpus_types()[:6]:
-        incs = increments_from_type(jt)
         for label in enumerate_labels(jt):
-            for inc, heights in zip(incs, label.heights):
-                for h, size in zip(heights, inc.sizes):
+            for (_, blocks), heights in zip(jt.eigen_blocks, label.heights):
+                for h, (size, _) in zip(heights, blocks):
                     assert 0 <= h <= size
 
 
@@ -204,7 +186,7 @@ def type_and_labels(draw):
         sizes = sorted(draw(st.sets(st.integers(1, 6), min_size=count, max_size=count)))
         blocks[e] = [(s, draw(st.integers(1, 2))) for s in sizes]
     jt = JordanType.of(blocks)
-    limits = tuple(inc.deltas for inc in increments_from_type(jt))
+    limits = top(jt).limits
 
     def draw_label():
         return label_for(jt, [[draw(st.integers(0, b)) for b in bounds] for bounds in limits])
