@@ -6,8 +6,10 @@ they lie in one orbit of that action. This package computes, entirely in
 exact rational arithmetic: the Jordan block structure of T, an explicit
 basis of the commuting algebra, the finite lattice of orbits with its order,
 covers and duality, the orbit of any concrete vector, and the generating
-function counting orbits by dimension. A brute-force verifier over small
-prime fields cross-checks the predicted lattice subspace by subspace.
+function counting orbits by dimension. An independent verifier over prime
+fields solves the commuting algebra mod p, finds every invariant subspace
+from the cyclic submodules of the lines of F_p^n, and cross-checks the
+predicted lattice subspace by subspace.
 
 The top level exports what the README's Library section documents; every
 other name is imported from its own module (``centorbits.lattice``, ...).

@@ -317,7 +317,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cap = _cap(args, oracle.DEFAULT_SUBSPACE_CAP)
+    cap = _cap(args, oracle.DEFAULT_LINE_CAP)
     jt = spec_type(load_spec(args.spec))
     try:
         verdict = oracle.compare_with_prediction(jt, args.prime, cap)
@@ -368,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help=f"with a single vector, compare against a sampled commuting image (default {DEFAULT_SEED})")
 
-    p = add("verify", cmd_verify, "brute-force check of the predicted lattice over F_p")
+    p = add("verify", cmd_verify, "exhaustive check of the predicted lattice over F_p")
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None, help=f"subspace cap (default {oracle.DEFAULT_SUBSPACE_CAP})")
+    p.add_argument("--cap", type=int, default=None, help=f"cap on the lines of F_p^n scanned (default {oracle.DEFAULT_LINE_CAP})")
 
     return parser
 

@@ -119,9 +119,6 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self._data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self._data for x in row)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 

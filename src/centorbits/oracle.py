@@ -1,32 +1,37 @@
-"""Brute-force verification over small prime fields.
+"""Independent verification over prime fields.
 
-The predicted lattice can be checked independently: enumerate every subspace
-of F_p^n (one reduced row echelon basis per subspace), keep those invariant
-under every centralizer basis operator, and compare the survivors against
-the predicted coordinate subspaces, label by label. Invariance under the
-basis suffices because invariance under an algebra is decided by any
-spanning set, and the shift operators have 0/1 entries in chain coordinates,
-so they reduce mod p verbatim.
+The predicted lattice says that the subspaces invariant under the algebra A
+of operators commuting with the Jordan form J are exactly the coordinate
+subspaces of the orbit closures, one per label. This module checks that
+claim over F_p without the library's own centralizer construction. It
+writes J mod p in chain coordinates, solves XJ = JX as n^2 linear equations
+mod p for a basis of A, and collects the invariant subspaces from cyclic
+submodules: every invariant W is the sum of the submodules A w over w in W,
+and A (cw) = A w for c != 0, so the spans A v over the lines v of F_p^n,
+closed under sums, are exactly the invariant subspaces. The scan visits the
+(p^n - 1)/(p - 1) lines, not every subspace.
 
 The block-size arguments behind the prediction only ever use that the
 eigenvalues lie in the field and are distinct, so agreement over F_2 and F_3
 is evidence (not proof) that the classification computed over the rationals
-is field-independent. Eigenvalues must remain representable and distinct
-mod p; symbolic labels are opaque and treated as automatically distinct.
+is field-independent. Rational eigenvalues must stay representable and
+distinct mod p; each symbolic label takes the least residue no other
+eigenvalue uses. A matrix input is checked through its Jordan type: its
+chain basis is not mapped into F_p.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .centralizer import shift_operator_rows, shift_tags
 from .classify import invariant_positions, orbit_dimension
-from .jordan import JordanType
+from .jordan import JordanType, chain_slots
 from .lattice import CapExceeded, enumerate_labels
 
-DEFAULT_SUBSPACE_CAP = 100_000
+DEFAULT_LINE_CAP = 8191
 
 
 # Miller-Rabin with these witnesses is exact below _WITNESS_BOUND (the least
@@ -93,56 +98,22 @@ def subspace_count(n: int, p: int) -> int:
 
 
 def _check_cap(p: int, n: int, cap: int):
-    """Refuse a scan over cap; F_p^n has at least 2^n subspaces, so a large n goes uncounted."""
-    if n >= cap.bit_length():
-        raise CapExceeded(f"at least 2^{n}", cap, what=f"subspaces of F_{p}^{n}")
-    if subspace_count(n, p) > cap:
-        raise CapExceeded(subspace_count(n, p), cap, what=f"subspaces of F_{p}^{n}")
-
-
-def all_subspaces(p: int, n: int, cap: int = DEFAULT_SUBSPACE_CAP):
-    """Every subspace of F_p^n exactly once, as its reduced echelon basis.
-
-    Enumerates pivot column sets in lexicographic order and fills the free
-    positions (right of a pivot, outside pivot columns) with all field
-    values, so the stream is deterministic.
-    """
-    _require_prime(p)
-    _check_cap(p, n, cap)
-    for k in range(n + 1):
-        for pivots in itertools.combinations(range(n), k):
-            pivot_set = set(pivots)
-            free_cells = [
-                (r, c)
-                for r in range(k)
-                for c in range(pivots[r] + 1, n)
-                if c not in pivot_set
-            ]
-            for values in itertools.product(range(p), repeat=len(free_cells)):
-                grid = [[0] * n for _ in range(k)]
-                for r in range(k):
-                    grid[r][pivots[r]] = 1
-                for (r, c), v in zip(free_cells, values):
-                    grid[r][c] = v
-                yield PrimeFieldMatrix(p, k, n, tuple(tuple(row) for row in grid))
-
-
-def _pivot_columns(sub: PrimeFieldMatrix) -> tuple:
-    return tuple(next(j for j, x in enumerate(row) if x) for row in sub.entries)
-
-
-def _contains(sub: PrimeFieldMatrix, pivots: tuple, vec) -> bool:
-    p = sub.modulus
-    v = list(vec)
-    for row, pc in zip(sub.entries, pivots):
-        if v[pc]:
-            f = v[pc]
-            v = [(a - f * b) % p for a, b in zip(v, row)]
-    return not any(v)
+    """Refuse a scan of more than cap lines; F_p^n has at least 2^(n-1), so a large n goes uncounted."""
+    what = f"lines of F_{p}^{n}"
+    if n > cap.bit_length():
+        raise CapExceeded(f"at least 2^{n - 1}", cap, what=what)
+    count = (p**n - 1) // (p - 1)
+    if count > cap:
+        raise CapExceeded(count, cap, what=what)
 
 
 def eigenvalues_mod_p(jt: JordanType, p: int) -> dict:
-    """Map rational eigenvalues into F_p; reject collisions and zero denominators."""
+    """Map every eigenvalue to a distinct residue mod p.
+
+    Rational eigenvalues reduce mod p; a zero denominator or two eigenvalues
+    with one residue is an error. Each symbolic label then takes the least
+    residue that no other eigenvalue uses, and it is an error if none is left.
+    """
     _require_prime(p)
     mapped = {}
     seen = {}
@@ -157,37 +128,174 @@ def eigenvalues_mod_p(jt: JordanType, p: int) -> dict:
                 )
             seen[value] = eig
             mapped[eig] = value
+    spare = 0
+    for eig, _ in jt.eigen_blocks:
+        if not isinstance(eig, Fraction):
+            while spare in seen:
+                spare += 1
+            if spare >= p:
+                raise ValueError(
+                    f"symbolic eigenvalue {eig} needs a residue modulo {p} "
+                    "that no other eigenvalue uses, and none is left"
+                )
+            seen[spare] = eig
+            mapped[eig] = spare
     return mapped
 
 
-def invariant_subspaces_bruteforce(
-    jt: JordanType, p: int, cap: int = DEFAULT_SUBSPACE_CAP
-) -> list:
-    """All subspaces of F_p^n invariant under every centralizer basis operator.
+def jordan_mod_p(jt: JordanType, p: int) -> PrimeFieldMatrix:
+    """J over F_p in chain coordinates: each residue on the diagonal, 1 below it within a chain."""
+    residue = eigenvalues_mod_p(jt, p)
+    n = jt.dimension
+    rows = [[0] * n for _ in range(n)]
+    for slot in chain_slots(jt):
+        for k in range(slot.offset, slot.offset + slot.size):
+            rows[k][k] = residue[slot.eigenvalue]
+            if k > slot.offset:
+                rows[k][k - 1] = 1
+    return PrimeFieldMatrix(p, n, n, tuple(map(tuple, rows)))
 
-    Works in chain coordinates. Result is sorted by dimension, then by the
-    echelon basis lexicographically.
+
+def centralizer_mod_p(jt: JordanType, p: int) -> tuple:
+    """A basis of the algebra {X : XJ = JX} over F_p, solved from its n^2 equations.
+
+    Unknown X[a][b] is number a*n + b; equation (i, k) is
+    sum_c X[i][c] J[c][k] - sum_r J[i][r] X[r][k] = 0. Each unknown left
+    free by the reduced equations gives one basis element.
+    """
+    j = jordan_mod_p(jt, p).entries
+    n = len(j)
+    equations = [[0] * (n * n) for _ in range(n * n)]
+    for r, row in enumerate(j):
+        for c, a in enumerate(row):
+            if a:
+                for i in range(n):
+                    equations[i * n + c][i * n + r] += a
+                    equations[r * n + i][c * n + i] -= a
+    reduced = _echelon([[a % p for a in eq] for eq in equations], p)
+    pivots = {next(u for u, a in enumerate(row) if a): row for row in reduced}
+    basis = []
+    for free in range(n * n):
+        if free not in pivots:
+            x = [0] * (n * n)
+            x[free] = 1
+            for u, row in pivots.items():
+                x[u] = -row[free] % p
+            grid = tuple(tuple(x[a * n:(a + 1) * n]) for a in range(n))
+            basis.append(PrimeFieldMatrix(p, n, n, grid))
+    return tuple(basis)
+
+
+def _lines(p: int, n: int):
+    """Every line of F_p^n once, as its vector whose first nonzero entry is 1."""
+    for lead in range(n):
+        head = (0,) * lead + (1,)
+        tail = n - lead - 1
+        # product materialises range(p); only a tail reaches it, and the
+        # line cap admits a tail only when p^tail is small.
+        for rest in itertools.product(range(p), repeat=tail) if tail else ((),):
+            yield head + rest
+
+
+@functools.cache
+def _identity(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+
+
+def _echelon(vectors, p: int) -> tuple:
+    """Reduced row echelon basis of the span of vectors with entries in [0, p), as row tuples.
+
+    Each vector is reduced left to right by the rows found so far (keyed by
+    their leading column, zero to its left) until its first entry outside
+    those columns; the rows are fully reduced once, at the end. Vectors go
+    in ascending order, latest leading column first, so a vector whose
+    leading column is new needs no reduction at all.
+    """
+    rows = {}
+    n = 0
+    for v in sorted(vectors):
+        n = len(v)
+        for j in range(n):
+            x = v[j]
+            if x:
+                row = rows.get(j)
+                if row is None:
+                    break
+                v = [(a - x * b) % p for a, b in zip(v, row)]
+        else:
+            continue
+        if x != 1:
+            inv = pow(x, -1, p)
+            v = [a * inv % p for a in v]
+        rows[j] = v
+        if len(rows) == n:
+            return _identity(n)
+    leads = sorted(rows)
+    for i, lead in enumerate(leads):
+        row = rows[lead]
+        for other in leads[:i]:
+            f = rows[other][lead]
+            if f:
+                rows[other] = [(a - f * b) % p for a, b in zip(rows[other], row)]
+    return tuple(tuple(rows[lead]) for lead in leads)
+
+
+def cyclic_submodules(jt: JordanType, p: int):
+    """Each line v of F_p^n with the echelon basis of A v = span{X v : X in a basis of A}.
+
+    No cap is applied here: callers check the line count first.
+    """
+    n = jt.dimension
+    algebra = centralizer_mod_p(jt, p)
+    # by_column[c] lists the nonzero entries X_k[r][c] = a as (k, r, a); the
+    # images X_k v are kept mod p and updated only where v changes from the
+    # previous line
+    by_column = [[] for _ in range(n)]
+    for k, x in enumerate(algebra):
+        for r, row in enumerate(x.entries):
+            for c, a in enumerate(row):
+                if a:
+                    by_column[c].append((k, r, a))
+    images = [[0] * n for _ in algebra]
+    previous = (0,) * n
+    for v in _lines(p, n):
+        for c, (new, old) in enumerate(zip(v, previous)):
+            if new != old:
+                for k, r, a in by_column[c]:
+                    images[k][r] = (images[k][r] + a * (new - old)) % p
+        previous = v
+        yield v, _echelon(set(map(tuple, images)), p)
+
+
+def _sum_closure(generators, p: int) -> set:
+    """Every sum of a subset of the given subspaces, as echelon bases.
+
+    Adding the generators one at a time keeps the found set closed under
+    sums; a generator that is already such a sum adds nothing.
+    """
+    found = {()}
+    for c in sorted(generators, key=lambda s: (len(s), s)):
+        if c not in found:
+            found |= {_echelon(w + c, p) for w in found}
+    return found
+
+
+def invariant_subspaces_bruteforce(
+    jt: JordanType, p: int, cap: int = DEFAULT_LINE_CAP
+) -> list:
+    """All subspaces of F_p^n invariant under the centralizer algebra solved mod p.
+
+    Works in chain coordinates; cap bounds the number of lines scanned.
+    Result is sorted by dimension, then by the echelon basis lexicographically.
     """
     eigenvalues_mod_p(jt, p)
     n = jt.dimension
     _check_cap(p, n, cap)
-    operators = [shift_operator_rows(n, *op) for op in shift_tags(jt)]
-    survivors = []
-    for sub in all_subspaces(p, n, cap):
-        pivots = _pivot_columns(sub)
-        ok = True
-        for row in sub.entries:
-            for op in operators:
-                image = tuple(sum(a * b for a, b in zip(op_row, row)) % p for op_row in op)
-                if not _contains(sub, pivots, image):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            survivors.append(sub)
-    survivors.sort(key=lambda s: (s.rows, s.entries))
-    return survivors
+    cyclic = {span for _, span in cyclic_submodules(jt, p)}
+    return [
+        PrimeFieldMatrix(p, len(sub), n, sub)
+        for sub in sorted(_sum_closure(cyclic, p), key=lambda s: (len(s), s))
+    ]
 
 
 def coordinate_subspace(p: int, n: int, positions) -> PrimeFieldMatrix:
@@ -212,14 +320,14 @@ class OracleVerdict:
 def compare_with_prediction(
     jt: JordanType,
     p: int,
-    cap: int = DEFAULT_SUBSPACE_CAP,
+    cap: int = DEFAULT_LINE_CAP,
     labels=None,
 ) -> OracleVerdict:
-    """Check the predicted lattice against the brute force, subspace by subspace.
+    """Check the predicted lattice against the invariant subspaces found mod p.
 
     ``labels`` defaults to the full predicted label set; passing a mutated
     list exists so the harness can be shown to catch corrupted predictions.
-    A mismatch is a verdict, not an exception; p and the subspace cap are
+    A mismatch is a verdict, not an exception; p and the line cap are
     checked before any label or subspace is built.
     """
     n = jt.dimension

@@ -294,9 +294,20 @@ def test_verify_cap_exceeded(tmp_path, capsys):
 @pytest.mark.parametrize("blocks, expected", [([[3, 1]], 3), ([[1, 1]], 0)])
 def test_verify_large_prime_ends_at_once(tmp_path, capsys, blocks, expected):
     spec = write(tmp_path, "big.json", {"jordan": [{"eigenvalue": "0", "blocks": blocks}]})
+    start = time.perf_counter()
     code, _, err = run_cli(capsys, "verify", spec, "--prime", str(10**17 + 3))
+    assert time.perf_counter() - start < 1
     assert code == expected
     assert "Traceback" not in err
+
+
+def test_verify_needs_a_spare_residue_per_symbolic_eigenvalue(tmp_path, capsys):
+    spec = write(tmp_path, "abc.json", {"jordan": [{"eigenvalue": e, "blocks": [[1, 1]]} for e in "abc"]})
+    code, out, err = run_cli(capsys, "verify", spec, "--prime", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: symbolic eigenvalue") and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, "verify", spec, "--prime", "3")
+    assert code == 0 and json.loads(out)["invariant_subspaces"] == 8
 
 
 def test_verify_prime_too_large_to_certify(tmp_path, capsys):

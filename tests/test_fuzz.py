@@ -4,7 +4,7 @@ Every verb that reads a document is driven in-process with small fuzzed
 input on stdin. A run must return 0, 2 or 3 (1 is kept for a failed
 verification); a nonzero run writes exactly one stderr line starting
 ``error: ``. Integer entries and ``p/q`` strings reach about 10^12 in size,
-and ``verify`` runs under a small subspace cap.
+and ``verify`` runs under a small line cap.
 """
 
 import io

@@ -96,7 +96,7 @@ def test_rank_nullity(m):
 @settings(deadline=None)
 def test_kernel_vectors_are_killed(m):
     for v in m.kernel_basis():
-        assert (m @ v).is_zero()
+        assert m @ v == Matrix.column([0] * m.rows)
 
 
 @given(st.integers(1, 3), st.data())

@@ -1,19 +1,122 @@
+import ast
+import itertools
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from centorbits import oracle
+from centorbits.centralizer import centralizer_dimension, shift_operator_rows, shift_tags
+from centorbits.classify import classify_chain_coordinates, invariant_positions
 from centorbits.jordan import JordanType, jordan_matrix
 from centorbits.lattice import CapExceeded, enumerate_labels
+from centorbits.linalg import Matrix
 from centorbits.oracle import (
     PrimeFieldMatrix,
     _require_prime,
-    all_subspaces,
+    centralizer_mod_p,
     compare_with_prediction,
+    coordinate_subspace,
+    cyclic_submodules,
     eigenvalues_mod_p,
     gaussian_binomial,
     invariant_subspaces_bruteforce,
+    jordan_mod_p,
     subspace_count,
 )
+
+
+# -- reference: the walk over every subspace that the line scan replaced ----
+
+
+def all_subspaces(p: int, n: int):
+    """Every subspace of F_p^n exactly once, as its reduced echelon basis.
+
+    Enumerates pivot column sets in lexicographic order and fills the free
+    positions (right of a pivot, outside pivot columns) with all field
+    values.
+    """
+    for k in range(n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            pivot_set = set(pivots)
+            free_cells = [
+                (r, c)
+                for r in range(k)
+                for c in range(pivots[r] + 1, n)
+                if c not in pivot_set
+            ]
+            for values in itertools.product(range(p), repeat=len(free_cells)):
+                grid = [[0] * n for _ in range(k)]
+                for r in range(k):
+                    grid[r][pivots[r]] = 1
+                for (r, c), v in zip(free_cells, values):
+                    grid[r][c] = v
+                yield PrimeFieldMatrix(p, k, n, tuple(tuple(row) for row in grid))
+
+
+def _contains(sub: PrimeFieldMatrix, vec) -> bool:
+    p = sub.modulus
+    v = list(vec)
+    for row in sub.entries:
+        pc = next(j for j, x in enumerate(row) if x)
+        if v[pc]:
+            f = v[pc]
+            v = [(a - f * b) % p for a, b in zip(v, row)]
+    return not any(v)
+
+
+def invariant_subspaces_walk(jt: JordanType, p: int) -> list:
+    """Every subspace of F_p^n that each shift operator maps into itself, sorted as the oracle sorts.
+
+    The shift operators are the library's own centralizer basis in chain
+    coordinates (0/1 matrices), so this reference shares nothing with the
+    oracle's mod-p solve.
+    """
+    n = jt.dimension
+    operators = [shift_operator_rows(n, *op) for op in shift_tags(jt)]
+    survivors = [
+        sub
+        for sub in all_subspaces(p, n)
+        if all(
+            _contains(sub, [sum(a * b for a, b in zip(op_row, row)) % p for op_row in op])
+            for row in sub.entries
+            for op in operators
+        )
+    ]
+    return sorted(survivors, key=lambda s: (s.rows, s.entries))
+
+
+def _partitions(n: int, largest: int = None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _blocks(partition) -> list:
+    return sorted(Counter(partition).items())
+
+
+def small_types(max_dimension: int) -> list:
+    """Every Jordan type of dimension <= max_dimension with eigenvalues 0, or 0 and 1."""
+    types = []
+    for n in range(1, max_dimension + 1):
+        types += [JordanType.of({0: _blocks(part)}) for part in _partitions(n)]
+        for n0 in range(1, n):
+            for part0 in _partitions(n0):
+                for part1 in _partitions(n - n0):
+                    types.append(JordanType.of({0: _blocks(part0), 1: _blocks(part1)}))
+    return types
+
+
+def _type_id(jt: JordanType) -> str:
+    return "|".join(
+        f"{eig}:" + ",".join(f"{size}x{mult}" for size, mult in blocks)
+        for eig, blocks in jt.eigen_blocks
+    )
 
 
 def test_gaussian_binomial_counts():
@@ -29,27 +132,111 @@ def test_all_subspaces_counts_and_uniqueness():
         assert len(set(subs)) == expected
 
 
-def test_all_subspaces_rejects_nonprime_and_cap():
-    with pytest.raises(ValueError):
-        list(all_subspaces(4, 2))
-    with pytest.raises(CapExceeded):
-        list(all_subspaces(2, 3, cap=3))
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("jt", small_types(5), ids=_type_id)
+def test_line_scan_matches_the_subspace_walk(jt, p, monkeypatch):
+    walk = invariant_subspaces_walk(jt, p)
+    assert invariant_subspaces_bruteforce(jt, p) == walk
+    labels = enumerate_labels(jt)
+    label_sets = (None, labels[:-1], labels[:-1] + [labels[0]])
+    verdicts = [compare_with_prediction(jt, p, labels=ls) for ls in label_sets]
+    assert verdicts[0].passed and not verdicts[1].passed and not verdicts[2].passed
+    monkeypatch.setattr(oracle, "invariant_subspaces_bruteforce", lambda jt, p, cap: walk)
+    assert [compare_with_prediction(jt, p, labels=ls) for ls in label_sets] == verdicts
+
+
+def _imported_modules(source: str) -> set:
+    """Every dotted module name an import statement in the source refers to."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names.add(base)
+            sep = "." if node.module else ""
+            names.update(base + sep + alias.name for alias in node.names)
+    return names
+
+
+def _uses_centralizer(source: str) -> bool:
+    return any("centralizer" in name.split(".") for name in _imported_modules(source))
+
+
+def test_oracle_imports_nothing_from_the_centralizer():
+    for planted in (
+        "from .centralizer import shift_tags",
+        "from . import centralizer",
+        "import centorbits.centralizer",
+        "from centorbits.centralizer import shift_operator_rows as rows",
+    ):
+        assert _uses_centralizer(planted)
+    assert not _uses_centralizer(Path(oracle.__file__).read_text())
+
+
+def _matmul(a, b, p):
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)) for row in a
+    )
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        {0: [(3, 1)]},
+        {0: [(1, 3)]},
+        {0: [(2, 1), (3, 1)]},
+        {0: [(1, 1), (2, 1), (4, 1)]},
+        {0: [(1, 2), (2, 1)], 1: [(3, 1)]},
+        {"a": [(2, 2)], 0: [(1, 1)]},
+    ],
+    ids=str,
+)
+def test_solved_algebra_commutes_and_has_the_centralizer_dimension(blocks, p):
+    jt = JordanType.of(blocks)
+    j = jordan_mod_p(jt, p).entries
+    algebra = centralizer_mod_p(jt, p)
+    assert len(algebra) == centralizer_dimension(jt)
+    flat = [sum(x.entries, ()) for x in algebra]
+    assert len(oracle._echelon(flat, p)) == len(algebra)
+    for x in algebra:
+        assert _matmul(x.entries, j, p) == _matmul(j, x.entries, p)
+
+
+@pytest.mark.parametrize(
+    "blocks, p",
+    [
+        ({0: [(1, 1), (2, 1)]}, 3),
+        ({0: [(2, 1), (3, 1)]}, 2),
+        ({0: [(1, 1), (2, 1), (4, 1)]}, 2),
+        ({0: [(1, 2), (3, 1)]}, 3),
+        ({0: [(1, 1)], 1: [(2, 2)]}, 2),
+        ({0: [(2, 1)], 2: [(1, 1), (3, 1)]}, 3),
+    ],
+    ids=str,
+)
+def test_classify_names_the_cyclic_submodule_of_every_line(blocks, p):
+    """For every line v, the label classify gives v's 0..p-1 representative spans A v."""
+    jt = JordanType.of(blocks)
+    n = jt.dimension
+    for v, span in cyclic_submodules(jt, p):
+        label = classify_chain_coordinates(jt, Matrix.column(list(v))).label
+        assert coordinate_subspace(p, n, invariant_positions(jt, label)).entries == span
 
 
 def test_scan_refused_before_anything_is_built(monkeypatch):
-    import centorbits.oracle as oracle
-
     def never(*args):
         raise AssertionError("built before the cap check")
 
     monkeypatch.setattr(oracle, "enumerate_labels", never)
-    monkeypatch.setattr(oracle, "shift_operator_rows", never)
+    monkeypatch.setattr(oracle, "centralizer_mod_p", never)
     huge = JordanType.of({0: [(1, 200)]})
     for scan in (oracle.compare_with_prediction, oracle.invariant_subspaces_bruteforce):
-        with pytest.raises(CapExceeded, match=r"at least 2\^200 subspaces of F_2\^200"):
+        with pytest.raises(CapExceeded, match=r"at least 2\^199 lines of F_2\^200"):
             scan(huge, 2)
     with pytest.raises(CapExceeded):
-        oracle.compare_with_prediction(JordanType.of({0: [(3, 1)]}), 2, cap=15)
+        oracle.compare_with_prediction(JordanType.of({0: [(3, 1)]}), 2, cap=6)
     with pytest.raises(ValueError, match="not a prime"):
         oracle.compare_with_prediction(huge, 4)
 
@@ -138,6 +325,27 @@ def test_multi_eigenvalue_verdict():
     verdict = compare_with_prediction(jt, 3)
     assert verdict.passed
     assert verdict.label_count == 6
+
+
+def test_default_cap_bounds_lines():
+    oracle._check_cap(2, 13, oracle.DEFAULT_LINE_CAP)
+    with pytest.raises(CapExceeded, match=r"at least 2\^13 lines of F_2\^14"):
+        oracle._check_cap(2, 14, oracle.DEFAULT_LINE_CAP)
+    with pytest.raises(CapExceeded, match=r"9841 lines of F_3\^9"):
+        oracle._check_cap(3, 9, oracle.DEFAULT_LINE_CAP)
+
+
+def test_symbolic_eigenvalues_take_spare_residues():
+    jt = JordanType.of({"a": [(2, 1)], 1: [(1, 1)], "b": [(1, 1)]})
+    residues = eigenvalues_mod_p(jt, 3)
+    assert residues[Fraction(1)] == 1
+    assert sorted(residues.values()) == [0, 1, 2]
+    assert compare_with_prediction(jt, 3).passed
+    with pytest.raises(ValueError, match="none is left"):
+        eigenvalues_mod_p(jt, 2)
+    abc = JordanType.of({"a": [(1, 1)], "b": [(1, 1)], "c": [(1, 1)]})
+    with pytest.raises(ValueError, match="symbolic eigenvalue c needs a residue modulo 2"):
+        compare_with_prediction(abc, 2)
 
 
 def test_symbolic_labels_are_accepted():
