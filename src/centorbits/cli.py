@@ -50,7 +50,7 @@ from .lattice import (
     orbit_count,
     upper_covers,
 )
-from .linalg import Matrix, as_fraction
+from .linalg import ExponentNotation, Matrix, as_fraction
 
 DEFAULT_SEED = 0
 
@@ -90,7 +90,9 @@ def _parse_eigenvalue(raw, field: str):
     """A rational when the string reads as one, else whatever the type accepts."""
     if isinstance(raw, str):
         try:
-            return Fraction(raw)
+            return as_fraction(raw)
+        except ExponentNotation as exc:
+            raise SpecError(f"{field}: {exc}") from None
         except ValueError:
             pass
         except ZeroDivisionError:

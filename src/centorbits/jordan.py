@@ -33,22 +33,25 @@ multiplicity, only by exact synthetic division of the polynomial; a factor
 left over means an irrational or complex root.
 
 Both the type and the basis come from one kernel chain per eigenvalue: the
-powers N^k and the kernel bases of ker N ⊂ ker N^2 ⊂ ..., built once and
+kernel bases of ker N ⊂ ker N^2 ⊂ ... for N = T - lambda, built once and
 stopped where dim ker N^k reaches the algebraic multiplicity, which happens
 exactly at the largest block size. With d_k = dim ker N^k, the number of
 blocks of size exactly i is 2 d_i - d_{i-1} - d_{i+1}.
 
 Chain construction walks block sizes from largest to smallest. At size s the
 vectors already forced into ker N^s are a basis of ker N^{s-1} together with
-the depth s - 1 tails N^{j-s} w of the chains of sizes j > s found earlier;
-new chain generators are taken from the kernel basis of N^s, in its
-deterministic order, whenever they extend the span of those forced vectors.
-The count of generators found this way must match the block multiplicities,
-and the result is verified outright: the assembled change of basis P must
-satisfy T P == P J for the canonical block matrix J of the type, and
-computing P^-1 certifies that P is invertible, so P^-1 T P == J. P J is
-read off the chains in O(n^2): its column for p_j is lambda p_j + p_{j+1}
-inside a chain and lambda p_j at the chain's end.
+the depth s - 1 tails N^{j-s} w of the chains of sizes j > s found earlier,
+read off those chains. The forced vectors and then the kernel basis of N^s,
+in its deterministic order, are the columns of one integer row reduction;
+the chain generators are the kernel columns among its pivot columns, since
+a column is a pivot exactly when it lies outside the span of the columns
+before it. Each chain (v, Nv, ..., N^{s-1}v) is built once by repeated
+products with N as soon as v is found. The count of generators must match
+the block multiplicities, and the result is verified outright: the
+assembled change of basis P must satisfy T P == P J for the canonical block
+matrix J of the type, and computing P^-1 certifies that P is invertible, so
+P^-1 T P == J. P J is read off the chains in O(n^2): its column for p_j is
+lambda p_j + p_{j+1} inside a chain and lambda p_j at the chain's end.
 """
 
 from __future__ import annotations
@@ -365,28 +368,27 @@ def rational_eigenvalues(t: Matrix) -> list:
 
 
 def _kernel_chains(t: Matrix):
-    """Per rational eigenvalue, in canonical order: (eig, blocks, powers, kernels).
+    """Per rational eigenvalue, in canonical order: (eig, blocks, N, kernels).
 
-    ``powers[k]`` is N^k for N = T - eig and ``kernels[k]`` a basis of its
-    kernel, for k = 0 up to the largest block size, the first k where
-    dim ker N^k reaches the algebraic multiplicity.
+    N is T - eig and ``kernels[k]`` a basis of the kernel of N^k, for k = 0
+    up to the largest block size, the first k where dim ker N^k reaches the
+    algebraic multiplicity.
     """
-    ident = Matrix.identity(t.rows)
     for eig, alg_mult in rational_eigenvalues(t):
         nilpotent = Matrix(
             [[x - eig if i == j else x for j, x in enumerate(t.row(i))] for i in range(t.rows)]
         )
-        powers, kernels = [ident], [[]]
+        power, kernels = nilpotent, [[], nilpotent.kernel_basis()]
         while len(kernels[-1]) < alg_mult:
-            powers.append(nilpotent @ powers[-1])
-            kernels.append(powers[-1].kernel_basis())
+            power = nilpotent @ power
+            kernels.append(power.kernel_basis())
         dims = [len(basis) for basis in kernels] + [alg_mult]
         blocks = []
         for size in range(1, len(kernels)):
             count = 2 * dims[size] - dims[size - 1] - dims[size + 1]
             if count:
                 blocks.append((size, count))
-        yield eig, blocks, powers, kernels
+        yield eig, blocks, nilpotent, kernels
 
 
 def jordan_type(t: Matrix) -> JordanType:
@@ -432,56 +434,27 @@ class JordanBasis:
         return self.matrix.rows
 
 
-class _SpanTracker:
-    """Incremental membership test for the span of a growing vector set."""
-
-    def __init__(self):
-        self._rows = {}
-
-    def add(self, vec: Matrix) -> bool:
-        """Reduce vec against the stored echelon rows; True if it enlarges the span."""
-        row = [vec[i, 0] for i in range(vec.rows)]
-        for j in range(len(row)):
-            if row[j] == 0:
-                continue
-            if j in self._rows:
-                f = row[j]
-                row = [a - f * b for a, b in zip(row, self._rows[j])]
-            else:
-                inv = 1 / row[j]
-                self._rows[j] = [x * inv for x in row]
-                return True
-        return False
-
-
 def jordan_basis(t: Matrix) -> JordanBasis:
     data = {}
     all_chains = []
-    for eig, blocks, powers, kernels in _kernel_chains(t):
+    for eig, blocks, nilpotent, kernels in _kernel_chains(t):
         data[eig] = blocks
         mult = dict(blocks)
-        tops = []  # (size, generator), found from the largest size down
+        found = []  # chains of each size, from the largest size down
         for size in range(len(kernels) - 1, 0, -1):
-            tracker = _SpanTracker()
-            for vec in kernels[size - 1]:
-                tracker.add(vec)
-            for bigger, top in tops:
-                tracker.add(powers[bigger - size] @ top)
-            needed = mult.get(size, 0)
-            found = 0
-            for cand in kernels[size]:
-                if found == needed:
-                    break
-                if tracker.add(cand):
-                    tops.append((size, cand))
-                    found += 1
-            if found != needed:
+            forced = kernels[size - 1] + [c.vectors[c.size - size] for group in found for c in group]
+            _, pivots = Matrix.from_columns(forced + kernels[size])._integer_rref()
+            tops = [kernels[size][c - len(forced)] for c in pivots if c >= len(forced)]
+            if len(tops) != mult.get(size, 0):
                 raise RuntimeError("Jordan chain construction failed; this is a bug")
-        counters: dict = {}
-        for size, top in sorted(tops, key=lambda st: st[0]):
-            counters[size] = counters.get(size, 0) + 1
-            vectors = tuple(powers[k] @ top for k in range(size))
-            all_chains.append(JordanChain(eig, size, counters[size], vectors))
+            group = []
+            for index, top in enumerate(tops, 1):
+                vectors = [top]
+                for _ in range(size - 1):
+                    vectors.append(nilpotent @ vectors[-1])
+                group.append(JordanChain(eig, size, index, tuple(vectors)))
+            found.append(group)
+        all_chains += [chain for group in reversed(found) for chain in group]
     jt = JordanType.of(data)
     columns = [vec for chain in all_chains for vec in chain.vectors]
     p = Matrix.from_columns(columns)

@@ -24,6 +24,7 @@ forms and kernel bases fully deterministic.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -36,11 +37,23 @@ class ShapeError(ValueError):
     """Matrix dimensions do not fit the requested operation."""
 
 
+class ExponentNotation(ValueError):
+    """A number string written with an exponent, such as ``"1e5"``."""
+
+
+# A decimal mantissa with at least one digit, then an exponent: the strings
+# Fraction would read by computing 10**exponent, however large
+_EXPONENT_FORM = re.compile(r"\s*[-+]?(\d[\d_]*(\.[\d_]*)?|\.\d[\d_]*)[eE][-+]?\d[\d_]*\s*")
+
+
 def as_fraction(value: Scalar) -> Fraction:
     """Coerce ``value`` to an exact rational.
 
     Accepts Fraction, int and strings such as ``"7"`` or ``"-3/4"``.
     Floats and bools are rejected outright; exactness is the whole point.
+    Exponent strings such as ``"1e5"`` raise :class:`ExponentNotation`: nine
+    characters like ``"1e9999999"`` would stand for a ten-million-digit
+    integer, which no digit limit on integer strings catches.
     """
     if isinstance(value, Fraction):
         return value
@@ -48,6 +61,8 @@ def as_fraction(value: Scalar) -> Fraction:
         raise TypeError(
             f"inexact or boolean entry {value!r}; use int, Fraction or a 'p/q' string"
         )
+    if isinstance(value, str) and _EXPONENT_FORM.fullmatch(value):
+        raise ExponentNotation(f"exponent notation {value!r} is not accepted; write an integer or 'p/q'")
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")

@@ -370,6 +370,4 @@ def compare_with_prediction(
                     f"{sub.entries} was not predicted"
                 )
                 break
-    if mismatch is None and len(brute) != len(predicted):
-        mismatch = f"{len(predicted)} predicted vs {len(brute)} brute-force subspaces"
     return OracleVerdict(mismatch is None, p, n, len(labels), len(brute), mismatch)

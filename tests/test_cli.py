@@ -66,13 +66,14 @@ def test_analyze_identity(tmp_path, capsys):
 
 
 def test_symbolic_labels_flow_through_combinatorial_verbs(tmp_path, capsys):
-    doc = {"jordan": [{"eigenvalue": "a", "blocks": [[2, 1]]}, {"eigenvalue": "b", "blocks": [[1, 1]]}]}
+    # "e" is the exponent letter of "1e5", but alone it is a label, not a number
+    doc = {"jordan": [{"eigenvalue": "e", "blocks": [[2, 1]]}, {"eigenvalue": "mu", "blocks": [[1, 1]]}]}
     spec = write(tmp_path, "sym.json", doc)
     code, out, _ = run_cli(capsys, "analyze", spec)
     assert code == 0
     payload = json.loads(out)
     assert payload["orbit_count"] == 6
-    assert payload["jordan_type"][0]["eigenvalue"] == "a"
+    assert [e["eigenvalue"] for e in payload["jordan_type"]] == ["e", "mu"]
     code, out, _ = run_cli(capsys, "lattice", spec, "--format", "json")
     assert code == 0
     assert len(json.loads(out)["nodes"]) == 6
@@ -342,6 +343,24 @@ def test_large_prime_eigenvalues_end_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1
     assert code == 0 and err == ""
     assert [e["eigenvalue"] for e in json.loads(out)["jordan_type"]] == ["100000007", "100000037"]
+
+
+@pytest.mark.parametrize("text", ["1e3", "2E-2", "1e999999999", "1e1000000"])
+@pytest.mark.parametrize("where", ["matrix", "vector", "eigenvalue"])
+def test_exponent_notation_is_refused_at_once(tmp_path, capsys, text, where):
+    if where == "matrix":
+        doc, argv, field = {"matrix": [[text, "0"], ["0", "2"]]}, ["analyze"], "matrix[0][0]"
+    elif where == "vector":
+        doc, argv, field = {"matrix": [["1", "0"], ["0", "2"]]}, ["classify", f"--vector={text},1"], "vector[0]"
+    else:
+        doc = {"jordan": [{"eigenvalue": text, "blocks": [[1, 1]]}]}
+        argv, field = ["analyze"], "jordan[0].eigenvalue"
+    spec = write(tmp_path, "exp.json", doc)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], spec, *argv[1:])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {field}: ") and repr(text) in err
 
 
 def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,8 @@ Every verb that reads a document is driven in-process with small fuzzed
 input on stdin. A run must return 0, 2 or 3 (1 is kept for a failed
 verification); a nonzero run writes exactly one stderr line starting
 ``error: ``. Integer entries and ``p/q`` strings reach about 10^12 in size,
-and ``verify`` runs under a small line cap.
+exponent strings such as ``"1e999999999"`` must be refused at once, and
+``verify`` runs under a small line cap.
 """
 
 import io
@@ -25,7 +26,8 @@ SCALARS = st.one_of(
     BIG,
     st.builds("{}/{}".format, BIG, BIG),
     st.floats(width=16),
-    st.sampled_from(["0", "1", "-2", "1/2", "-3/4", "1/0", "x", "", " ", "1.5", "2/", "0x1"]),
+    st.sampled_from(["0", "1", "-2", "1/2", "-3/4", "1/0", "x", "", " ", "1.5", "2/", "0x1",
+                     "1e3", "2E-2", "1e999999999"]),
 )
 ENTRIES = st.one_of(SCALARS, st.lists(st.integers(0, 1), max_size=2))
 MATRICES = st.one_of(ENTRIES, st.lists(st.one_of(ENTRIES, st.lists(ENTRIES, max_size=3)), max_size=3))

@@ -19,6 +19,7 @@ from centorbits.jordan import (
 from centorbits.linalg import Matrix
 
 from conftest import RATIONALS, power, rational_corpus_types
+from test_golden import MATRICES as GOLDEN_MATRICES
 
 
 def diag(*values):
@@ -184,13 +185,27 @@ def test_convention_pinned_on_upper_triangular_input():
     assert recon == Matrix([[1, 0], [1, 1]])
 
 
-def test_chains_match_type_and_powers(j23):
-    basis = jordan_basis(j23)
-    assert [(c.size, c.index) for c in basis.chains] == [(2, 1), (3, 1)]
-    for chain in basis.chains:
-        shift = basis.matrix - Matrix.identity(5).scaled(chain.eigenvalue)
-        for t in range(chain.size):
-            assert chain.vectors[t] == power(shift, t) @ chain.vectors[0]
+CHAIN_CASES = {
+    "j23": {0: [(2, 1), (3, 1)]},
+    "halves": {Fraction(-1, 2): [(2, 1)], 2: [(1, 1), (2, 1)]},
+    "seven": {0: [(1, 1), (3, 1)], 1: [(1, 1), (2, 1)]},
+}
+
+
+def test_chains_match_type_and_powers():
+    for name, blocks in CHAIN_CASES.items():
+        basis = jordan_basis(Matrix(GOLDEN_MATRICES[name]))
+        assert basis.jordan_type == JordanType.of(blocks), name
+        assert [(c.eigenvalue, c.size, c.index) for c in basis.chains] == [
+            (s.eigenvalue, s.size, s.index) for s in chain_slots(basis.jordan_type)
+        ], name
+        n = basis.dimension
+        for chain in basis.chains:
+            shift = basis.matrix - Matrix.identity(n).scaled(chain.eigenvalue)
+            for t in range(chain.size + 1):
+                assert power(shift, t) @ chain.vectors[0] == (
+                    chain.vectors[t] if t < chain.size else Matrix([[0]] * n)
+                ), (name, chain.eigenvalue, chain.size, chain.index, t)
 
 
 def test_jordan_form_input_keeps_standard_basis(j23):
