@@ -24,14 +24,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracle
 from .centralizer import centralizer_basis, centralizer_dimension, sample_invertible
-from .classify import classify_vector, comparability, orbit_dimension, same_solution_class
+from .classify import classify_vector, comparability, same_solution_class
 from .counting import _tail_sums, gen_function
 from .jordan import (
     JordanBasis,
@@ -45,10 +47,12 @@ from .lattice import (
     CapExceeded,
     OrbitLabel,
     _steps,
+    column_digits,
     column_sizes,
-    enumerate_labels,
+    column_tables,
+    lattice_covers,
+    lattice_nodes,
     orbit_count,
-    upper_covers,
 )
 from .linalg import ExponentNotation, Matrix, as_fraction
 
@@ -191,10 +195,7 @@ def _parse_vector(text: str, n: int, field: str) -> Matrix:
 
 def label_name(label: OrbitLabel) -> str:
     """Per-eigenvalue digit strings joined by '|'; commas when a bound exceeds 9."""
-    return "|".join(
-        ("" if all(b <= 9 for b in bounds) else ",").join(map(str, deltas))
-        for deltas, bounds in zip(label.deltas, label.limits)
-    )
+    return "|".join(map(column_digits, label.heights, label.sizes))
 
 
 def _emit(payload) -> None:
@@ -238,23 +239,34 @@ def _cap(args, default: int) -> int:
     return args.cap
 
 
+# Per format: (head, node template, separator, middle, cover template, tail),
+# reproducing json.dumps(indent=2) of {"nodes": [...], "covers": [...]} and
+# the DOT lines.
+_LATTICE_TEXT = {
+    "json": ('{\n  "nodes": [\n', '    [\n      "%s",\n      %d\n    ]', ",\n",
+             '\n  ],\n  "covers": [\n', '    [\n      "%s",\n      "%s"\n    ]', "\n  ]\n}\n"),
+    "dot": ("digraph orbit_lattice {\n  rankdir=BT;\n", '  "%s" [dim=%d];', "\n",
+            "\n", '  "%s" -> "%s";', "\n}\n"),
+}
+
+
+def _write_joined(template: str, pairs, sep: str) -> None:
+    """Write the pairs through the template, sep-joined, 4096 at a time."""
+    lead = ""
+    while block := list(itertools.islice(pairs, 4096)):
+        sys.stdout.write(lead + sep.join([template % pair for pair in block]))
+        lead = sep
+
+
 def cmd_lattice(args) -> int:
     cap = _cap(args, DEFAULT_ENUMERATION_CAP)
-    jt = spec_type(load_spec(args.spec))
-    labels = enumerate_labels(jt, cap)
-    names = {lab: label_name(lab) for lab in labels}
-    nodes = [(names[lab], orbit_dimension(jt, lab)) for lab in labels]
-    edges = [(names[lo], names[hi]) for lo in labels for hi in upper_covers(lo)]
-    if args.format == "json":
-        _emit({"nodes": [list(n) for n in nodes], "covers": [list(e) for e in edges]})
-    else:
-        lines = ["digraph orbit_lattice {", "  rankdir=BT;"]
-        for name, dim in nodes:
-            lines.append(f'  "{name}" [dim={dim}];')
-        for lo, hi in edges:
-            lines.append(f'  "{lo}" -> "{hi}";')
-        lines.append("}")
-        print("\n".join(lines))
+    tables = column_tables(spec_type(load_spec(args.spec)), cap)
+    head, node, sep, middle, cover, tail = _LATTICE_TEXT[args.format]
+    sys.stdout.write(head)
+    _write_joined(node, lattice_nodes(tables), sep)
+    sys.stdout.write(middle)
+    _write_joined(cover, lattice_covers(tables), sep)
+    sys.stdout.write(tail)
     return 0
 
 
@@ -380,7 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): end quietly, and point stdout
+        # at devnull so the flush at interpreter exit has nothing to fail on.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

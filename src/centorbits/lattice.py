@@ -26,6 +26,13 @@ carry their sizes, so duality, validity and covers need no extra context.
 Enumeration is guarded by a size cap; the count (:func:`orbit_count`) never
 enumerates and has no cap.
 
+As the lattice is a product over eigenvalues, names, dimensions and covers
+split into per-eigenvalue parts: :func:`column_tables` holds one row per
+valid height tuple of each eigenvalue, and :func:`lattice_nodes` and
+:func:`lattice_covers` walk the product of the rows, in label order, without
+building an :class:`OrbitLabel`. The digit rule (:func:`column_digits`) and
+the step rule (``_raisable``) serve both the tables and the labels.
+
 Label sizes come from ``JordanType.eigen_blocks`` through :func:`column_sizes`
 only, and ``_steps`` turns them into the bounds Delta; the generating
 function and the ``analyze`` report read the same two.
@@ -156,21 +163,39 @@ def dual(a: OrbitLabel) -> OrbitLabel:
 def upper_covers(a: OrbitLabel) -> list:
     """Every label covering a, in lexicographic order: the valid steps H -> H + e_k.
 
+    A step at a later eigenvalue gives the smaller label, so eigenvalues are
+    walked from last to first, each through :func:`_raisable`.
+    """
+    return [
+        OrbitLabel(a.heights[:g] + (_raised(a.heights[g], k),) + a.heights[g + 1:], a.sizes)
+        for g in reversed(range(len(a.heights)))
+        for k in _raisable(a.heights[g], a.sizes[g])
+    ]
+
+
+def _raisable(group: tuple, sizes: tuple) -> list:
+    """The positions k, last to first, at which one eigenvalue's heights may step up by one.
+
     Height k may rise while it stays below both H_{k-1} + s_k - s_{k-1} and
     the next height H_{k+1} (the size s_k when k is last). A step at an
-    earlier position gives the larger label, so positions are walked from
-    last to first.
+    earlier position gives the larger label, hence the order.
     """
-    covers = []
-    for g in reversed(range(len(a.heights))):
-        group, sizes = a.heights[g], a.sizes[g]
-        for k in reversed(range(len(group))):
-            h0, s0 = (group[k - 1], sizes[k - 1]) if k else (0, 0)
-            ceiling = group[k + 1] if k + 1 < len(group) else sizes[k]
-            if group[k] < min(h0 + sizes[k] - s0, ceiling):
-                raised = group[:k] + (group[k] + 1,) + group[k + 1:]
-                covers.append(OrbitLabel(a.heights[:g] + (raised,) + a.heights[g + 1:], a.sizes))
-    return covers
+    steps = []
+    for k in reversed(range(len(group))):
+        h0, s0 = (group[k - 1], sizes[k - 1]) if k else (0, 0)
+        ceiling = group[k + 1] if k + 1 < len(group) else sizes[k]
+        if group[k] < min(h0 + sizes[k] - s0, ceiling):
+            steps.append(k)
+    return steps
+
+
+def _raised(group: tuple, k: int) -> tuple:
+    return group[:k] + (group[k] + 1,) + group[k + 1:]
+
+
+def column_digits(group: tuple, sizes: tuple) -> str:
+    """One eigenvalue's piece of a label name: the increments, comma-separated if a bound exceeds 9."""
+    return ("" if max(_steps(sizes)) <= 9 else ",").join(map(str, _steps(group)))
 
 
 def orbit_count(jt: JordanType) -> int:
@@ -190,11 +215,15 @@ def _column_heights(sizes: tuple) -> list:
     return [row[1:] for row in rows]
 
 
-def enumerate_labels(jt: JordanType, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
-    """All labels in lexicographic order of their flattened heights (equally, deltas)."""
+def _check_cap(jt: JordanType, cap: int):
     total = orbit_count(jt)
     if total > cap:
         raise CapExceeded(total, cap)
+
+
+def enumerate_labels(jt: JordanType, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
+    """All labels in lexicographic order of their flattened heights (equally, deltas)."""
+    _check_cap(jt, cap)
     sizes = column_sizes(jt)
     return [OrbitLabel(heights, sizes) for heights in itertools.product(*map(_column_heights, sizes))]
 
@@ -207,3 +236,46 @@ def hasse_covers(jt: JordanType, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
     definition by exhaustive search for intermediates.
     """
     return [(lower, upper) for lower in enumerate_labels(jt, cap) for upper in upper_covers(lower)]
+
+
+def column_tables(jt: JordanType, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
+    """Per eigenvalue, a row (digits, sum m_k * H_k, upper cover row indices) per valid heights.
+
+    Rows are in lexicographic order; the cap is checked before any is built.
+    """
+    _check_cap(jt, cap)
+    tables = []
+    for _, blocks in jt.eigen_blocks:
+        sizes = tuple(size for size, _ in blocks)
+        rows = _column_heights(sizes)
+        index = {group: i for i, group in enumerate(rows)}
+        tables.append([
+            (
+                column_digits(group, sizes),
+                sum(mult * h for (_, mult), h in zip(blocks, group)),
+                [index[_raised(group, k)] for k in _raisable(group, sizes)],
+            )
+            for group in rows
+        ])
+    return tables
+
+
+def lattice_nodes(tables: list):
+    """(name, orbit dimension) of every label, in :func:`enumerate_labels` order."""
+    for rows in itertools.product(*tables):
+        yield "|".join([row[0] for row in rows]), sum([row[1] for row in rows])
+
+
+def lattice_covers(tables: list):
+    """(lower name, upper name) of every cover, in :func:`hasse_covers` order.
+
+    A cover swaps one eigenvalue's digits, eigenvalues last to first as in :func:`upper_covers`.
+    """
+    for rows in itertools.product(*tables):
+        pieces = [row[0] for row in rows]
+        name = "|".join(pieces)
+        for g in reversed(range(len(rows))):
+            left = "".join([piece + "|" for piece in pieces[:g]])
+            right = "".join(["|" + piece for piece in pieces[g + 1:]])
+            for j in rows[g][2]:
+                yield name, left + tables[g][j][0] + right

@@ -1,12 +1,18 @@
 import json
+import random
 import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from centorbits import cli
+from centorbits import JordanType, cli
+from centorbits.classify import orbit_dimension
+from centorbits.lattice import _steps, column_sizes, enumerate_labels, hasse_covers, orbit_count
+
+from conftest import corpus_types
 
 J23_DOC = {
     "matrix": [
@@ -146,8 +152,10 @@ def test_dot_round_trips_through_json(tmp_path, capsys):
 
 def test_lattice_cap_exceeded(tmp_path, capsys):
     spec = write(tmp_path, "t135.json", T135_DOC)
-    code, _, err = run_cli(capsys, "lattice", spec, "--cap", "5")
+    code, out, err = run_cli(capsys, "lattice", spec, "--cap", "5")
     assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "18" in err
 
 
@@ -158,6 +166,58 @@ def test_non_positive_cap_is_an_input_error(tmp_path, capsys, verb, cap):
     code, out, err = run_cli(capsys, verb[0], spec, *verb[1:], "--cap", cap)
     assert (code, out) == (2, "")
     assert err == f"error: --cap must be at least 1, got {cap}\n"
+
+
+def wide_step_types() -> list:
+    """Seeded types of 2-3 eigenvalues, one with a size step above 9; at most 3000 labels."""
+    types = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        while True:
+            eigs = rng.sample([0, Fraction(1, 3), "mu", -2], rng.randint(2, 3))
+            sizes = [rng.sample(range(1, 30 if i == 0 else 6), rng.randint(1, 3)) for i in range(len(eigs))]
+            jt = JordanType.of({
+                eig: [(size, rng.randint(1, 3)) for size in group] for eig, group in zip(eigs, sizes)
+            })
+            if any(max(_steps(sizes)) > 9 for sizes in column_sizes(jt)) and orbit_count(jt) <= 3000:
+                types.append(jt)
+                break
+    return types
+
+
+@pytest.mark.parametrize("jt", corpus_types() + wide_step_types(), ids=str)
+def test_streamed_lattice_matches_the_label_reference(tmp_path, capsys, jt):
+    doc = {
+        "jordan": [
+            {"eigenvalue": str(eig), "blocks": [list(b) for b in blocks]}
+            for eig, blocks in jt.eigen_blocks
+        ]
+    }
+    spec = write(tmp_path, "spec.json", doc)
+    nodes = [[cli.label_name(lab), orbit_dimension(jt, lab)] for lab in enumerate_labels(jt)]
+    covers = [[cli.label_name(lo), cli.label_name(hi)] for lo, hi in hasse_covers(jt)]
+    code, out, _ = run_cli(capsys, "lattice", spec, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"nodes": nodes, "covers": covers}
+    code, out, _ = run_cli(capsys, "lattice", spec, "--format", "dot")
+    assert code == 0
+    assert [[name, int(dim)] for name, dim in re.findall(r'"([^"]+)" \[dim=(\d+)\];', out)] == nodes
+    assert [list(edge) for edge in re.findall(r'"([^"]+)" -> "([^"]+)";', out)] == covers
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    """`lattice ... | head -2`: the reader leaves early, and the writer ends without a traceback."""
+    spec = write(tmp_path, "big.json", {"jordan": [{"eigenvalue": "0", "blocks": [[99, 1], [198, 1]]}]})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "centorbits", "lattice", spec, "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert [proc.stdout.readline() for _ in range(2)] == [b"{\n", b'  "nodes": [\n']
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) != 1
+    assert err == b""
 
 
 def test_classify_zero_vector(tmp_path, capsys):

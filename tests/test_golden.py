@@ -68,6 +68,12 @@ VECTORS = {
     "scalar": ["1,0", "0,0"],
 }
 
+# 9360 labels: eigenvalue 0 has a size step of 12, so its digits are
+# comma-separated, and "a" is symbolic.
+WIDE = JordanType.of(
+    {0: [(2, 3), (14, 1)], Fraction(1, 2): [(1, 4)], "a": [(1, 2), (3, 1), (6, 1), (10, 2)]}
+)
+
 
 def _jordan_doc(jt) -> dict:
     return {
@@ -88,6 +94,8 @@ def golden_runs() -> list:
         runs.append((f"corpus{i} lattice dot", doc, ["lattice", "--format", "dot"]))
         if jt.dimension <= 6:
             runs.append((f"corpus{i} verify 2", doc, ["verify", "--prime", "2"]))
+    for fmt in ("json", "dot"):
+        runs.append((f"wide lattice {fmt}", _jordan_doc(WIDE), ["lattice", "--format", fmt]))
     for name, rows in MATRICES.items():
         doc = {"matrix": rows}
         vectors = VECTORS[name]
