@@ -54,7 +54,7 @@ from .lattice import (
     lattice_nodes,
     orbit_count,
 )
-from .linalg import ExponentNotation, Matrix, as_fraction
+from .linalg import Matrix, as_fraction
 
 DEFAULT_SEED = 0
 
@@ -91,16 +91,6 @@ def _parse_matrix(raw, field: str) -> Matrix:
 
 
 def _parse_eigenvalue(raw, field: str):
-    """A rational when the string reads as one, else whatever the type accepts."""
-    if isinstance(raw, str):
-        try:
-            return as_fraction(raw)
-        except ExponentNotation as exc:
-            raise SpecError(f"{field}: {exc}") from None
-        except ValueError:
-            pass
-        except ZeroDivisionError:
-            raise SpecError(f"{field}: zero denominator in {raw!r}") from None
     try:
         return _normalize_eigenvalue(raw)
     except (TypeError, ValueError) as exc:

@@ -18,19 +18,20 @@ Conventions, pinned for reproducibility:
 * Rational eigenvalues are ordered by (numerator, denominator) of their
   canonical form; symbolic labels follow all rationals, ordered as strings.
 
-The eigenvalues come from the characteristic polynomial, computed in O(n^3)
-by reducing T to upper Hessenberg form with elimination similarities and
-expanding the Hessenberg determinant by its minor recurrence. Its rational
-roots are found without factoring any coefficient. The square-free part g
-of the polynomial, cleared to integers, is taken modulo the smallest prime p
-that does not divide its leading coefficient and at which every root of g
-mod p is simple. Every rational root a/b of g reduces to a root mod p; the
-roots mod p are found by evaluation, lifted by Newton's (Hensel's) iteration
-to a modulus above 2 B^2, where B = max(|lc(g)|, |g(0)|) bounds |a| and b,
-and recovered by rational reconstruction (von zur Gathen and Gerhard, Modern
-Computer Algebra, ch. 5 and 15). A candidate is accepted, with its
-multiplicity, only by exact synthetic division of the polynomial; a factor
-left over means an irrational or complex root.
+The eigenvalues come from the characteristic polynomial, computed over the
+integers: with d the lcm of the entry denominators of T, Berkowitz's
+division-free recurrence gives c(x) = det(xI - dT), monic with integer
+coefficients, in O(n^4) integer operations. Its roots are d times the
+eigenvalues, and by Gauss's lemma each rational root is an integer dividing
+the constant term of the square-free part g of c, itself monic up to sign.
+The roots are found without factoring any coefficient: g is taken modulo
+the smallest prime p at which every root of g mod p is simple, the roots
+mod p are found by evaluation and lifted by Newton's (Hensel's) iteration to
+a modulus above 2 |g(0)|, where the symmetric residue is the integer root
+(von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15). A candidate
+is accepted, with its multiplicity, only by exact synthetic division of c; a
+factor left over means an irrational or complex root. Each accepted root r
+gives the eigenvalue r / d.
 
 Both the type and the basis come from one kernel chain per eigenvalue: the
 kernel bases of ker N ⊂ ker N^2 ⊂ ... for N = T - lambda, built once and
@@ -58,10 +59,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from math import isqrt
+from operator import mul
+from typing import Iterable, Mapping, NamedTuple, Union
 
-from .linalg import Matrix, ShapeError, _integer_vector, _primitive
+from .linalg import ExponentNotation, Matrix, ShapeError, _integer_vector, _primitive, as_fraction
 
 Eigenvalue = Union[Fraction, str]
 
@@ -77,17 +79,22 @@ def eigenvalue_sort_key(eig: Eigenvalue) -> tuple:
 
 
 def _normalize_eigenvalue(eig) -> Eigenvalue:
-    if isinstance(eig, Fraction):
-        return eig
-    if isinstance(eig, bool) or isinstance(eig, float):
-        raise TypeError(f"eigenvalue {eig!r} must be an int, Fraction or symbolic label")
-    if isinstance(eig, int):
-        return Fraction(eig)
+    """A rational when eig is one or a string that reads as one, else a symbolic label."""
     if isinstance(eig, str):
+        try:
+            return as_fraction(eig)
+        except ExponentNotation:
+            raise
+        except ValueError:
+            pass
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {eig!r}") from None
         label = eig.strip()
         if not label:
             raise ValueError("symbolic eigenvalue label must be nonempty")
         return label
+    if isinstance(eig, (Fraction, int)) and not isinstance(eig, bool):
+        return Fraction(eig)
     raise TypeError(f"eigenvalue {eig!r} must be an int, Fraction or symbolic label")
 
 
@@ -174,50 +181,34 @@ def chain_slots(jt: JordanType) -> tuple:
 # -- characteristic polynomial and rational roots -----------------------
 
 
-def characteristic_polynomial(t: Matrix) -> tuple:
-    """Monic characteristic polynomial det(xI - T), coefficients highest first.
+def _integer_charpoly(t: Matrix) -> tuple:
+    """(c, d): d the lcm of the entry denominators of T, c = det(xI - dT) highest first.
 
-    T is reduced to upper Hessenberg form H by elimination similarities, and
-    the characteristic polynomials p_m of the leading m x m blocks of H
-    follow from the minor recurrence (Cohen, Alg. 2.2.9)
-    p_m = (x - h_mm) p_{m-1} - sum_i h_{m-i,m} h_{m,m-1} ... h_{m-i+1,m-i} p_{m-i-1}.
+    Berkowitz's recurrence: with A_k = [[M, C], [R, a]] the leading k x k
+    block of dT, p_k is the lower-triangular Toeplitz matrix with first
+    column (1, -a, -RC, -RMC, ..., -RM^{k-2}C) applied to p_{k-1}.
     """
     if not t.is_square():
         raise ShapeError(f"characteristic polynomial needs a square matrix, got {t.rows}x{t.cols}")
     n = t.rows
-    h = [list(t.row(i)) for i in range(n)]
-    for m in range(1, n - 1):
-        pivot = next((i for i in range(m, n) if h[i][m - 1] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != m:
-            h[m], h[pivot] = h[pivot], h[m]
-            for row in h:
-                row[m], row[pivot] = row[pivot], row[m]
-        inv = 1 / h[m][m - 1]
-        for i in range(m + 1, n):
-            u = h[i][m - 1] * inv
-            if u == 0:
-                continue
-            h[i][m - 1:] = [a - u * b for a, b in zip(h[i][m - 1:], h[m][m - 1:])]
-            for row in h:
-                row[m] += u * row[i]
-    # polys[k] is p_k, coefficients lowest first
-    polys = [[Fraction(1)]]
-    for m in range(n):
-        p = [Fraction(0)] + polys[m]
-        for k, c in enumerate(polys[m]):
-            p[k] -= h[m][m] * c
-        sub = Fraction(1)
-        for i in range(1, m + 1):
-            sub *= h[m - i + 1][m - i]
-            if sub == 0:
-                break
-            factor = sub * h[m - i][m]
-            for k, c in enumerate(polys[m - i]):
-                p[k] -= factor * c
-        polys.append(p)
-    return tuple(reversed(polys[n]))
+    flat, d = _integer_vector([x for i in range(n) for x in t.row(i)])
+    a = [flat[i * n:(i + 1) * n] for i in range(n)]
+    poly = [1]
+    for k in range(n):
+        row, column = a[k][:k], [a[i][k] for i in range(k)]
+        toeplitz = [1, -a[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(map(mul, row, column)))
+            column = [sum(map(mul, a[i], column)) for i in range(k)]
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
+                for i in range(k + 2)]
+    return poly, d
+
+
+def characteristic_polynomial(t: Matrix) -> tuple:
+    """Monic characteristic polynomial det(xI - T), coefficients highest first."""
+    c, d = _integer_charpoly(t)
+    return tuple(Fraction(x, d ** k) for k, x in enumerate(c))
 
 
 def _derivative(poly: list) -> list:
@@ -274,79 +265,60 @@ def _eval_mod(poly: list, x: int, m: int) -> int:
     return value
 
 
-def _rational_reconstruction(r: int, m: int, bound: int):
-    """The a/b with |a|, b <= bound and a = b r mod m, or None; needs m > 2 bound^2."""
-    r0, r1, t0, t1 = m, r % m, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if t1 == 0 or abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
-
-
 def _root_candidates(g: list) -> list:
-    """Every rational root of the square-free primitive integer polynomial g, and maybe more.
+    """Every integer root of g, square-free and monic up to sign, and maybe more.
 
-    At the smallest prime p not dividing lc(g) at which every root of g mod p
-    is simple, each rational root a/b of g reduces to a root mod p (b | lc(g)
-    is prime to p), which Newton's iteration lifts uniquely to a root mod
-    p^(2^k) > 2 B^2, B = max(|lc(g)|, |g(0)|). Since |a| <= |g(0)| and
-    b <= |lc(g)|, rational reconstruction recovers a/b from it.
+    At the smallest prime p at which every root of g mod p is simple, each
+    integer root r of g reduces to a root mod p, which Newton's iteration
+    lifts uniquely to a root mod p^(2^k) > 2 |g(0)|. Since r divides g(0),
+    the symmetric residue of that lift is r.
     """
     derivative = _derivative(g)
     p = 2
     while True:
-        if g[0] % p:
-            roots = [x for x in range(p) if _eval_mod(g, x, p) == 0]
-            if all(_eval_mod(derivative, x, p) for x in roots):
-                break
+        roots = [x for x in range(p) if _eval_mod(g, x, p) == 0]
+        if all(_eval_mod(derivative, x, p) for x in roots):
+            break
         p = _next_prime(p)
-    bound = max(abs(g[0]), abs(g[-1]))
     candidates = []
     for x in roots:
         m = p
-        while m <= 2 * bound * bound:
+        while m <= 2 * abs(g[-1]):
             m *= m
             x = (x - _eval_mod(g, x, m) * pow(_eval_mod(derivative, x, m), -1, m)) % m
-        cand = _rational_reconstruction(x, m, bound)
-        if cand is not None:
-            candidates.append(cand)
+        candidates.append(x - m if 2 * x > m else x)
     return candidates
 
 
-def _rational_roots(coeffs: Sequence[Fraction]) -> list:
-    """All rational roots (root, multiplicity) of a monic polynomial.
+def _integer_roots(c: list) -> list:
+    """All integer roots (root, multiplicity) of a monic integer polynomial c.
 
     The candidates come from p-adic lifting of the roots of the square-free
     part modulo a small prime; each one, and its multiplicity, is confirmed by
     exact synthetic division. Raises NonSplittingCharPoly when a nontrivial
-    factor remains after every rational root has been divided out.
+    factor remains after every integer root has been divided out.
     """
-    work = list(coeffs)
+    work = list(c)
     roots = []
     zero_mult = 0
     while len(work) > 1 and work[-1] == 0:
         work.pop()
         zero_mult += 1
     if zero_mult:
-        roots.append((Fraction(0), zero_mult))
+        roots.append((0, zero_mult))
     if len(work) > 1:
-        for cand in _root_candidates(_square_free_part(_integer_vector(work)[0])):
+        for cand in _root_candidates(_square_free_part(work)):
             mult = 0
             while len(work) > 1:
                 quotient = [work[0]]
-                for c in work[1:-1]:
-                    quotient.append(c + cand * quotient[-1])
-                remainder = work[-1] + cand * quotient[-1]
-                if remainder != 0:
+                for x in work[1:-1]:
+                    quotient.append(x + cand * quotient[-1])
+                if work[-1] + cand * quotient[-1] != 0:
                     break
                 work = quotient
                 mult += 1
             if mult:
                 roots.append((cand, mult))
-            if len(work) == 1:
-                break
         if len(work) > 1:
             raise NonSplittingCharPoly(
                 "the characteristic polynomial has an irrational or complex root "
@@ -354,12 +326,14 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list:
                 "data directly (eigenvalue -> [size, multiplicity] pairs) to analyze "
                 "this operator"
             )
-    return sorted(roots, key=lambda pair: eigenvalue_sort_key(pair[0]))
+    return roots
 
 
 def rational_eigenvalues(t: Matrix) -> list:
     """Eigenvalues with algebraic multiplicities, when all of them are rational."""
-    roots = _rational_roots(characteristic_polynomial(t))
+    c, d = _integer_charpoly(t)
+    roots = sorted(((Fraction(r, d), m) for r, m in _integer_roots(c)),
+                   key=lambda pair: eigenvalue_sort_key(pair[0]))
     assert sum(m for _, m in roots) == t.rows
     return roots
 

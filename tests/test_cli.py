@@ -405,6 +405,18 @@ def test_large_prime_eigenvalues_end_at_once(tmp_path, capsys):
     assert [e["eigenvalue"] for e in json.loads(out)["jordan_type"]] == ["100000007", "100000037"]
 
 
+def test_dense_rational_matrix_without_rational_roots_ends_at_once(tmp_path, capsys):
+    rng = random.Random(25)
+    doc = {"matrix": [[f"{rng.randint(-9, 9)}/{rng.randint(1, 30)}" for _ in range(25)]
+                      for _ in range(25)]}
+    spec = write(tmp_path, "dense.json", doc)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", spec)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "irrational or complex root" in err
+
+
 @pytest.mark.parametrize("text", ["1e3", "2E-2", "1e999999999", "1e1000000"])
 @pytest.mark.parametrize("where", ["matrix", "vector", "eigenvalue"])
 def test_exponent_notation_is_refused_at_once(tmp_path, capsys, text, where):

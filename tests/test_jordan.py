@@ -62,13 +62,22 @@ def faddeev_leverrier(t: Matrix) -> tuple:
 @st.composite
 def sparse_subdiagonal_matrices(draw, max_dim=6):
     """Square rational matrices whose entries below the diagonal are mostly zero,
-    so the Hessenberg reduction has to swap rows or skip columns."""
+    so many leading blocks are triangular or decouple from the rows below."""
     n = draw(st.integers(1, max_dim))
     below = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), RATIONALS)
     return Matrix([[draw(below if i > j else RATIONALS) for j in range(n)] for i in range(n)])
 
 
-@given(sparse_subdiagonal_matrices())
+@st.composite
+def dense_small_denominator_matrices(draw, max_dim=6):
+    """Dense matrices with entries a/b, |a| <= 9 and b <= 30, so that d T has
+    large entries once d, the lcm of the denominators, clears them."""
+    n = draw(st.integers(1, max_dim))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 30))
+    return Matrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@given(st.one_of(sparse_subdiagonal_matrices(), dense_small_denominator_matrices()))
 @settings(deadline=None)
 def test_characteristic_polynomial_matches_faddeev_leverrier(t):
     coeffs = characteristic_polynomial(t)
@@ -163,6 +172,16 @@ def test_jordan_type_canonicalization_and_validation():
         JordanType.of({0: [(2, 0)]})
     with pytest.raises(ValueError):
         JordanType.of({})
+
+
+def test_eigenvalue_strings_read_as_rationals_first():
+    assert JordanType.of({"1/2": [(1, 1)]}) == JordanType.of({Fraction(1, 2): [(1, 1)]})
+    assert JordanType.of({"0": [(1, 1)], 0: [(1, 1)]}) == JordanType.of({0: [(1, 2)]})
+    assert jordan_matrix(JordanType.of({" -3 ": [(2, 1)]})) == Matrix([[-3, 0], [1, -3]])
+    assert JordanType.of({"mu": [(1, 1)]}).eigen_blocks[0][0] == "mu"
+    for text in ("1e3", "1/0", " "):
+        with pytest.raises(ValueError, match=repr(text) if text.strip() else "nonempty"):
+            JordanType.of({text: [(1, 1)]})
 
 
 def test_eigenvalue_order_is_canonical():
