@@ -71,19 +71,22 @@ def classify_chain_coordinates(jt: JordanType, coords: Matrix) -> OrbitReport:
     n = jt.dimension
     if coords.rows != n or coords.cols != 1:
         raise ShapeError(f"vector must be {n}x1, got {coords.rows}x{coords.cols}")
+    # x / den is zero exactly when the integer x is
+    nonzero = [x != 0 for (x,) in coords._grid]
+    raw = []
+    offset = 0
+    for _, blocks in jt.eigen_blocks:  # the chains in chain_slots order
+        heights = []
+        for size, mult in blocks:
+            height = 0
+            for _ in range(mult):
+                chain = nonzero[offset:offset + size]
+                if True in chain:
+                    height = max(height, size - chain.index(True))
+                offset += size
+            heights.append(height)
+        raw.append(heights)
     sizes = column_sizes(jt)
-    column_of = {
-        (eig, size): (g, k)
-        for g, (eig, blocks) in enumerate(jt.eigen_blocks)
-        for k, (size, _) in enumerate(blocks)
-    }
-    raw = [[0] * len(group) for group in sizes]
-    for slot in chain_slots(jt):
-        entries = [coords[slot.offset + t, 0] for t in range(slot.size)]
-        nonzero = [t for t, c in enumerate(entries) if c != 0]
-        height = slot.size - nonzero[0] if nonzero else 0
-        g, k = column_of[(slot.eigenvalue, slot.size)]
-        raw[g][k] = max(raw[g][k], height)
     for h, s in zip(raw, sizes):
         for k in range(1, len(h)):
             h[k] = max(h[k], h[k - 1])

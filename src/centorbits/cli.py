@@ -54,9 +54,13 @@ from .lattice import (
     lattice_nodes,
     orbit_count,
 )
-from .linalg import Matrix, as_fraction
+from .linalg import Matrix, TooManyDigits, _echo, as_fraction
 
 DEFAULT_SEED = 0
+# Largest matrix dimension accepted. Kernel chains cost about n^4 integer
+# operations: at n = 128 with 5-bit entries, analyze takes about 13 s and
+# classify about 14 s (README, the caps paragraph).
+MATRIX_DIMENSION_CAP = 128
 
 
 class SpecError(ValueError):
@@ -72,16 +76,20 @@ class OperatorSpec:
 def _entry(value, field: str) -> Fraction:
     try:
         return as_fraction(value)
+    except TooManyDigits as exc:
+        raise SpecError(f"{field}: {exc}") from None
     except (TypeError, ValueError):
-        raise SpecError(f"{field}: expected an integer or a 'p/q' string, got {value!r}") from None
+        raise SpecError(f"{field}: expected an integer or a 'p/q' string, got {_echo(value)}") from None
     except ZeroDivisionError:
-        raise SpecError(f"{field}: zero denominator in {value!r}") from None
+        raise SpecError(f"{field}: zero denominator in {_echo(value)}") from None
 
 
 def _parse_matrix(raw, field: str) -> Matrix:
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise SpecError(f"{field}: expected a non-empty 2D array")
     n = len(raw)
+    if n > MATRIX_DIMENSION_CAP:
+        raise CapExceeded(n, MATRIX_DIMENSION_CAP, what="matrix rows")
     for i, row in enumerate(raw):
         if len(row) != n:
             raise SpecError(f"{field}: must be square, row {i} has {len(row)} entries for {n} rows")
@@ -108,7 +116,7 @@ def _parse_jordan(raw, field: str) -> JordanType:
             raise SpecError(f"{here}: expected an object with 'eigenvalue' and 'blocks'")
         eig = _parse_eigenvalue(item["eigenvalue"], f"{here}.eigenvalue")
         if eig in seen:
-            raise SpecError(f"{here}.eigenvalue: duplicate eigenvalue {item['eigenvalue']!r}")
+            raise SpecError(f"{here}.eigenvalue: duplicate eigenvalue {_echo(item['eigenvalue'])}")
         seen.add(eig)
         blocks_raw = item["blocks"]
         if not isinstance(blocks_raw, list) or not blocks_raw:
@@ -137,9 +145,10 @@ def _parse_jordan(raw, field: str) -> JordanType:
 def parse_operator_spec(doc) -> OperatorSpec:
     if not isinstance(doc, dict):
         raise SpecError("input document must be a JSON object")
-    unknown = set(doc) - {"matrix", "jordan"}
+    unknown = sorted(set(doc) - {"matrix", "jordan"})
     if unknown:
-        raise SpecError(f"unknown field(s): {', '.join(map(repr, sorted(unknown)))}")
+        more = f", ... ({len(unknown)} in all)" if len(unknown) > 3 else ""
+        raise SpecError(f"unknown field(s): {', '.join(map(_echo, unknown[:3]))}{more}")
     if ("matrix" in doc) == ("jordan" in doc):
         raise SpecError("exactly one of 'matrix' or 'jordan' must be given")
     if "matrix" in doc:
@@ -148,17 +157,29 @@ def parse_operator_spec(doc) -> OperatorSpec:
 
 
 def load_spec(path: str) -> OperatorSpec:
+    def number(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise SpecError(
+                f"invalid JSON in {path}: the number {text[:20]}... ({len(text)} characters) has "
+                f"more than {sys.get_int_max_str_digits()} digits, the limit on integers"
+            ) from None
+
     try:
         if path == "-":
-            doc = json.load(sys.stdin)
+            text = sys.stdin.read()
         else:
             with open(path, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
+                text = handle.read()
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc}") from None
+    try:
+        return parse_operator_spec(json.loads(text, parse_int=number))
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON in {path}: {exc}") from None
-    return parse_operator_spec(doc)
+    except RecursionError:
+        raise SpecError(f"invalid JSON in {path}: arrays or objects nested too deeply") from None
 
 
 def spec_type(spec: OperatorSpec) -> JordanType:

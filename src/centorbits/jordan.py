@@ -19,11 +19,12 @@ Conventions, pinned for reproducibility:
   canonical form; symbolic labels follow all rationals, ordered as strings.
 
 The eigenvalues come from the characteristic polynomial, computed over the
-integers: with d the lcm of the entry denominators of T, Berkowitz's
-division-free recurrence gives c(x) = det(xI - dT), monic with integer
-coefficients, in O(n^4) integer operations. Its roots are d times the
-eigenvalues, and by Gauss's lemma each rational root is an integer dividing
-the constant term of the square-free part g of c, itself monic up to sign.
+integers: T is stored as an integer grid over d, the lcm of its entry
+denominators, and Berkowitz's division-free recurrence on that grid gives
+c(x) = det(xI - dT), monic with integer coefficients, in O(n^4) integer
+operations. Its roots are d times the eigenvalues, and by Gauss's lemma
+each rational root is an integer dividing the constant term of the
+square-free part g of c, itself monic up to sign.
 The roots are found without factoring any coefficient: g is taken modulo
 the smallest prime p at which every root of g mod p is simple, the roots
 mod p are found by evaluation and lifted by Newton's (Hensel's) iteration to
@@ -37,7 +38,8 @@ Both the type and the basis come from one kernel chain per eigenvalue: the
 kernel bases of ker N ⊂ ker N^2 ⊂ ... for N = T - lambda, built once and
 stopped where dim ker N^k reaches the algebraic multiplicity, which happens
 exactly at the largest block size. With d_k = dim ker N^k, the number of
-blocks of size exactly i is 2 d_i - d_{i-1} - d_{i+1}.
+blocks of size exactly i is 2 d_i - d_{i-1} - d_{i+1}. N is written on the
+integer grid of T = A/d: for lambda = p/q, N = (qA - pd I) / (qd).
 
 Chain construction walks block sizes from largest to smallest. At size s the
 vectors already forced into ker N^s are a basis of ker N^{s-1} together with
@@ -63,7 +65,7 @@ from math import isqrt
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from .linalg import ExponentNotation, Matrix, ShapeError, _integer_vector, _primitive, as_fraction
+from .linalg import ExponentNotation, Matrix, ShapeError, TooManyDigits, _echo, _primitive, as_fraction
 
 Eigenvalue = Union[Fraction, str]
 
@@ -83,19 +85,19 @@ def _normalize_eigenvalue(eig) -> Eigenvalue:
     if isinstance(eig, str):
         try:
             return as_fraction(eig)
-        except ExponentNotation:
+        except (ExponentNotation, TooManyDigits):
             raise
         except ValueError:
             pass
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {eig!r}") from None
+            raise ValueError(f"zero denominator in {_echo(eig)}") from None
         label = eig.strip()
         if not label:
             raise ValueError("symbolic eigenvalue label must be nonempty")
         return label
     if isinstance(eig, (Fraction, int)) and not isinstance(eig, bool):
         return Fraction(eig)
-    raise TypeError(f"eigenvalue {eig!r} must be an int, Fraction or symbolic label")
+    raise TypeError(f"eigenvalue {_echo(eig)} must be an int, Fraction or symbolic label")
 
 
 @dataclass(frozen=True)
@@ -182,19 +184,19 @@ def chain_slots(jt: JordanType) -> tuple:
 
 
 def _integer_charpoly(t: Matrix) -> tuple:
-    """(c, d): d the lcm of the entry denominators of T, c = det(xI - dT) highest first.
+    """(c, d): d the common denominator of T, c = det(xI - dT) highest first.
 
-    Berkowitz's recurrence: with A_k = [[M, C], [R, a]] the leading k x k
-    block of dT, p_k is the lower-triangular Toeplitz matrix with first
-    column (1, -a, -RC, -RMC, ..., -RM^{k-2}C) applied to p_{k-1}.
+    T is stored as an integer grid over d, the lcm of its entry
+    denominators, so dT is that grid. Berkowitz's recurrence: with
+    A_k = [[M, C], [R, a]] the leading k x k block of dT, p_k is the
+    lower-triangular Toeplitz matrix with first column
+    (1, -a, -RC, -RMC, ..., -RM^{k-2}C) applied to p_{k-1}.
     """
     if not t.is_square():
         raise ShapeError(f"characteristic polynomial needs a square matrix, got {t.rows}x{t.cols}")
-    n = t.rows
-    flat, d = _integer_vector([x for i in range(n) for x in t.row(i)])
-    a = [flat[i * n:(i + 1) * n] for i in range(n)]
+    a, d = t._grid, t._den
     poly = [1]
-    for k in range(n):
+    for k in range(t.rows):
         row, column = a[k][:k], [a[i][k] for i in range(k)]
         toeplitz = [1, -a[k][k]]
         for _ in range(k):
@@ -348,9 +350,14 @@ def _kernel_chains(t: Matrix):
     up to the largest block size, the first k where dim ker N^k reaches the
     algebraic multiplicity.
     """
+    d = t._den
     for eig, alg_mult in rational_eigenvalues(t):
-        nilpotent = Matrix(
-            [[x - eig if i == j else x for j, x in enumerate(t.row(i))] for i in range(t.rows)]
+        # with T = A/d and eig = p/q, N = (qA - pd I) / (qd)
+        p, q = eig.numerator, eig.denominator
+        nilpotent = Matrix._reduced(
+            [[q * x - p * d if i == j else q * x for j, x in enumerate(row)]
+             for i, row in enumerate(t._grid)],
+            q * d,
         )
         power, kernels = nilpotent, [[], nilpotent.kernel_basis()]
         while len(kernels[-1]) < alg_mult:

@@ -1,21 +1,25 @@
 """Exact dense linear algebra over the rational numbers.
 
-Every entry is a ``fractions.Fraction``, so all results are exact: no
-rounding, no overflow, no precision loss anywhere in this module. Vectors
-are represented as n x 1 matrices to keep a single arithmetic path.
+A matrix is stored as a grid of Python integers over one positive common
+denominator, kept in lowest terms: the gcd of the denominator and every
+entry is 1. That form is unique, so equality and hashing compare integers,
+and all results are exact: no rounding, no overflow, no precision loss
+anywhere in this module. Vectors are represented as n x 1 matrices to keep a
+single arithmetic path. Only reading an entry (``m[i, j]``, ``row``) or
+printing builds ``fractions.Fraction`` values.
 
-The inner loops run on Python integers, not on fractions. A product writes
-each row of the left factor and each column of the right one as an integer
-vector over the lcm of its denominators, so every output entry is one
-integer dot product over one integer denominator. Elimination scales each
-row to integers and eliminates fraction-free: the target row is multiplied
-by the pivot before the pivot row is subtracted, and each updated row is
-divided by its content (the gcd of its entries) to keep the integers short.
-Scaling a row by a nonzero number changes neither its span nor the span of
-the rows, and the reduced row echelon form of a matrix depends only on that
-row space, so the reduced form built from the integer rows at the end is
-the one exact rational Gauss-Jordan elimination gives: ranks, kernel bases
-and inverses are unchanged.
+Every operation runs on the integers. A product is the integer product of
+the grids over the product of the denominators; sums, stacked columns and
+scalings rescale to the lcm of the denominators. Elimination reads the
+integer rows as they are and eliminates fraction-free: the target row is
+multiplied by the pivot before the pivot row is subtracted, and each updated
+row is divided by its content (the gcd of its entries) to keep the integers
+short. Scaling a row by a nonzero number changes neither its span nor the
+span of the rows, and the reduced row echelon form of a matrix depends only
+on that row space, so the reduced form read off the integer rows at the end,
+row i over its pivot, is the one exact rational Gauss-Jordan elimination
+gives: ranks, kernel bases and inverses are unchanged. Kernel vectors and
+inverses are written over the lcm of the pivots they divide by.
 
 Row reduction pivots on the first nonzero entry of each column (exact
 arithmetic needs no numerical pivot selection), which makes ranks, reduced
@@ -25,6 +29,8 @@ forms and kernel bases fully deterministic.
 from __future__ import annotations
 
 import re
+import reprlib
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -41,9 +47,20 @@ class ExponentNotation(ValueError):
     """A number string written with an exponent, such as ``"1e5"``."""
 
 
+class TooManyDigits(ValueError):
+    """A number string with an integer over Python's limit on digits in int conversion."""
+
+
 # A decimal mantissa with at least one digit, then an exponent: the strings
 # Fraction would read by computing 10**exponent, however large
 _EXPONENT_FORM = re.compile(r"\s*[-+]?(\d[\d_]*(\.[\d_]*)?|\.\d[\d_]*)[eE][-+]?\d[\d_]*\s*")
+
+
+def _echo(value) -> str:
+    """A bounded repr for an error line: a long string shows a prefix and its length."""
+    if not isinstance(value, str):
+        return reprlib.repr(value)
+    return repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
 
 
 def as_fraction(value: Scalar) -> Fraction:
@@ -53,7 +70,9 @@ def as_fraction(value: Scalar) -> Fraction:
     Floats and bools are rejected outright; exactness is the whole point.
     Exponent strings such as ``"1e5"`` raise :class:`ExponentNotation`: nine
     characters like ``"1e9999999"`` would stand for a ten-million-digit
-    integer, which no digit limit on integer strings catches.
+    integer, which no digit limit on integer strings catches. A string
+    holding an integer of more digits than that limit (4300 by default, see
+    ``sys.get_int_max_str_digits``) raises :class:`TooManyDigits`.
     """
     if isinstance(value, Fraction):
         return value
@@ -62,42 +81,71 @@ def as_fraction(value: Scalar) -> Fraction:
             f"inexact or boolean entry {value!r}; use int, Fraction or a 'p/q' string"
         )
     if isinstance(value, str) and _EXPONENT_FORM.fullmatch(value):
-        raise ExponentNotation(f"exponent notation {value!r} is not accepted; write an integer or 'p/q'")
+        raise ExponentNotation(f"exponent notation {_echo(value)} is not accepted; write an integer or 'p/q'")
     if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational number")
+        try:
+            return Fraction(value)
+        except ValueError as exc:
+            if "int_max_str_digits" not in str(exc):
+                raise
+        raise TooManyDigits(
+            f"{_echo(value)} has an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "the limit on integer strings"
+        )
+    raise TypeError(f"cannot interpret {_echo(value)} as a rational number")
 
 
-def _primitive(row: list) -> list:
+def _primitive(row: Sequence[int]) -> Sequence[int]:
     """The integer row divided by its content (the gcd of its entries)."""
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
 
-def _integer_vector(values: Sequence[Fraction]) -> tuple[list, int]:
-    """(integers, d) with values[i] == integers[i] / d, d the lcm of the denominators."""
-    d = lcm(*(x.denominator for x in values))
-    return [x.numerator * (d // x.denominator) for x in values], d
-
-
 class Matrix:
-    """Immutable dense matrix with Fraction entries."""
+    """Immutable dense rational matrix.
 
-    __slots__ = ("rows", "cols", "_data")
+    Entry (i, j) is ``_grid[i][j] / _den``: ``_grid`` is a tuple of integer
+    row tuples and ``_den`` one positive denominator, in lowest terms (the
+    gcd of ``_den`` and every entry is 1). That form is unique, so ``==`` and
+    ``hash`` compare integers. ``m[i, j]`` and ``row(i)`` read entries back
+    as ``Fraction``s.
+    """
+
+    __slots__ = ("rows", "cols", "_grid", "_den")
 
     def __init__(self, rows_data: Iterable[Sequence[Scalar]]):
-        data = tuple(tuple(as_fraction(x) for x in row) for row in rows_data)
+        data = [[(x if type(x) in (int, Fraction) else as_fraction(x)).as_integer_ratio() for x in row]
+                for row in rows_data]
         if not data or not data[0]:
             raise ShapeError("a matrix needs at least one row and one column")
         if any(len(row) != len(data[0]) for row in data):
             raise ShapeError("all rows must have the same length")
+        # entries in lowest terms over the lcm of their denominators need no
+        # further reduction: for each prime power p^e exactly dividing the lcm,
+        # an entry with denominator divisible by p^e keeps a numerator prime to p
+        den = lcm(*{d for row in data for _, d in row})
         self.rows = len(data)
         self.cols = len(data[0])
-        self._data = data
+        self._grid = tuple([tuple([x * (den // d) for x, d in row]) for row in data])
+        self._den = den
+
+    @classmethod
+    def _reduced(cls, grid: Sequence[Sequence[int]], den: int) -> "Matrix":
+        """The matrix grid / den, for integer rows of equal length and den > 0, in lowest terms."""
+        g = den
+        for row in grid:
+            if g == 1:
+                break
+            g = gcd(g, *row)
+        m = object.__new__(cls)
+        m.rows, m.cols = len(grid), len(grid[0])
+        m._grid = tuple([tuple([x // g for x in row]) for row in grid]) if g > 1 else tuple(map(tuple, grid))
+        m._den = den // g
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def column(cls, values: Iterable[Scalar]) -> "Matrix":
@@ -111,27 +159,28 @@ class Matrix:
         height = columns[0].rows
         if any(c.rows != height or c.cols != 1 for c in columns):
             raise ShapeError("from_columns expects n x 1 matrices of equal height")
-        return cls([[c._data[i][0] for c in columns] for i in range(height)])
+        den = lcm(*(c._den for c in columns))
+        return cls._reduced(list(zip(*[[x * (den // c._den) for (x,) in c._grid] for c in columns])), den)
 
     # -- element access ------------------------------------------------
 
     def __getitem__(self, key: tuple) -> Fraction:
         i, j = key
-        return self._data[i][j]
+        return Fraction(self._grid[i][j], self._den)
 
     def row(self, i: int) -> tuple:
-        return self._data[i]
+        return tuple(Fraction(x, self._den) for x in self._grid[i])
 
     # -- structural ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Matrix) and self._data == other._data
+        return isinstance(other, Matrix) and self._den == other._den and self._grid == other._grid
 
     def __hash__(self) -> int:
-        return hash(self._data)
+        return hash((self._den, self._grid))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._data)
+        body = "; ".join(" ".join(str(Fraction(x, self._den)) for x in row) for row in self._grid)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def is_square(self) -> bool:
@@ -142,9 +191,22 @@ class Matrix:
             raise ShapeError(
                 f"cannot augment {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
-        return Matrix([ra + rb for ra, rb in zip(self._data, other._data)])
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        return Matrix._reduced(
+            [[x * fa for x in ra] + [x * fb for x in rb] for ra, rb in zip(self._grid, other._grid)], den
+        )
 
     # -- arithmetic ----------------------------------------------------
+
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other, over the lcm of the denominators."""
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        return Matrix._reduced(
+            [[a * fa + b * fb for a, b in zip(ra, rb)] for ra, rb in zip(self._grid, other._grid)],
+            den,
+        )
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -153,7 +215,7 @@ class Matrix:
             raise ShapeError(
                 f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
             )
-        return Matrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -162,11 +224,12 @@ class Matrix:
             raise ShapeError(
                 f"cannot subtract {other.rows}x{other.cols} from {self.rows}x{self.cols}"
             )
-        return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)])
+        return self._combine(other, -1)
 
     def scaled(self, c: Scalar) -> "Matrix":
         c = as_fraction(c)
-        return Matrix([[c * x for x in row] for row in self._data])
+        num = c.numerator
+        return Matrix._reduced([[num * x for x in row] for row in self._grid], self._den * c.denominator)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -175,14 +238,11 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = [_integer_vector(col) for col in zip(*other._data)]
-        out = []
-        for row in self._data:
-            ints, denom = _integer_vector(row)
-            out.append(
-                [Fraction(sum(map(mul, ints, col)), denom * col_denom) for col, col_denom in cols]
-            )
-        return Matrix(out)
+        cols = list(zip(*other._grid))
+        return Matrix._reduced(
+            [[sum(map(mul, row, col)) for col in cols] for row in self._grid],
+            self._den * other._den,
+        )
 
     # -- elimination ---------------------------------------------------
 
@@ -190,9 +250,10 @@ class Matrix:
         """Integer rows whose scaled form is the reduced row echelon form, and the pivots.
 
         Row i < rank divided by its entry in pivot column ``pivots[i]`` is
-        row i of the reduced form; the rows below are zero.
+        row i of the reduced form; the rows below are zero. Every row is
+        primitive (its entries have gcd 1) or zero.
         """
-        m = [_primitive(_integer_vector(row)[0]) for row in self._data]
+        m = [_primitive(row) for row in self._grid]
         pivots = []
         pr = 0
         for pc in range(self.cols):
@@ -219,9 +280,10 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple]:
         """Reduced row echelon form and the tuple of pivot columns."""
         m, pivots = self._integer_rref()
-        reduced = [[Fraction(x, m[i][pc]) for x in m[i]] for i, pc in enumerate(pivots)]
+        den = lcm(*(m[i][pc] for i, pc in enumerate(pivots)))
+        reduced = [[x * (den // m[i][pc]) for x in m[i]] for i, pc in enumerate(pivots)]
         reduced += [[0] * self.cols for _ in range(self.rows - len(pivots))]
-        return Matrix(reduced), pivots
+        return Matrix._reduced(reduced, den), pivots
 
     def rank(self) -> int:
         return len(self._integer_rref()[1])
@@ -231,18 +293,20 @@ class Matrix:
 
         One vector per free column, free columns in increasing order, so the
         result is reproducible: rank + len(kernel) == cols always holds.
+        The vector of a free column has 1 there and, at each pivot column,
+        minus the reduced form's entry in the free column, written over the
+        lcm of the pivots.
         """
         m, pivots = self._integer_rref()
-        pivot_set = set(pivots)
+        den = lcm(*(m[r][pc] for r, pc in enumerate(pivots)))
+        scales = [den // m[r][pc] for r, pc in enumerate(pivots)]
         basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            coords = [Fraction(0)] * self.cols
-            coords[free] = Fraction(1)
+        for free in sorted(set(range(self.cols)) - set(pivots)):
+            coords = [[0] for _ in range(self.cols)]
+            coords[free] = [den]
             for r, pc in enumerate(pivots):
-                coords[pc] = Fraction(-m[r][free], m[r][pc])
-            basis.append(Matrix.column(coords))
+                coords[pc] = [-m[r][free] * scales[r]]
+            basis.append(Matrix._reduced(coords, den))
         return basis
 
     def inverse(self) -> "Matrix":
@@ -252,4 +316,5 @@ class Matrix:
         m, pivots = self.augment(Matrix.identity(n))._integer_rref()
         if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix([[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(m[:n])])
+        den = lcm(*(row[i] for i, row in enumerate(m[:n])))
+        return Matrix._reduced([[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(m[:n])], den)

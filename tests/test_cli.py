@@ -106,6 +106,7 @@ def test_analyze_non_splitting_matrix(tmp_path, capsys):
         ({"jordan": [{"eigenvalue": "", "blocks": [[1, 1]]}]}, "nonempty"),
         ({"jordan": [{"eigenvalue": "0", "blocks": [[0, 1]]}]}, ">= 1"),
         ({"spam": 1}, "unknown field"),
+        ({"matrix": [["1"]], **{f"k{i}": 0 for i in range(1000)}}, "'k0', 'k1', 'k10', ... (1000 in all)\n"),
         ({"matrix": [["1/0"]]}, "matrix[0][0]"),
         ({"jordan": [{"eigenvalue": "1/0", "blocks": [[1, 1]]}]}, "jordan[0].eigenvalue"),
     ],
@@ -433,6 +434,55 @@ def test_exponent_notation_is_refused_at_once(tmp_path, capsys, text, where):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith(f"error: {field}: ") and repr(text) in err
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    '{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    '{"jordan": [{"eigenvalue": ' + "[" * 100_000 + "]" * 100_000 + ', "blocks": [[1, 1]]}]}',
+], ids=["open", "matrix", "eigenvalue"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, text):
+    spec = tmp_path / "nested.json"
+    spec.write_text(text)
+    code, out, err = run_cli(capsys, "analyze", str(spec))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: invalid JSON in ") and "nested too deeply" in err
+
+
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="no limit on integer strings")
+@pytest.mark.parametrize("where", ["matrix", "number", "fraction", "vector", "eigenvalue"])
+def test_over_long_integers_get_a_short_error_line(tmp_path, capsys, where):
+    digits = "7" * (DIGIT_LIMIT + 700)
+    doc, argv = {"matrix": [["1", "0"], ["0", "2"]]}, ["analyze"]
+    if where == "matrix":
+        doc["matrix"][0][0] = digits
+    elif where == "fraction":
+        doc["matrix"][0][0] = "1/" + digits
+    elif where == "vector":
+        argv = ["classify", f"--vector={digits},1"]
+    elif where == "eigenvalue":
+        doc = {"jordan": [{"eigenvalue": digits, "blocks": [[1, 1]]}]}
+    spec = tmp_path / "long.json"
+    text = json.dumps(doc)
+    spec.write_text(text.replace('"1"', digits) if where == "number" else text)
+    code, out, err = run_cli(capsys, argv[0], str(spec), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and len(err) < 200
+    assert f"{DIGIT_LIMIT} digits" in err and "characters)" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_matrix_over_the_dimension_cap_is_refused_at_once(tmp_path, capsys):
+    n = cli.MATRIX_DIMENSION_CAP + 1
+    spec = write(tmp_path, "big.json", {"matrix": [[0] * n] * n})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "classify", spec, "--vector=" + ",".join("1" * n))
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == f"error: refusing to enumerate {n} matrix rows (cap {n - 1})\n"
 
 
 def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -4,8 +4,8 @@ Every verb that reads a document is driven in-process with small fuzzed
 input on stdin. A run must return 0, 2 or 3 (1 is kept for a failed
 verification); a nonzero run writes exactly one stderr line starting
 ``error: ``. Integer entries and ``p/q`` strings reach about 10^12 in size,
-exponent strings such as ``"1e999999999"`` must be refused at once, and
-``verify`` runs under a small line cap.
+exponent strings such as ``"1e999999999"`` must be refused at once, arrays
+nest up to 100000 deep, and ``verify`` runs under a small line cap.
 """
 
 import io
@@ -51,7 +51,16 @@ DOCUMENTS = st.one_of(
     st.dictionaries(st.sampled_from(["matrix", "jordan", "other"]), st.one_of(MATRICES, JORDAN), max_size=3),
     JSON_VALUES,
 )
-TEXTS = st.one_of(DOCUMENTS.map(json.dumps), st.text(max_size=12))
+# Arrays nested up to 100000 deep, open or closed, alone or under a field:
+# deeper than any recursive parser's stack
+NESTED = st.builds(
+    lambda field, depth, closed: field[0] + "[" * depth + ("]" * depth + field[1] if closed else ""),
+    st.sampled_from([("", ""), ('{"matrix": ', "}"), ('{"matrix": [[', "]]}"),
+                     ('{"jordan": [{"eigenvalue": ', ', "blocks": [[1, 1]]}]}')]),
+    st.integers(0, 100_000),
+    st.booleans(),
+)
+TEXTS = st.one_of(DOCUMENTS.map(json.dumps), st.text(max_size=12), NESTED)
 VECTORS = st.text(alphabet="0123456789/-,. x", max_size=12)
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -199,3 +200,52 @@ def test_matmul_matches_schoolbook_fraction_sums(r, k, c, data):
     expected = [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(c)]
                 for i in range(r)]
     assert Matrix(a) @ Matrix(b) == Matrix(expected)
+
+
+# -- the stored form: one integer grid over one denominator in lowest terms --
+
+def assert_canonical(m: Matrix):
+    """A positive denominator sharing no factor with every entry, over a rows x cols grid."""
+    assert m._den > 0
+    assert gcd(m._den, *(x for row in m._grid for x in row)) == 1
+    assert len(m._grid) == m.rows and all(len(row) == m.cols for row in m._grid)
+    assert all(type(x) is int for row in m._grid for x in row)
+
+
+@given(rational_matrices(), rational_matrices(), RATIONALS, st.data())
+@settings(deadline=None)
+def test_every_operation_returns_the_canonical_form(a, b, c, data):
+    results = [a, b, a.scaled(c), Matrix.identity(a.rows), a.rref()[0], *a.kernel_basis()]
+    results.append(Matrix.column(rows_of(a)[0]))
+    columns = [Matrix.column(col) for col in zip(*rows_of(a))]
+    results.append(Matrix.from_columns(columns))
+    same_shape = Matrix([[data.draw(RATIONALS) for _ in range(a.cols)] for _ in range(a.rows)])
+    results += [a + same_shape, a - same_shape, a - a]
+    width = data.draw(st.integers(1, 3))
+    results.append(a.augment(Matrix([[data.draw(RATIONALS) for _ in range(width)] for _ in range(a.rows)])))
+    results.append(a @ Matrix([[data.draw(RATIONALS) for _ in range(width)] for _ in range(a.cols)]))
+    if a.is_square() and a.rank() == a.rows:
+        results.append(a.inverse())
+    for m in results:
+        assert_canonical(m)
+    assert Matrix.from_columns(columns) == a
+
+
+@given(rational_matrices(), st.lists(st.integers(1, 6), min_size=25, max_size=25), rational_matrices())
+@settings(deadline=None)
+def test_equality_and_hash_follow_the_entries(m, factors, other):
+    # the same values written unreduced, with factors shared across the entries
+    unreduced = Matrix([[f"{x.numerator * k}/{x.denominator * k}" for x, k in zip(row, factors[i * 5:])]
+                        for i, row in enumerate(rows_of(m))])
+    assert unreduced == m and hash(unreduced) == hash(m)
+    assert (other == m) == (rows_of(other) == rows_of(m))
+    if other == m:
+        assert hash(other) == hash(m)
+
+
+def test_equal_values_give_equal_matrices():
+    assert Matrix([["2/4"]]) == Matrix([["1/2"]])
+    assert hash(Matrix([["2/4", 6]])) == hash(Matrix([["1/2", "12/2"]]))
+    assert Matrix([["1/2", "1/3"]]).scaled(6) == Matrix([[3, 2]])
+    assert Matrix([["1/2"], ["1/2"]]) - Matrix([["1/2"], ["1/2"]]) == Matrix.column([0, 0])
+    assert Matrix([[1, 2]]) != Matrix([[1], [2]])
