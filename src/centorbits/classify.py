@@ -33,22 +33,7 @@ class OrbitReport:
     """Where one vector's orbit sits: label and dimension."""
 
     label: OrbitLabel
-    orbit_dimension: int
-
-    @property
-    def heights(self) -> tuple:
-        return self.label.heights
-
-    @property
-    def closure_dimension(self) -> int:
-        """Equal to orbit_dimension: orbits are dense in their closure."""
-        return self.orbit_dimension
-
-    def is_bottom(self) -> bool:
-        return self.label.is_bottom()
-
-    def is_top(self) -> bool:
-        return self.label.is_top()
+    orbit_dimension: int  # also the closure's: every orbit is dense in its closure
 
 
 def orbit_dimension(jt: JordanType, label: OrbitLabel) -> int:

@@ -282,22 +282,21 @@ def cmd_lattice(args) -> int:
 
 
 def _classification_payload(jt, report) -> dict:
+    label = report.label
     return {
-        "label": label_name(report.label),
+        "label": label_name(label),
         "orbit_dimension": report.orbit_dimension,
-        "closure_dimension": report.closure_dimension,
+        "closure_dimension": report.orbit_dimension,  # an orbit is dense in its closure
         "eigenvalues": [
             {
                 "eigenvalue": str(eig),
                 "deltas": list(deltas),
                 "heights": list(heights),
             }
-            for (eig, _), deltas, heights in zip(
-                jt.eigen_blocks, report.label.deltas, report.heights
-            )
+            for (eig, _), deltas, heights in zip(jt.eigen_blocks, label.deltas, label.heights)
         ],
-        "is_bottom": report.is_bottom(),
-        "is_top": report.is_top(),
+        "is_bottom": label.is_bottom(),
+        "is_top": label.is_top(),
     }
 
 

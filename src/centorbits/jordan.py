@@ -51,10 +51,10 @@ a column is a pivot exactly when it lies outside the span of the columns
 before it. Each chain (v, Nv, ..., N^{s-1}v) is built once by repeated
 products with N as soon as v is found. The count of generators must match
 the block multiplicities, and the result is verified outright: the
-assembled change of basis P must satisfy T P == P J for the canonical block
-matrix J of the type, and computing P^-1 certifies that P is invertible, so
-P^-1 T P == J. P J is read off the chains in O(n^2): its column for p_j is
-lambda p_j + p_{j+1} inside a chain and lambda p_j at the chain's end.
+assembled change of basis P must satisfy T P == P J, checked against
+`jordan_matrix`, and computing P^-1 certifies that P is invertible, so
+P^-1 T P == J. P is the only record of the chains: the chain at
+``chain_slots(jt)[i]`` is the run of P's columns from its offset.
 """
 
 from __future__ import annotations
@@ -120,12 +120,11 @@ class JordanType:
         for eig, blocks in self.eigen_blocks:
             if not blocks:
                 raise ValueError(f"eigenvalue {eig!r} has no blocks")
+            for size, mult in blocks:
+                _check_block(eig, size, mult)
             sizes = [size for size, _ in blocks]
             if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
                 raise ValueError(f"block sizes for eigenvalue {eig!r} must strictly increase")
-            for size, mult in blocks:
-                if size < 1 or mult < 1:
-                    raise ValueError(f"block ({size}, {mult}) for {eig!r}: size and multiplicity must be >= 1")
 
     @classmethod
     def of(cls, blocks_by_eigenvalue) -> "JordanType":
@@ -144,7 +143,8 @@ class JordanType:
             eig = _normalize_eigenvalue(eig)
             per_size = merged.setdefault(eig, {})
             for size, mult in blocks:
-                per_size[int(size)] = per_size.get(int(size), 0) + int(mult)
+                _check_block(eig, size, mult)
+                per_size[size] = per_size.get(size, 0) + mult
         canonical = tuple(
             (eig, tuple(sorted(per_size.items())))
             for eig, per_size in sorted(merged.items(), key=lambda kv: eigenvalue_sort_key(kv[0]))
@@ -155,8 +155,13 @@ class JordanType:
     def dimension(self) -> int:
         return sum(size * mult for _, blocks in self.eigen_blocks for size, mult in blocks)
 
-    def is_rational(self) -> bool:
-        return all(isinstance(eig, Fraction) for eig, _ in self.eigen_blocks)
+
+def _check_block(eig, size, mult):
+    """Refuse a block unless its size and multiplicity are ints >= 1 (a bool is no size)."""
+    if type(size) is not int or type(mult) is not int:
+        raise TypeError(f"block ({size!r}, {mult!r}) for {eig!r}: size and multiplicity must be ints")
+    if size < 1 or mult < 1:
+        raise ValueError(f"block ({size}, {mult}) for {eig!r}: size and multiplicity must be >= 1")
 
 
 class ChainSlot(NamedTuple):
@@ -393,21 +398,13 @@ def jordan_matrix(jt: JordanType) -> Matrix:
     return Matrix(rows)
 
 
-class JordanChain(NamedTuple):
-    eigenvalue: Eigenvalue
-    size: int
-    index: int
-    vectors: tuple  # (v, Nv, ..., N^{size-1} v) as n x 1 matrices
-
-
 @dataclass(frozen=True)
 class JordanBasis:
     """Explicit chain basis of a matrix: P^-1 T P is the canonical block matrix."""
 
     matrix: Matrix
     jordan_type: JordanType
-    chains: tuple
-    transform: Matrix          # P, chain vectors as columns in canonical order
+    transform: Matrix          # P, each chain's columns from its chain_slots offset
     inverse_transform: Matrix  # P^-1
 
     @property
@@ -417,38 +414,29 @@ class JordanBasis:
 
 def jordan_basis(t: Matrix) -> JordanBasis:
     data = {}
-    all_chains = []
+    columns = []
     for eig, blocks, nilpotent, kernels in _kernel_chains(t):
         data[eig] = blocks
         mult = dict(blocks)
-        found = []  # chains of each size, from the largest size down
+        chains = []  # [v, Nv, ..., N^{s-1} v] per chain, smallest size first
         for size in range(len(kernels) - 1, 0, -1):
-            forced = kernels[size - 1] + [c.vectors[c.size - size] for group in found for c in group]
+            forced = kernels[size - 1] + [c[len(c) - size] for c in chains]
             _, pivots = Matrix.from_columns(forced + kernels[size])._integer_rref()
             tops = [kernels[size][c - len(forced)] for c in pivots if c >= len(forced)]
             if len(tops) != mult.get(size, 0):
                 raise RuntimeError("Jordan chain construction failed; this is a bug")
-            group = []
-            for index, top in enumerate(tops, 1):
-                vectors = [top]
+            found = [[top] for top in tops]
+            for chain in found:
                 for _ in range(size - 1):
-                    vectors.append(nilpotent @ vectors[-1])
-                group.append(JordanChain(eig, size, index, tuple(vectors)))
-            found.append(group)
-        all_chains += [chain for group in reversed(found) for chain in group]
+                    chain.append(nilpotent @ chain[-1])
+            chains = found + chains
+        columns += [vec for chain in chains for vec in chain]
     jt = JordanType.of(data)
-    columns = [vec for chain in all_chains for vec in chain.vectors]
     p = Matrix.from_columns(columns)
     p_inv = p.inverse()
-    # column j of P J is lambda p_j + p_{j+1} inside a chain and lambda p_j at its end
-    p_times_j = []
-    for chain in all_chains:
-        for k, vec in enumerate(chain.vectors):
-            column = vec.scaled(chain.eigenvalue)
-            p_times_j.append(column + chain.vectors[k + 1] if k + 1 < chain.size else column)
-    if t @ p != Matrix.from_columns(p_times_j):
+    if t @ p != p @ jordan_matrix(jt):
         raise RuntimeError("Jordan basis reconstruction check failed; this is a bug")
-    return JordanBasis(t, jt, tuple(all_chains), p, p_inv)
+    return JordanBasis(t, jt, p, p_inv)
 
 
 def coords_in_jordan_basis(basis: JordanBasis, v: Matrix) -> Matrix:

@@ -18,6 +18,10 @@ is field-independent. Rational eigenvalues must stay representable and
 distinct mod p; each symbolic label takes the least residue no other
 eigenvalue uses. A matrix input is checked through its Jordan type: its
 chain basis is not mapped into F_p.
+
+A matrix mod p is a tuple of row tuples with entries in [0, p), and a
+subspace is the tuple of rows of its reduced echelon basis (its echelon
+tuple), so equal subspaces are equal tuples.
 """
 
 from __future__ import annotations
@@ -61,27 +65,6 @@ def _require_prime(p: int):
                 break
         else:
             raise ValueError(f"{p} is not a prime")
-
-
-@dataclass(frozen=True)
-class PrimeFieldMatrix:
-    """Dense matrix over F_p; rows of a reduced echelon basis when used as a subspace."""
-
-    modulus: int
-    rows: int
-    cols: int
-    entries: tuple  # tuple of row tuples, values in [0, p)
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry grid does not match the declared shape")
-        if any(not 0 <= x < self.modulus for row in self.entries for x in row):
-            raise ValueError("entries must be reduced mod p")
-
-    @property
-    def dimension(self) -> int:
-        """Subspace reading: number of basis rows."""
-        return self.rows
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -143,7 +126,7 @@ def eigenvalues_mod_p(jt: JordanType, p: int) -> dict:
     return mapped
 
 
-def jordan_mod_p(jt: JordanType, p: int) -> PrimeFieldMatrix:
+def jordan_mod_p(jt: JordanType, p: int) -> tuple:
     """J over F_p in chain coordinates: each residue on the diagonal, 1 below it within a chain."""
     residue = eigenvalues_mod_p(jt, p)
     n = jt.dimension
@@ -153,7 +136,7 @@ def jordan_mod_p(jt: JordanType, p: int) -> PrimeFieldMatrix:
             rows[k][k] = residue[slot.eigenvalue]
             if k > slot.offset:
                 rows[k][k - 1] = 1
-    return PrimeFieldMatrix(p, n, n, tuple(map(tuple, rows)))
+    return tuple(map(tuple, rows))
 
 
 def centralizer_mod_p(jt: JordanType, p: int) -> tuple:
@@ -163,7 +146,7 @@ def centralizer_mod_p(jt: JordanType, p: int) -> tuple:
     sum_c X[i][c] J[c][k] - sum_r J[i][r] X[r][k] = 0. Each unknown left
     free by the reduced equations gives one basis element.
     """
-    j = jordan_mod_p(jt, p).entries
+    j = jordan_mod_p(jt, p)
     n = len(j)
     equations = [[0] * (n * n) for _ in range(n * n)]
     for r, row in enumerate(j):
@@ -181,8 +164,7 @@ def centralizer_mod_p(jt: JordanType, p: int) -> tuple:
             x[free] = 1
             for u, row in pivots.items():
                 x[u] = -row[free] % p
-            grid = tuple(tuple(x[a * n:(a + 1) * n]) for a in range(n))
-            basis.append(PrimeFieldMatrix(p, n, n, grid))
+            basis.append(tuple(tuple(x[a * n:(a + 1) * n]) for a in range(n)))
     return tuple(basis)
 
 
@@ -252,7 +234,7 @@ def cyclic_submodules(jt: JordanType, p: int):
     # previous line
     by_column = [[] for _ in range(n)]
     for k, x in enumerate(algebra):
-        for r, row in enumerate(x.entries):
+        for r, row in enumerate(x):
             for c, a in enumerate(row):
                 if a:
                     by_column[c].append((k, r, a))
@@ -286,25 +268,12 @@ def invariant_subspaces_bruteforce(
     """All subspaces of F_p^n invariant under the centralizer algebra solved mod p.
 
     Works in chain coordinates; cap bounds the number of lines scanned.
-    Result is sorted by dimension, then by the echelon basis lexicographically.
+    Result is sorted by dimension, then by the echelon tuple lexicographically.
     """
     eigenvalues_mod_p(jt, p)
-    n = jt.dimension
-    _check_cap(p, n, cap)
+    _check_cap(p, jt.dimension, cap)
     cyclic = {span for _, span in cyclic_submodules(jt, p)}
-    return [
-        PrimeFieldMatrix(p, len(sub), n, sub)
-        for sub in sorted(_sum_closure(cyclic, p), key=lambda s: (len(s), s))
-    ]
-
-
-def coordinate_subspace(p: int, n: int, positions) -> PrimeFieldMatrix:
-    rows = []
-    for pos in sorted(positions):
-        row = [0] * n
-        row[pos] = 1
-        rows.append(tuple(row))
-    return PrimeFieldMatrix(p, len(rows), n, tuple(rows))
+    return sorted(_sum_closure(cyclic, p), key=lambda s: (len(s), s))
 
 
 @dataclass(frozen=True)
@@ -338,14 +307,13 @@ def compare_with_prediction(
     predicted = []
     for label in labels:
         positions = invariant_positions(jt, label)
-        sub = coordinate_subspace(p, n, positions)
         if len(positions) != orbit_dimension(jt, label):
             return OracleVerdict(
                 False, p, n, len(labels), -1,
                 f"label {label.deltas}: coordinate count {len(positions)} "
                 f"differs from predicted dimension {orbit_dimension(jt, label)}",
             )
-        predicted.append((label, sub))
+        predicted.append((label, tuple(_identity(n)[i] for i in positions)))
     brute = invariant_subspaces_bruteforce(jt, p, cap)
     predicted_set = {sub for _, sub in predicted}
     if len(predicted_set) != len(predicted):
@@ -359,15 +327,15 @@ def compare_with_prediction(
         if sub not in brute_set:
             mismatch = (
                 f"predicted subspace for label {label.deltas} "
-                f"(dimension {sub.rows}) is not invariant"
+                f"(dimension {len(sub)}) is not invariant"
             )
             break
     if mismatch is None:
         for sub in brute:
             if sub not in predicted_set:
                 mismatch = (
-                    f"invariant subspace of dimension {sub.rows} with basis "
-                    f"{sub.entries} was not predicted"
+                    f"invariant subspace of dimension {len(sub)} with basis "
+                    f"{sub} was not predicted"
                 )
                 break
     return OracleVerdict(mismatch is None, p, n, len(labels), len(brute), mismatch)

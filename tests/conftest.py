@@ -43,6 +43,11 @@ def operator_matrix(basis, op) -> Matrix:
     return basis.transform @ chain_form @ basis.inverse_transform
 
 
+def transform_column(basis, j: int) -> Matrix:
+    """Column j of the chain basis P as an n x 1 matrix: a chain's vectors start at its slot offset."""
+    return Matrix.column([basis.transform[i, j] for i in range(basis.dimension)])
+
+
 def corpus_types() -> list:
     """Jordan types exercised across the suite; all lattices have <= 200 elements."""
     return [
@@ -65,7 +70,7 @@ def corpus_types() -> list:
 
 def rational_corpus_types(max_dim=None) -> list:
     """Corpus types with rational eigenvalues only, optionally capped by dimension."""
-    out = [jt for jt in corpus_types() if jt.is_rational()]
+    out = [jt for jt in corpus_types() if all(isinstance(eig, Fraction) for eig, _ in jt.eigen_blocks)]
     if max_dim is not None:
         out = [jt for jt in out if jt.dimension <= max_dim]
     return out

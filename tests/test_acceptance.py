@@ -19,7 +19,7 @@ from centorbits.lattice import dual, enumerate_labels, hasse_covers, label_for, 
 from centorbits.linalg import Matrix
 from centorbits.oracle import compare_with_prediction
 
-from conftest import corpus_types, j23_matrix, operator_matrix
+from conftest import corpus_types, j23_matrix, operator_matrix, rational_corpus_types
 
 T135 = JordanType.of({0: [(1, 1), (3, 1), (5, 1)]})
 
@@ -214,7 +214,7 @@ def test_criterion_09_round_trip_and_span():
         for label in enumerate_labels(jt):
             if classify_chain_coordinates(jt, representative(jt, label)).label != label:
                 ok = False
-    for jt in [t for t in corpus_types() if t.is_rational() and t.dimension <= 6]:
+    for jt in rational_corpus_types(max_dim=6):
         n = jt.dimension
         tags = shift_tags(jt)
         for label in enumerate_labels(jt):

@@ -485,6 +485,13 @@ def test_matrix_over_the_dimension_cap_is_refused_at_once(tmp_path, capsys):
     assert err == f"error: refusing to enumerate {n} matrix rows (cap {n - 1})\n"
 
 
+def test_analyze_refuses_a_type_with_too_many_sizes(tmp_path, capsys):
+    spec = write(tmp_path, "sizes.json", {"jordan": [{"eigenvalue": "0", "blocks": [[s, 1] for s in range(1, 301)]}]})
+    code, out, err = run_cli(capsys, "analyze", spec)
+    assert code == 3 and out == ""
+    assert err == "error: refusing to enumerate 18000400 generating-function additions (cap 10000000)\n"
+
+
 def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     from centorbits.oracle import OracleVerdict
 

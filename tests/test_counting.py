@@ -15,6 +15,16 @@ def test_gen_function_refuses_a_dimension_over_the_cap():
         gen_function(JordanType.of({0: [(10**6 + 1, 1)]}))
 
 
+def test_gen_function_refuses_too_many_additions():
+    # sizes 1..300 once each: dimension 45150 is under the degree cap, but the
+    # 300 factors make 18000400 additions (about 2 s when they were made)
+    many_sizes = JordanType.of({0: [(s, 1) for s in range(1, 301)]})
+    with pytest.raises(CapExceeded, match=r"refusing to enumerate 18000400 generating-function additions \(cap 10000000\)"):
+        gen_function(many_sizes)
+    assert len(gen_function(JordanType.of({0: [(s, 1) for s in range(1, 101)]}))) == 5051
+    assert gen_function(JordanType.of({0: [(1000, 1000)]}))[1000] == 1
+
+
 def test_flagship_generating_function():
     f = gen_function(T135)
     assert f == (1, 1, 2, 2, 3, 3, 2, 2, 1, 1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centorbits import jordan
 from centorbits.jordan import (
     JordanType,
     NonSplittingCharPoly,
@@ -18,7 +19,7 @@ from centorbits.jordan import (
 )
 from centorbits.linalg import Matrix
 
-from conftest import RATIONALS, power, rational_corpus_types
+from conftest import RATIONALS, power, rational_corpus_types, transform_column
 from test_golden import MATRICES as GOLDEN_MATRICES
 
 
@@ -174,6 +175,18 @@ def test_jordan_type_canonicalization_and_validation():
         JordanType.of({})
 
 
+@pytest.mark.parametrize(
+    "blocks",
+    [[(2.7, 1)], [(2, True)], [(True, 1)], [(2, 1.0)], [(Fraction(2), 1)], [("2", 1)], [(2, True), (2, 1)]],
+    ids=repr,
+)
+def test_jordan_type_refuses_non_integer_blocks(blocks):
+    with pytest.raises(TypeError, match="size and multiplicity must be ints"):
+        JordanType.of({0: blocks})
+    with pytest.raises(TypeError, match="size and multiplicity must be ints"):
+        JordanType(((Fraction(0), tuple(blocks[:1])),))
+
+
 def test_eigenvalue_strings_read_as_rationals_first():
     assert JordanType.of({"1/2": [(1, 1)]}) == JordanType.of({Fraction(1, 2): [(1, 1)]})
     assert JordanType.of({"0": [(1, 1)], 0: [(1, 1)]}) == JordanType.of({0: [(1, 2)]})
@@ -215,16 +228,26 @@ def test_chains_match_type_and_powers():
     for name, blocks in CHAIN_CASES.items():
         basis = jordan_basis(Matrix(GOLDEN_MATRICES[name]))
         assert basis.jordan_type == JordanType.of(blocks), name
-        assert [(c.eigenvalue, c.size, c.index) for c in basis.chains] == [
-            (s.eigenvalue, s.size, s.index) for s in chain_slots(basis.jordan_type)
-        ], name
         n = basis.dimension
-        for chain in basis.chains:
-            shift = basis.matrix - Matrix.identity(n).scaled(chain.eigenvalue)
-            for t in range(chain.size + 1):
-                assert power(shift, t) @ chain.vectors[0] == (
-                    chain.vectors[t] if t < chain.size else Matrix([[0]] * n)
-                ), (name, chain.eigenvalue, chain.size, chain.index, t)
+        for slot in chain_slots(basis.jordan_type):
+            shift = basis.matrix - Matrix.identity(n).scaled(slot.eigenvalue)
+            chain = [transform_column(basis, slot.offset + k) for k in range(slot.size)]
+            for t in range(slot.size + 1):
+                assert power(shift, t) @ chain[0] == (
+                    chain[t] if t < slot.size else Matrix([[0]] * n)
+                ), (name, slot, t)
+
+
+def test_reconstruction_check_catches_a_wrong_chain(j23, monkeypatch):
+    kernel_chains = jordan._kernel_chains
+
+    def doubled(t):
+        for eig, blocks, nilpotent, kernels in kernel_chains(t):
+            yield eig, blocks, nilpotent.scaled(2), kernels
+
+    monkeypatch.setattr(jordan, "_kernel_chains", doubled)
+    with pytest.raises(RuntimeError, match="Jordan basis reconstruction check failed"):
+        jordan_basis(j23)
 
 
 def test_jordan_form_input_keeps_standard_basis(j23):
@@ -233,7 +256,7 @@ def test_jordan_form_input_keeps_standard_basis(j23):
 
 def test_single_scalar_matrix():
     basis = jordan_basis(diag(5))
-    assert len(basis.chains) == 1
+    assert len(chain_slots(basis.jordan_type)) == 1
     assert basis.transform == Matrix.identity(1)
 
 
@@ -259,9 +282,10 @@ def test_coords_dimension_mismatch(j23):
 
 def test_chain_generator_sum_has_unit_chain_top_coordinates(j23):
     basis = jordan_basis(j23)
-    total = basis.chains[0].vectors[0] + basis.chains[1].vectors[0]
-    coords = coords_in_jordan_basis(basis, total)
     tops = {slot.offset for slot in chain_slots(basis.jordan_type)}
+    assert tops == {0, 2}
+    total = transform_column(basis, 0) + transform_column(basis, 2)
+    coords = coords_in_jordan_basis(basis, total)
     for i in range(5):
         assert coords[i, 0] == (1 if i in tops else 0)
 
