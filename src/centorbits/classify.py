@@ -21,6 +21,7 @@ s_k. Tests validate the two-pass rule against that span directly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .jordan import JordanBasis, JordanType, chain_slots, coords_in_jordan_basis
@@ -95,32 +96,26 @@ def representative(jt: JordanType, label: OrbitLabel) -> Matrix:
     """
     _validate_label(jt, label)
     coords = [0] * jt.dimension
-    first_chain = {
-        (slot.eigenvalue, slot.size): slot
-        for slot in chain_slots(jt)
-        if slot.index == 1
-    }
-    for (eig, _), sizes, heights in zip(jt.eigen_blocks, label.sizes, label.heights):
-        for size, h in zip(sizes, heights):
-            if h > 0:
-                slot = first_chain[(eig, size)]
-                coords[slot.offset + size - h] = 1
+    heights = itertools.chain.from_iterable(label.heights)
+    for slot in chain_slots(jt):
+        if slot.index == 1 and (h := next(heights)):
+            coords[slot.offset + slot.size - h] = 1
     return Matrix.column(coords)
 
 
 def invariant_positions(jt: JordanType, label: OrbitLabel) -> tuple:
-    """Chain coordinates spanning the orbit closure: top H_k shifts of every chain."""
+    """Chain coordinates spanning the orbit closure: the top H_k shifts of every chain.
+
+    One walk over the slots, H_k read at each column's first: positions ascend.
+    """
     _validate_label(jt, label)
-    height_of = {
-        (eig, size): h
-        for (eig, _), sizes, heights in zip(jt.eigen_blocks, label.sizes, label.heights)
-        for size, h in zip(sizes, heights)
-    }
+    heights = itertools.chain.from_iterable(label.heights)
     positions = []
     for slot in chain_slots(jt):
-        h = height_of[(slot.eigenvalue, slot.size)]
+        if slot.index == 1:
+            h = next(heights)
         positions.extend(range(slot.offset + slot.size - h, slot.offset + slot.size))
-    return tuple(sorted(positions))
+    return tuple(positions)
 
 
 def comparability(a: OrbitLabel, b: OrbitLabel) -> str:

@@ -29,10 +29,11 @@ The roots are found without factoring any coefficient: g is taken modulo
 the smallest prime p at which every root of g mod p is simple, the roots
 mod p are found by evaluation and lifted by Newton's (Hensel's) iteration to
 a modulus above 2 |g(0)|, where the symmetric residue is the integer root
-(von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15). A candidate
-is accepted, with its multiplicity, only by exact synthetic division of c; a
-factor left over means an irrational or complex root. Each accepted root r
-gives the eigenvalue r / d.
+(von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15); the walk to
+p stops with CapExceeded past ROOT_SEARCH_CAP residues tried in all. A
+candidate is accepted, with its multiplicity, only by exact synthetic
+division of c; a factor left over means an irrational or complex root. Each
+accepted root r gives the eigenvalue r / d.
 
 Both the type and the basis come from one kernel chain per eigenvalue: the
 kernel bases of ker N ⊂ ker N^2 ⊂ ... for N = T - lambda, built once and
@@ -71,6 +72,15 @@ Eigenvalue = Union[Fraction, str]
 
 class NonSplittingCharPoly(ValueError):
     """The characteristic polynomial has an irrational or complex root."""
+
+
+class CapExceeded(RuntimeError):
+    """An enumeration would produce more elements than the configured cap."""
+
+    def __init__(self, count: int, cap: int, what: str = "lattice elements"):
+        super().__init__(f"refusing to enumerate {count} {what} (cap {cap})")
+        self.count = count
+        self.cap = cap
 
 
 def eigenvalue_sort_key(eig: Eigenvalue) -> tuple:
@@ -265,6 +275,12 @@ def _next_prime(p: int) -> int:
     return p
 
 
+# Residues the search for a prime with simple roots may try, summed over the
+# primes walked. The cost of one residue grows only with the degree, which
+# the matrix dimension cap bounds.
+ROOT_SEARCH_CAP = 1_000_000
+
+
 def _eval_mod(poly: list, x: int, m: int) -> int:
     value = 0
     for c in poly:
@@ -281,9 +297,13 @@ def _root_candidates(g: list) -> list:
     the symmetric residue of that lift is r.
     """
     derivative = _derivative(g)
-    p = 2
+    p, tried = 2, 0
     while True:
-        roots = [x for x in range(p) if _eval_mod(g, x, p) == 0]
+        tried += p
+        if tried > ROOT_SEARCH_CAP:
+            raise CapExceeded(tried, ROOT_SEARCH_CAP, what="residues in the root search")
+        g_mod_p = [c % p for c in g]
+        roots = [x for x in range(p) if _eval_mod(g_mod_p, x, p) == 0]
         if all(_eval_mod(derivative, x, p) for x in roots):
             break
         p = _next_prime(p)

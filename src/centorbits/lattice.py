@@ -43,18 +43,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .jordan import JordanType
+from .jordan import CapExceeded, JordanType
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
-
-
-class CapExceeded(RuntimeError):
-    """An enumeration would produce more elements than the configured cap."""
-
-    def __init__(self, count: int, cap: int, what: str = "lattice elements"):
-        super().__init__(f"refusing to enumerate {count} {what} (cap {cap})")
-        self.count = count
-        self.cap = cap
 
 
 class MismatchedLabels(ValueError):

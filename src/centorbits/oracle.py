@@ -15,9 +15,10 @@ The block-size arguments behind the prediction only ever use that the
 eigenvalues lie in the field and are distinct, so agreement over F_2 and F_3
 is evidence (not proof) that the classification computed over the rationals
 is field-independent. Rational eigenvalues must stay representable and
-distinct mod p; each symbolic label takes the least residue no other
-eigenvalue uses. A matrix input is checked through its Jordan type: its
-chain basis is not mapped into F_p.
+distinct mod p. One pass in canonical order assigns the residues: symbolic
+labels sort after every rational, so each takes the least residue not yet
+used. A matrix input is checked through its Jordan type: its chain basis is
+not mapped into F_p.
 
 A matrix mod p is a tuple of row tuples with entries in [0, p), and a
 subspace is the tuple of rows of its reduced echelon basis (its echelon
@@ -93,37 +94,32 @@ def _check_cap(p: int, n: int, cap: int):
 def eigenvalues_mod_p(jt: JordanType, p: int) -> dict:
     """Map every eigenvalue to a distinct residue mod p.
 
-    Rational eigenvalues reduce mod p; a zero denominator or two eigenvalues
-    with one residue is an error. Each symbolic label then takes the least
-    residue that no other eigenvalue uses, and it is an error if none is left.
+    One pass in canonical order. Rational eigenvalues reduce mod p; a zero
+    denominator or two eigenvalues with one residue is an error. Each
+    symbolic label, coming after every rational, takes the least residue not
+    yet used, and it is an error if none is left.
     """
     _require_prime(p)
-    mapped = {}
-    seen = {}
-    for eig, _ in jt.eigen_blocks:
+    owner = {}  # residue -> eigenvalue
+    spare = 0
+    for eig, _ in jt.eigen_blocks:  # rationals first: symbolic labels sort last
         if isinstance(eig, Fraction):
             if eig.denominator % p == 0:
                 raise ValueError(f"eigenvalue {eig} is not representable modulo {p}")
             value = eig.numerator * pow(eig.denominator, -1, p) % p
-            if value in seen:
-                raise ValueError(
-                    f"eigenvalues {seen[value]} and {eig} coincide modulo {p}"
-                )
-            seen[value] = eig
-            mapped[eig] = value
-    spare = 0
-    for eig, _ in jt.eigen_blocks:
-        if not isinstance(eig, Fraction):
-            while spare in seen:
+            if value in owner:
+                raise ValueError(f"eigenvalues {owner[value]} and {eig} coincide modulo {p}")
+        else:
+            while spare in owner:
                 spare += 1
             if spare >= p:
                 raise ValueError(
                     f"symbolic eigenvalue {eig} needs a residue modulo {p} "
                     "that no other eigenvalue uses, and none is left"
                 )
-            seen[spare] = eig
-            mapped[eig] = spare
-    return mapped
+            value = spare
+        owner[value] = eig
+    return {eig: value for value, eig in owner.items()}
 
 
 def jordan_mod_p(jt: JordanType, p: int) -> tuple:
@@ -304,38 +300,26 @@ def compare_with_prediction(
     _check_cap(p, n, cap)
     if labels is None:
         labels = enumerate_labels(jt)
-    predicted = []
+    predicted = {}  # echelon tuple -> label, in label order
     for label in labels:
         positions = invariant_positions(jt, label)
-        if len(positions) != orbit_dimension(jt, label):
+        if len(positions) != (dimension := orbit_dimension(jt, label)):
             return OracleVerdict(
                 False, p, n, len(labels), -1,
                 f"label {label.deltas}: coordinate count {len(positions)} "
-                f"differs from predicted dimension {orbit_dimension(jt, label)}",
+                f"differs from predicted dimension {dimension}",
             )
-        predicted.append((label, tuple(_identity(n)[i] for i in positions)))
+        predicted.setdefault(tuple(_identity(n)[i] for i in positions), label)
     brute = invariant_subspaces_bruteforce(jt, p, cap)
-    predicted_set = {sub for _, sub in predicted}
-    if len(predicted_set) != len(predicted):
-        return OracleVerdict(
-            False, p, n, len(labels), len(brute),
-            "two predicted labels map to the same subspace",
-        )
-    mismatch = None
-    brute_set = set(brute)
-    for label, sub in predicted:
-        if sub not in brute_set:
-            mismatch = (
-                f"predicted subspace for label {label.deltas} "
-                f"(dimension {len(sub)}) is not invariant"
-            )
-            break
-    if mismatch is None:
-        for sub in brute:
-            if sub not in predicted_set:
-                mismatch = (
-                    f"invariant subspace of dimension {len(sub)} with basis "
-                    f"{sub} was not predicted"
-                )
-                break
+    found = set(brute)
+    mismatches = [
+        f"predicted subspace for label {label.deltas} (dimension {len(sub)}) is not invariant"
+        for sub, label in predicted.items() if sub not in found
+    ] + [
+        f"invariant subspace of dimension {len(sub)} with basis {sub} was not predicted"
+        for sub in brute if sub not in predicted
+    ]
+    if len(predicted) < len(labels):
+        mismatches.insert(0, "two predicted labels map to the same subspace")
+    mismatch = mismatches[0] if mismatches else None
     return OracleVerdict(mismatch is None, p, n, len(labels), len(brute), mismatch)

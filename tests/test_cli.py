@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 import subprocess
@@ -109,6 +110,11 @@ def test_analyze_non_splitting_matrix(tmp_path, capsys):
         ({"matrix": [["1"]], **{f"k{i}": 0 for i in range(1000)}}, "'k0', 'k1', 'k10', ... (1000 in all)\n"),
         ({"matrix": [["1/0"]]}, "matrix[0][0]"),
         ({"jordan": [{"eigenvalue": "1/0", "blocks": [[1, 1]]}]}, "jordan[0].eigenvalue"),
+        ({"jordan": [{"eigenvalue": "0", "blocks": [[1, 1]]}, {"eigenvalue": "0/5", "blocks": [[1, 1]]}]},
+         "error: jordan[1].eigenvalue: duplicate eigenvalue '0/5'\n"),
+        ({"jordan": [{"eigenvalue": "0", "blocks": []}]}, "error: jordan[0].blocks: expected a non-empty list"),
+        ({"jordan": [{"eigenvalue": "0", "blocks": [[1, True]]}]},
+         "error: jordan[0].blocks[0]: expected [size, multiplicity] integers\n"),
     ],
 )
 def test_input_validation_names_fields(tmp_path, capsys, doc, fragment):
@@ -416,6 +422,31 @@ def test_dense_rational_matrix_without_rational_roots_ends_at_once(tmp_path, cap
     assert time.perf_counter() - start < 2
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and "irrational or complex root" in err
+
+
+def primorial_below(bound: int) -> int:
+    product = 1
+    for p in range(2, bound):
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            product *= p
+    return product
+
+
+@pytest.mark.parametrize("bound, codes", [(3000, {0}), (9000, {0, 3})])
+def test_root_search_ends_at_once_when_small_primes_merge_the_roots(tmp_path, capsys, bound, codes):
+    # every prime below the bound divides every difference of the eigenvalues
+    # M, 2M and 3M, so the search for a prime with simple roots walks past them all
+    m = primorial_below(bound)
+    doc = {"matrix": [[str(m * (i + 1)) if i == j else "0" for j in range(3)] for i in range(3)]}
+    spec = write(tmp_path, "primorial.json", doc)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", spec)
+    assert time.perf_counter() - start < 2
+    assert code in codes
+    if code == 0:
+        assert [e["eigenvalue"] for e in json.loads(out)["jordan_type"]] == [str(m), str(2 * m), str(3 * m)]
+    else:
+        assert out == "" and err.startswith("error: refusing to enumerate") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", ["1e3", "2E-2", "1e999999999", "1e1000000"])

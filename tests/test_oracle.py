@@ -318,6 +318,33 @@ def test_corrupted_prediction_is_caught():
     assert not duplicated.passed
 
 
+def test_non_invariant_prediction_is_named(monkeypatch):
+    jt = JordanType.of({0: [(2, 1)]})
+
+    def moved(jt, label):
+        positions = invariant_positions(jt, label)
+        return (0,) if positions == (1,) else positions
+
+    monkeypatch.setattr(oracle, "invariant_positions", moved)
+    verdict = compare_with_prediction(jt, 2)
+    assert not verdict.passed
+    assert verdict.mismatch == "predicted subspace for label ((1,),) (dimension 1) is not invariant"
+
+
+def test_coordinate_count_mismatch_is_named_before_the_scan(monkeypatch):
+    jt = JordanType.of({0: [(2, 1)]})
+
+    def short(jt, label):
+        positions = invariant_positions(jt, label)
+        return positions[1:] if len(positions) == 2 else positions
+
+    monkeypatch.setattr(oracle, "invariant_positions", short)
+    verdict = compare_with_prediction(jt, 2)
+    assert not verdict.passed
+    assert verdict.bruteforce_count == -1
+    assert verdict.mismatch == "label ((2,),): coordinate count 1 differs from predicted dimension 2"
+
+
 def test_multi_eigenvalue_verdict():
     jt = JordanType.of({0: [(1, 1)], 1: [(2, 1)]})
     verdict = compare_with_prediction(jt, 3)
