@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .jordan import ChainSlot, JordanBasis, JordanType, chain_slots
+from .lattice import column_steps
 from .linalg import Matrix
 
 
@@ -67,13 +68,9 @@ def centralizer_basis(basis: JordanBasis) -> CentralizerBasis:
 
 
 def centralizer_dimension(jt: JordanType) -> int:
-    """Sum of min(i, i') * m_i * m_i' over same-eigenvalue size pairs."""
-    total = 0
-    for _, blocks in jt.eigen_blocks:
-        for i, mi in blocks:
-            for j, mj in blocks:
-                total += min(i, j) * mi * mj
-    return total
+    """The shift-operator count, sum of Delta_k * M_k^2 over ``column_steps``: an ordered pair
+    of blocks of one eigenvalue gives min(s_i, s_j) operators, the sum of Delta_k over s_k <= both."""
+    return sum(step * tail * tail for column in column_steps(jt) for step, tail in column)
 
 
 def sample_invertible(cb: CentralizerBasis, rng_seed: int) -> Matrix:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from . import oracle
 from .centralizer import centralizer_basis, centralizer_dimension, sample_invertible
 from .classify import classify_vector, comparability, same_solution_class
-from .counting import _tail_sums, gen_function
+from .counting import gen_function
 from .jordan import (
     JordanBasis,
     JordanType,
@@ -46,9 +46,8 @@ from .lattice import (
     DEFAULT_ENUMERATION_CAP,
     CapExceeded,
     OrbitLabel,
-    _steps,
     column_digits,
-    column_sizes,
+    column_steps,
     column_tables,
     lattice_covers,
     lattice_nodes,
@@ -227,12 +226,12 @@ def cmd_analyze(args) -> int:
         "increments": [
             {
                 "eigenvalue": str(eig),
-                "sizes": list(sizes),
-                "increments": list(_steps(sizes)),
+                "sizes": [size for size, _ in blocks],
+                "increments": [step for step, _ in column],
                 "multiplicities": [mult for _, mult in blocks],
-                "tail_sums": list(_tail_sums(blocks)),
+                "tail_sums": [tail for _, tail in column],
             }
-            for (eig, blocks), sizes in zip(jt.eigen_blocks, column_sizes(jt))
+            for (eig, blocks), column in zip(jt.eigen_blocks, column_steps(jt))
         ],
         "centralizer_dimension": centralizer_dimension(jt),
         "orbit_count": orbit_count(jt),
@@ -342,8 +341,11 @@ def cmd_compare(args) -> int:
 
 def cmd_verify(args) -> int:
     cap = _cap(args, oracle.DEFAULT_LINE_CAP)
-    jt = spec_type(load_spec(args.spec))
-    verdict = oracle.compare_with_prediction(jt, args.prime, cap)
+    spec = load_spec(args.spec)
+    if spec.matrix is not None:  # the line cap needs only n, not the Jordan type
+        oracle._require_prime(args.prime)
+        oracle._check_cap(args.prime, spec.matrix.rows, cap)
+    verdict = oracle.compare_with_prediction(spec_type(spec), args.prime, cap)
     _emit(
         {
             "passed": verdict.passed,

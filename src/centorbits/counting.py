@@ -1,31 +1,23 @@
 """The dimension-graded generating function of the orbits.
 
-Nothing here enumerates the lattice. The total count is a product of
-(1 + Delta_k) over all eigenvalues and positions (``orbit_count``, defined in
-``lattice`` next to the enumeration it caps). The polynomial whose x^n
-coefficient counts orbits of dimension n is a product of sparse factors
+Nothing here enumerates the lattice. The polynomial whose x^n coefficient
+counts orbits of dimension n is a product of sparse factors
 sum_{i=0..Delta_k} x^{i * M_k}, one per eigenvalue and distinct block size,
-read straight from ``JordanType.eigen_blocks``: Delta_k is the step between
-consecutive distinct sizes and M_k the tail sum of the block multiplicities.
-The total depends only on the size steps; the refined count depends on the
+with the (Delta_k, M_k) pairs read from ``lattice.column_steps``: Delta_k is
+the step between consecutive distinct sizes and M_k the number of blocks of
+size >= s_k. The total count (``lattice.orbit_count``, the value at x = 1)
+depends only on the size steps; the refined count depends on the
 multiplicities too.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .jordan import JordanType
-from .lattice import DEFAULT_ENUMERATION_CAP, CapExceeded, _steps, column_sizes
+from .lattice import DEFAULT_ENUMERATION_CAP, CapExceeded, column_steps
 
 # Most coefficient additions gen_function may make; 10**7 take about 1 s on a
 # 2-core Xeon with Python 3.11 (README, the caps paragraph).
 GEN_FUNCTION_ADDITION_CAP = 10**7
-
-
-def _tail_sums(blocks) -> tuple:
-    """M_k = m_k + m_{k+1} + ... for the (size, multiplicity) pairs of one eigenvalue."""
-    return tuple(itertools.accumulate(mult for _, mult in reversed(blocks)))[::-1]
 
 
 def gen_function(jt: JordanType) -> tuple:
@@ -37,8 +29,7 @@ def gen_function(jt: JordanType) -> tuple:
     """
     if jt.dimension > DEFAULT_ENUMERATION_CAP:
         raise CapExceeded(jt.dimension, DEFAULT_ENUMERATION_CAP, what="generating-function degrees")
-    factors = [pair for (_, blocks), sizes in zip(jt.eigen_blocks, column_sizes(jt))
-               for pair in zip(_steps(sizes), _tail_sums(blocks))]
+    factors = [pair for column in column_steps(jt) for pair in column]
     additions, degree = 0, 0
     for step, tail in factors:
         additions += (step + 1) * (degree + 1)

@@ -24,7 +24,8 @@ denominators, and Berkowitz's division-free recurrence on that grid gives
 c(x) = det(xI - dT), monic with integer coefficients, in O(n^4) integer
 operations. Its roots are d times the eigenvalues, and by Gauss's lemma
 each rational root is an integer dividing the constant term of the
-square-free part g of c, itself monic up to sign.
+square-free part g of c, itself monic up to sign. g is c when gcd(c, c') = 1
+modulo one large prime, else it comes from a primitive remainder sequence.
 The roots are found without factoring any coefficient: g is taken modulo
 the smallest prime p at which every root of g mod p is simple, the roots
 mod p are found by evaluation and lifted by Newton's (Hensel's) iteration to
@@ -268,6 +269,30 @@ def _square_free_part(f: list) -> list:
     return _primitive(quotient)
 
 
+# gcd(c, c') = 1 mod this prime proves a monic c square-free without the
+# remainder sequence over the integers. A prime this large seldom divides the
+# discriminant of a square-free c, and then the sequence runs anyway; below
+# 2^30, residues are one-digit Python ints.
+SQUARE_FREE_PRIME = 1_073_741_789
+
+
+def _square_free_mod(f: list, p: int) -> bool:
+    """Whether gcd(f, f') is constant mod p, which proves the monic f square-free.
+
+    A repeated factor h^2 over Z, h monic and not constant, stays one mod p.
+    """
+    a, b = [x % p for x in f], [x % p for x in _derivative(f)]
+    while b and b[0]:
+        inv = pow(b[0], -1, p)
+        while len(a) >= len(b):
+            q = a[0] * inv % p
+            a = [(x - q * y) % p for x, y in zip(a[1:], b[1:] + [0] * len(a))]
+            while a and a[0] == 0:
+                a.pop(0)
+        a, b = b, a
+    return len(a) == 1 and not b
+
+
 def _next_prime(p: int) -> int:
     p += 1
     while any(p % d == 0 for d in range(2, isqrt(p) + 1)):
@@ -334,7 +359,8 @@ def _integer_roots(c: list) -> list:
     if zero_mult:
         roots.append((0, zero_mult))
     if len(work) > 1:
-        for cand in _root_candidates(_square_free_part(work)):
+        square_free = work if _square_free_mod(work, SQUARE_FREE_PRIME) else _square_free_part(work)
+        for cand in _root_candidates(square_free):
             mult = 0
             while len(work) > 1:
                 quotient = [work[0]]

@@ -28,19 +28,18 @@ enumerates and has no cap.
 
 As the lattice is a product over eigenvalues, names, dimensions and covers
 split into per-eigenvalue parts: :func:`column_tables` holds one row per
-valid height tuple of each eigenvalue, and :func:`lattice_nodes` and
-:func:`lattice_covers` walk the product of the rows, in label order, without
-building an :class:`OrbitLabel`. The digit rule (:func:`column_digits`) and
-the step rule (``_raisable``) serve both the tables and the labels.
-
-Label sizes come from ``JordanType.eigen_blocks`` through :func:`column_sizes`
-only, and ``_steps`` turns them into the bounds Delta; the generating
-function and the ``analyze`` report read the same two.
+valid height tuple of each eigenvalue, with its digits, its share of the
+orbit dimension and the digits of its upper covers. :func:`lattice_nodes`
+and :func:`lattice_covers` walk the product of the rows, in label order,
+without building an :class:`OrbitLabel`; a cover swaps one eigenvalue's
+digits in the lower name. Every count reads the (Delta_k, M_k) pairs of
+:func:`column_steps`, M_k the number of blocks of size >= s_k.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .jordan import CapExceeded, JordanType
@@ -60,6 +59,14 @@ def _steps(values) -> tuple:
 def column_sizes(jt: JordanType) -> tuple:
     """The distinct block sizes of every eigenvalue: the sizes of its labels."""
     return tuple(tuple(size for size, _ in blocks) for _, blocks in jt.eigen_blocks)
+
+
+def column_steps(jt: JordanType) -> tuple:
+    """Per eigenvalue, per distinct size s_k: (Delta_k, M_k), M_k = m_k + m_{k+1} + ..."""
+    return tuple(
+        tuple(zip(_steps(sizes), tuple(itertools.accumulate(m for _, m in reversed(blocks)))[::-1]))
+        for sizes, (_, blocks) in zip(column_sizes(jt), jt.eigen_blocks)
+    )
 
 
 @dataclass(frozen=True)
@@ -191,11 +198,7 @@ def column_digits(group: tuple, sizes: tuple) -> str:
 
 def orbit_count(jt: JordanType) -> int:
     """Total number of orbits, the product of (1 + Delta_k) over everything."""
-    total = 1
-    for sizes in column_sizes(jt):
-        for step in _steps(sizes):
-            total *= step + 1
-    return total
+    return math.prod(step + 1 for column in column_steps(jt) for step, _ in column)
 
 
 def _column_heights(sizes: tuple) -> list:
@@ -230,23 +233,20 @@ def hasse_covers(jt: JordanType, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
 
 
 def column_tables(jt: JordanType, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
-    """Per eigenvalue, a row (digits, sum m_k * H_k, upper cover row indices) per valid heights.
+    """Per eigenvalue, a row (digits, sum m_k * H_k, upper covers' digits) per valid heights.
 
-    Rows are in lexicographic order; the cap is checked before any is built.
+    Rows and covers are in lexicographic order; the cap is checked before any is built.
     """
     _check_cap(jt, cap)
     tables = []
-    for _, blocks in jt.eigen_blocks:
-        sizes = tuple(size for size, _ in blocks)
-        rows = _column_heights(sizes)
-        index = {group: i for i, group in enumerate(rows)}
+    for sizes, (_, blocks) in zip(column_sizes(jt), jt.eigen_blocks):
         tables.append([
             (
                 column_digits(group, sizes),
                 sum(mult * h for (_, mult), h in zip(blocks, group)),
-                [index[_raised(group, k)] for k in _raisable(group, sizes)],
+                [column_digits(_raised(group, k), sizes) for k in _raisable(group, sizes)],
             )
-            for group in rows
+            for group in _column_heights(sizes)
         ])
     return tables
 
@@ -266,7 +266,7 @@ def lattice_covers(tables: list):
         pieces = [row[0] for row in rows]
         name = "|".join(pieces)
         for g in reversed(range(len(rows))):
-            left = "".join([piece + "|" for piece in pieces[:g]])
-            right = "".join(["|" + piece for piece in pieces[g + 1:]])
-            for j in rows[g][2]:
-                yield name, left + tables[g][j][0] + right
+            for upper in rows[g][2]:
+                pieces[g] = upper
+                yield name, "|".join(pieces)
+            pieces[g] = rows[g][0]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from centorbits.centralizer import (
 from centorbits.jordan import JordanType, chain_slots, jordan_basis, jordan_matrix
 from centorbits.linalg import Matrix
 
-from conftest import operator_matrix, power, rational_corpus_types
+from conftest import corpus_types, operator_matrix, power, rational_corpus_types
+from test_cli import wide_step_types
 
 
 def flatten(m):
@@ -69,6 +71,24 @@ def test_dimension_formula_examples():
     for n in (1, 2, 3, 4):
         assert centralizer_dimension(JordanType.of({7: [(1, n)]})) == n * n
     assert centralizer_dimension(JordanType.of({0: [(1, 1), (3, 1), (5, 1)]})) == 19
+
+
+def seeded_symbolic_types() -> list:
+    """Types of a symbolic eigenvalue and up to two more, multiplicities up to 3."""
+    types = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        eigs = ["s"] + rng.sample(["t", 0, Fraction(2, 5)], rng.randint(0, 2))
+        types.append(JordanType.of({
+            eig: [(size, rng.randint(1, 3)) for size in rng.sample(range(1, 12), rng.randint(1, 4))]
+            for eig in eigs
+        }))
+    return types
+
+
+@pytest.mark.parametrize("jt", corpus_types() + wide_step_types() + seeded_symbolic_types(), ids=str)
+def test_dimension_formula_counts_the_shift_operators(jt):
+    assert centralizer_dimension(jt) == len(shift_tags(jt))
 
 
 def test_operator_count_matches_dimension_formula():

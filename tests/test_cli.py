@@ -392,6 +392,7 @@ def test_verify_prime_too_large_to_certify(tmp_path, capsys):
         (["verify", "--prime", "2"], [[1, 200]]),
         (["verify", "--prime", "2"], [[1, 2000]]),
         (["analyze"], [[10**8, 1]]),
+        (["analyze"], [[k, 1] for k in range(1, 20001)]),
     ],
 )
 def test_huge_type_hits_a_cap_at_once(tmp_path, capsys, argv, blocks):
@@ -422,6 +423,34 @@ def test_dense_rational_matrix_without_rational_roots_ends_at_once(tmp_path, cap
     assert time.perf_counter() - start < 2
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and "irrational or complex root" in err
+
+
+def test_dense_square_free_char_poly_skips_the_remainder_sequence(tmp_path, capsys):
+    # c = det(xI - dT) is square-free modulo a large prime, so no remainder sequence runs
+    rng = random.Random(40)
+    doc = {"matrix": [[f"{rng.randint(-9, 9)}/{rng.randint(1, 30)}" for _ in range(40)]
+                      for _ in range(40)]}
+    spec = write(tmp_path, "dense40.json", doc)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", spec)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "irrational or complex root (residual factor of degree 40)" in err
+
+
+@pytest.mark.parametrize("prime, code, message", [
+    ("2", 3, "refusing to enumerate at least 2^59 lines of F_2^60 (cap 8191)"),
+    ("4", 2, "4 is not a prime"),
+], ids=["cap", "prime"])
+def test_verify_checks_a_matrix_against_the_line_cap_before_its_jordan_type(
+        tmp_path, capsys, prime, code, message):
+    values = random.Random(60).sample(range(1, 10**6), 60)
+    doc = {"matrix": [[str(values[i]) if i == j else "0" for j in range(60)] for i in range(60)]}
+    spec = write(tmp_path, "diag60.json", doc)
+    start = time.perf_counter()
+    result = run_cli(capsys, "verify", spec, "--prime", prime)
+    assert time.perf_counter() - start < 1
+    assert result == (code, "", f"error: {message}\n")
 
 
 def primorial_below(bound: int) -> int:

@@ -99,6 +99,26 @@ def test_distinct_integer_roots_beyond_the_small_primes():
     assert rational_eigenvalues(t) == [(Fraction(i), 1) for i in range(31)]
 
 
+def test_square_free_test_mod_p_agrees_with_the_remainder_sequence():
+    # products of random monic factors, some squared; a square must never pass
+    for seed in range(40):
+        rng = random.Random(seed)
+        c, squared = [1], False
+        for _ in range(rng.randint(1, 4)):
+            factor = [1] + [rng.randint(-50, 50) for _ in range(rng.randint(1, 3))]
+            exponent = rng.choice((1, 1, 2))
+            squared |= exponent == 2
+            for _ in range(exponent):
+                c = [sum(c[i] * factor[k - i] for i in range(len(c)) if 0 <= k - i < len(factor))
+                     for k in range(len(c) + len(factor) - 1)]
+        passed = jordan._square_free_mod(c, jordan.SQUARE_FREE_PRIME)
+        assert passed == (jordan._square_free_part(c) == c)
+        assert not (passed and squared)
+    # x^3 - 2 is square-free, but (x + 1)^3 mod 3, where 3 also divides the degree
+    assert jordan._square_free_mod([1, 0, 0, -2], 5)
+    assert not jordan._square_free_mod([1, 0, 0, -2], 3)
+
+
 def test_repeated_fractional_root_keeps_its_multiplicity():
     assert characteristic_polynomial(companion(-4, Fraction(16, 3), Fraction(-64, 27))) == (
         1, -4, Fraction(16, 3), Fraction(-64, 27))
