@@ -26,6 +26,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -36,7 +37,6 @@ from .centralizer import centralizer_basis, centralizer_dimension, sample_invert
 from .classify import classify_vector, comparability, same_solution_class
 from .counting import gen_function
 from .jordan import (
-    JordanBasis,
     JordanType,
     _normalize_eigenvalue,
     jordan_basis,
@@ -45,21 +45,27 @@ from .jordan import (
 from .lattice import (
     DEFAULT_ENUMERATION_CAP,
     CapExceeded,
-    OrbitLabel,
-    column_digits,
     column_steps,
     column_tables,
+    label_name,
     lattice_covers,
     lattice_nodes,
     orbit_count,
 )
-from .linalg import Matrix, TooManyDigits, _echo, as_fraction
+from .linalg import Matrix, RefusedForm, TooManyDigits, _echo, as_fraction
 
 DEFAULT_SEED = 0
 # Largest matrix dimension accepted. Kernel chains cost about n^4 integer
 # operations: at n = 128 with 5-bit entries, analyze takes about 13 s and
-# classify about 14 s (README, the caps paragraph).
+# classify about 14 s (README, the caps list).
 MATRIX_DIMENSION_CAP = 128
+# Largest n^5 b^2 accepted for a matrix of n rows whose integer grid (the
+# entries over their common denominator, and that denominator) holds integers
+# of up to b bits. The char poly and the kernel chains multiply b-bit entries
+# by intermediates of about n b bits some n^4 times: a planted 32 x 32 matrix
+# S J S^-1 with 256-bit entries, at this cap, takes about 8 s for classify
+# (README, the caps list).
+MATRIX_GRID_CAP = 2 ** 41
 
 
 class SpecError(ValueError):
@@ -75,7 +81,7 @@ class OperatorSpec:
 def _entry(value, field: str) -> Fraction:
     try:
         return as_fraction(value)
-    except TooManyDigits as exc:
+    except (RefusedForm, TooManyDigits) as exc:
         raise SpecError(f"{field}: {exc}") from None
     except (TypeError, ValueError):
         raise SpecError(f"{field}: expected an integer or a 'p/q' string, got {_echo(value)}") from None
@@ -92,9 +98,18 @@ def _parse_matrix(raw, field: str) -> Matrix:
     for i, row in enumerate(raw):
         if len(row) != n:
             raise SpecError(f"{field}: must be square, row {i} has {len(row)} entries for {n} rows")
-    return Matrix(
-        [[_entry(x, f"{field}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(raw)]
-    )
+    entries = [[_entry(x, f"{field}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(raw)]
+    longest = math.isqrt(MATRIX_GRID_CAP // n ** 5)
+    den = 1
+    for d in {x.denominator for row in entries for x in row}:
+        den = math.lcm(den, d)
+        if den.bit_length() > longest:  # refuse before a long lcm is built and the grid scaled to it
+            raise CapExceeded(den.bit_length(), longest, what=f"bits or more in the denominator of a {n}-row matrix")
+    matrix = Matrix(entries)
+    bits = max(map(int.bit_length, itertools.chain((den,), *matrix._grid)))
+    if bits > longest:
+        raise CapExceeded(bits, longest, what=f"bits in an integer of the grid of a {n}-row matrix")
+    return matrix
 
 
 def _parse_eigenvalue(raw, field: str):
@@ -187,13 +202,13 @@ def spec_type(spec: OperatorSpec) -> JordanType:
     return jordan_type(spec.matrix)
 
 
-def spec_basis(spec: OperatorSpec, verb: str) -> JordanBasis:
+def spec_matrix(spec: OperatorSpec, verb: str) -> Matrix:
     if spec.matrix is None:
         raise SpecError(
             f"'{verb}' needs a concrete matrix: vectors live in matrix coordinates, "
             "but this input supplies only Jordan block data"
         )
-    return jordan_basis(spec.matrix)
+    return spec.matrix
 
 
 def _parse_vector(text: str, n: int, field: str) -> Matrix:
@@ -201,11 +216,6 @@ def _parse_vector(text: str, n: int, field: str) -> Matrix:
     if len(parts) != n:
         raise SpecError(f"{field}: expected {n} components, got {len(parts)}")
     return Matrix.column([_entry(p, f"{field}[{i}]") for i, p in enumerate(parts)])
-
-
-def label_name(label: OrbitLabel) -> str:
-    """Per-eigenvalue digit strings joined by '|'; commas when a bound exceeds 9."""
-    return "|".join(map(column_digits, label.heights, label.sizes))
 
 
 def _emit(payload) -> None:
@@ -302,31 +312,33 @@ def _classification_payload(jt, report) -> dict:
 def cmd_classify(args) -> int:
     if len(args.vector) != 1:
         raise SpecError(f"classify takes one --vector flag, got {len(args.vector)}")
-    basis = spec_basis(load_spec(args.spec), "classify")
-    v = _parse_vector(args.vector[0], basis.dimension, "vector")
+    matrix = spec_matrix(load_spec(args.spec), "classify")
+    v = _parse_vector(args.vector[0], matrix.rows, "vector")
+    basis = jordan_basis(matrix)
     report = classify_vector(basis, v)
     _emit(_classification_payload(basis.jordan_type, report))
     return 0
 
 
 def cmd_compare(args) -> int:
-    basis = spec_basis(load_spec(args.spec), "compare")
+    matrix = spec_matrix(load_spec(args.spec), "compare")
+    if len(args.vector) > 2:
+        raise SpecError(f"compare takes one or two --vector flags, got {len(args.vector)}")
+    if len(args.vector) == 2 and args.seed is not None:
+        raise SpecError("--seed applies only when a single --vector is given")
     vectors = [
-        _parse_vector(text, basis.dimension, f"vector #{i + 1}")
+        _parse_vector(text, matrix.rows, f"vector #{i + 1}")
         for i, text in enumerate(args.vector)
     ]
+    basis = jordan_basis(matrix)
     payload = {}
     if len(vectors) == 1:
         seed = args.seed if args.seed is not None else DEFAULT_SEED
         u = sample_invertible(centralizer_basis(basis), seed)
         v1, v2 = vectors[0], u @ vectors[0]
         payload["seed"] = seed
-    elif len(vectors) == 2:
-        if args.seed is not None:
-            raise SpecError("--seed applies only when a single --vector is given")
-        v1, v2 = vectors
     else:
-        raise SpecError(f"compare takes one or two --vector flags, got {len(vectors)}")
+        v1, v2 = vectors
     equivalent, r1, r2 = same_solution_class(basis, v1, v2)
     payload = {
         "equivalent": equivalent,

@@ -16,7 +16,7 @@ from .jordan import JordanType
 from .lattice import DEFAULT_ENUMERATION_CAP, CapExceeded, column_steps
 
 # Most coefficient additions gen_function may make; 10**7 take about 1 s on a
-# 2-core Xeon with Python 3.11 (README, the caps paragraph).
+# 2-core Xeon with Python 3.11 (README, the caps list).
 GEN_FUNCTION_ADDITION_CAP = 10**7
 
 

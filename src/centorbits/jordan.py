@@ -67,7 +67,7 @@ from math import isqrt
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from .linalg import ExponentNotation, Matrix, ShapeError, TooManyDigits, _echo, _primitive, as_fraction
+from .linalg import Matrix, RefusedForm, ShapeError, TooManyDigits, _echo, _primitive, as_fraction
 
 Eigenvalue = Union[Fraction, str]
 
@@ -96,7 +96,7 @@ def _normalize_eigenvalue(eig) -> Eigenvalue:
     if isinstance(eig, str):
         try:
             return as_fraction(eig)
-        except (ExponentNotation, TooManyDigits):
+        except (RefusedForm, TooManyDigits):
             raise
         except ValueError:
             pass

@@ -20,11 +20,11 @@ and the min case is symmetric. Since the order is componentwise on heights,
 pointwise max and min are the least upper and greatest lower bounds. The
 dual label has heights s_k - H_k.
 
-Every cover is a single step H -> H + e_k, so each label lists its own upper
-covers and the Hasse diagram needs no comparison between labels. Labels
-carry their sizes, so duality, validity and covers need no extra context.
-Enumeration is guarded by a size cap; the count (:func:`orbit_count`) never
-enumerates and has no cap.
+Covers and enumeration are written in digits, against the bounds Delta
+computed once per eigenvalue: a cover H -> H + e_k moves one unit from
+delta_{k+1} to delta_k, so each label lists its own upper covers and no two
+labels are compared; heights are running sums of digits and sort alike.
+Enumeration is guarded by a size cap; :func:`orbit_count` has none.
 
 As the lattice is a product over eigenvalues, names, dimensions and covers
 split into per-eigenvalue parts: :func:`column_tables` holds one row per
@@ -162,38 +162,35 @@ def upper_covers(a: OrbitLabel) -> list:
     """Every label covering a, in lexicographic order: the valid steps H -> H + e_k.
 
     A step at a later eigenvalue gives the smaller label, so eigenvalues are
-    walked from last to first, each through :func:`_raisable`.
+    walked from last to first, each through :func:`_raised`.
     """
     return [
-        OrbitLabel(a.heights[:g] + (_raised(a.heights[g], k),) + a.heights[g + 1:], a.sizes)
+        OrbitLabel(a.heights[:g] + (upper,) + a.heights[g + 1:], a.sizes)
         for g in reversed(range(len(a.heights)))
-        for k in _raisable(a.heights[g], a.sizes[g])
+        for upper in _raised(a.heights[g], a.limits[g])
     ]
 
 
-def _raisable(group: tuple, sizes: tuple) -> list:
-    """The positions k, last to first, at which one eigenvalue's heights may step up by one.
+def _raised(group: tuple, bounds: tuple) -> list:
+    """One eigenvalue's height tuples one step above group, raised position last to first.
 
-    Height k may rise while it stays below both H_{k-1} + s_k - s_{k-1} and
-    the next height H_{k+1} (the size s_k when k is last). A step at an
-    earlier position gives the larger label, hence the order.
+    Raising H_k adds 1 to delta_k and takes 1 from delta_{k+1}, so it is
+    valid when delta_k < Delta_k and, unless k is last, delta_{k+1} > 0. A
+    step at an earlier position gives the larger label, hence the order.
     """
-    steps = []
-    for k in reversed(range(len(group))):
-        h0, s0 = (group[k - 1], sizes[k - 1]) if k else (0, 0)
-        ceiling = group[k + 1] if k + 1 < len(group) else sizes[k]
-        if group[k] < min(h0 + sizes[k] - s0, ceiling):
-            steps.append(k)
-    return steps
+    digits = _steps(group) + (1,)  # the last position has no delta_{k+1} to take from
+    return [group[:k] + (group[k] + 1,) + group[k + 1:] for k in reversed(range(len(group)))
+            if digits[k] < bounds[k] and digits[k + 1]]
 
 
-def _raised(group: tuple, k: int) -> tuple:
-    return group[:k] + (group[k] + 1,) + group[k + 1:]
-
-
-def column_digits(group: tuple, sizes: tuple) -> str:
+def column_digits(group: tuple, bounds: tuple) -> str:
     """One eigenvalue's piece of a label name: the increments, comma-separated if a bound exceeds 9."""
-    return ("" if max(_steps(sizes)) <= 9 else ",").join(map(str, _steps(group)))
+    return ("" if max(bounds) <= 9 else ",").join(map(str, _steps(group)))
+
+
+def label_name(label: OrbitLabel) -> str:
+    """Per-eigenvalue digit strings joined by '|'; commas when a bound exceeds 9."""
+    return "|".join(map(column_digits, label.heights, label.limits))
 
 
 def orbit_count(jt: JordanType) -> int:
@@ -201,12 +198,10 @@ def orbit_count(jt: JordanType) -> int:
     return math.prod(step + 1 for column in column_steps(jt) for step, _ in column)
 
 
-def _column_heights(sizes: tuple) -> list:
-    """Every valid height tuple of one eigenvalue, in lexicographic order."""
-    rows = [(0,)]
-    for s0, s in zip((0,) + sizes, sizes):
-        rows = [row + (h,) for row in rows for h in range(row[-1], row[-1] + s - s0 + 1)]
-    return [row[1:] for row in rows]
+def _column_heights(bounds: tuple) -> list:
+    """Every valid height tuple of one eigenvalue, in lexicographic order (of heights and of digits)."""
+    digit_tuples = itertools.product(*[range(bound + 1) for bound in bounds])
+    return [tuple(itertools.accumulate(digits)) for digits in digit_tuples]
 
 
 def _check_cap(jt: JordanType, cap: int):
@@ -219,7 +214,8 @@ def enumerate_labels(jt: JordanType, cap: int = DEFAULT_ENUMERATION_CAP) -> list
     """All labels in lexicographic order of their flattened heights (equally, deltas)."""
     _check_cap(jt, cap)
     sizes = column_sizes(jt)
-    return [OrbitLabel(heights, sizes) for heights in itertools.product(*map(_column_heights, sizes))]
+    columns = [_column_heights(_steps(group)) for group in sizes]
+    return [OrbitLabel(heights, sizes) for heights in itertools.product(*columns)]
 
 
 def hasse_covers(jt: JordanType, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
@@ -240,13 +236,14 @@ def column_tables(jt: JordanType, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
     _check_cap(jt, cap)
     tables = []
     for sizes, (_, blocks) in zip(column_sizes(jt), jt.eigen_blocks):
+        bounds = _steps(sizes)
         tables.append([
             (
-                column_digits(group, sizes),
+                column_digits(group, bounds),
                 sum(mult * h for (_, mult), h in zip(blocks, group)),
-                [column_digits(_raised(group, k), sizes) for k in _raisable(group, sizes)],
+                [column_digits(upper, bounds) for upper in _raised(group, bounds)],
             )
-            for group in _column_heights(sizes)
+            for group in _column_heights(bounds)
         ])
     return tables
 

@@ -43,8 +43,8 @@ class ShapeError(ValueError):
     """Matrix dimensions do not fit the requested operation."""
 
 
-class ExponentNotation(ValueError):
-    """A number string written with an exponent, such as ``"1e5"``."""
+class RefusedForm(ValueError):
+    """A number string in a refused form: an exponent (``"1e5"``), or a form Python versions disagree on."""
 
 
 class TooManyDigits(ValueError):
@@ -68,9 +68,12 @@ def as_fraction(value: Scalar) -> Fraction:
 
     Accepts Fraction, int and strings such as ``"7"`` or ``"-3/4"``.
     Floats and bools are rejected outright; exactness is the whole point.
-    Exponent strings such as ``"1e5"`` raise :class:`ExponentNotation`: nine
+    Exponent strings such as ``"1e5"`` raise :class:`RefusedForm`: nine
     characters like ``"1e9999999"`` would stand for a ten-million-digit
-    integer, which no digit limit on integer strings catches. A string
+    integer, which no digit limit on integer strings catches. So do numbers
+    written with ``_`` between digits (read from Python 3.11 on) or with
+    whitespace around ``/`` (from 3.12 on), so that one string means one
+    thing on every supported version. A string
     holding an integer of more digits than that limit (4300 by default, see
     ``sys.get_int_max_str_digits``) raises :class:`TooManyDigits`.
     """
@@ -81,18 +84,39 @@ def as_fraction(value: Scalar) -> Fraction:
             f"inexact or boolean entry {value!r}; use int, Fraction or a 'p/q' string"
         )
     if isinstance(value, str) and _EXPONENT_FORM.fullmatch(value):
-        raise ExponentNotation(f"exponent notation {_echo(value)} is not accepted; write an integer or 'p/q'")
+        raise RefusedForm(f"exponent notation {_echo(value)} is not accepted; write an integer or 'p/q'")
     if isinstance(value, (int, str)):
+        plain = _plain(value) if isinstance(value, str) else value
         try:
-            return Fraction(value)
+            number = Fraction(plain)
         except ValueError as exc:
             if "int_max_str_digits" not in str(exc):
                 raise
+        else:
+            if plain == value:
+                return number
+            raise RefusedForm(
+                f"{_echo(value)} has '_' between digits or whitespace around '/', which Python "
+                "versions read differently; write an integer or 'p/q'"
+            )
         raise TooManyDigits(
             f"{_echo(value)} has an integer of more than {sys.get_int_max_str_digits()} digits, "
             "the limit on integer strings"
         )
     raise TypeError(f"cannot interpret {_echo(value)} as a rational number")
+
+
+def _plain(text: str) -> str:
+    """text without the whitespace around '/' (read from Python 3.12 on) and '_' between digits (3.11 on)."""
+    if "/" in text:
+        num, _, den = text.partition("/")
+        if num[-1:].isspace() or den[:1].isspace():
+            text = num.rstrip() + "/" + den.lstrip()
+    if "_" in text:
+        pieces = text.split("_")
+        if all(a[-1:].isdecimal() and b[:1].isdecimal() for a, b in zip(pieces, pieces[1:])):
+            text = "".join(pieces)
+    return text
 
 
 def _primitive(row: Sequence[int]) -> Sequence[int]:

@@ -215,3 +215,10 @@ def test_classify_vector_dimension_mismatch(j23):
     basis = jordan_basis(j23)
     with pytest.raises(ValueError):
         classify_vector(basis, Matrix.column([1, 2, 3]))
+
+
+@pytest.mark.parametrize("coords, shape", [(Matrix.column([0]), "1x1"), (Matrix([[0, 0], [0, 0]]), "2x2")])
+def test_chain_coordinates_need_an_n_by_1_vector(coords, shape):
+    jt = JordanType.of({0: [(2, 1)]})
+    with pytest.raises(ValueError, match=f"vector must be 2x1, got {shape}"):
+        classify_chain_coordinates(jt, coords)

@@ -619,3 +619,75 @@ def test_repeated_calls_match_fresh_processes(tmp_path, capsys):
         fresh = subprocess.run([sys.executable, "-m", "centorbits", *argv], capture_output=True, text=True)
         assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_long_entries_are_refused_at_once(tmp_path, capsys):
+    rng = random.Random(1000)
+    doc = {"matrix": [[str(rng.randrange(10**999, 10**1000)) for _ in range(32)] for _ in range(32)]}
+    spec = write(tmp_path, "long.json", doc)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", spec)
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    assert re.fullmatch(r"error: refusing to enumerate \d+ bits in an integer of the grid of a 32-row matrix "
+                        r"\(cap 256\)\n", err)
+
+
+@pytest.mark.parametrize("entries, refusal", [
+    ((str(2**255),), None),
+    ((str(2**256),), "257 bits in an integer of the grid"),
+    ((f"1/{2**255}",), None),
+    ((f"1/{2**256}",), "257 bits or more in the denominator"),
+    ((f"1/{2**200}", f"1/{3**100}"), "359 bits or more in the denominator"),
+    ((f"1/{2**200}", f"{2**100 + 1}"), "301 bits in an integer of the grid"),
+], ids=["numerator-at-cap", "numerator-over", "denominator-at-cap", "denominator-over", "lcm-over", "scaled-over"])
+def test_grid_cap_counts_the_longest_integer_and_the_denominator(tmp_path, capsys, entries, refusal):
+    # n^5 b^2 <= 2^41 allows b = 256 bits at n = 32; the grid scales every entry to the lcm
+    diagonal = dict(enumerate(entries))
+    doc = {"matrix": [[diagonal.get(i, "0") if i == j else "0" for j in range(32)] for i in range(32)]}
+    code, out, err = run_cli(capsys, "analyze", write(tmp_path, "diag.json", doc))
+    if refusal is None:
+        assert code == 0
+    else:
+        assert (code, out) == (3, "")
+        assert err == f"error: refusing to enumerate {refusal} of a 32-row matrix (cap 256)\n"
+
+
+@pytest.mark.parametrize("text", ["1_000", "2 / 3"])
+@pytest.mark.parametrize("where", ["matrix", "vector", "eigenvalue"])
+def test_forms_read_differently_across_versions_are_refused(tmp_path, capsys, text, where):
+    if where == "matrix":
+        doc, argv, field = {"matrix": [[text, "0"], ["0", "2"]]}, ["analyze"], "matrix[0][0]"
+    elif where == "vector":
+        doc, argv, field = {"matrix": [["1", "0"], ["0", "2"]]}, ["classify", f"--vector={text},1"], "vector[0]"
+    else:
+        doc = {"jordan": [{"eigenvalue": text, "blocks": [[1, 1]]}]}
+        argv, field = ["analyze"], "jordan[0].eigenvalue"
+    code, out, err = run_cli(capsys, argv[0], write(tmp_path, "form.json", doc), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {field}: {text!r} ")
+    assert "Python versions read differently" in err
+
+
+def test_underscore_in_a_label_keeps_it_a_label(tmp_path, capsys):
+    doc = {"jordan": [{"eigenvalue": "a_1", "blocks": [[1, 1]]}]}
+    code, out, _ = run_cli(capsys, "analyze", write(tmp_path, "label.json", doc))
+    assert code == 0 and json.loads(out)["jordan_type"][0]["eigenvalue"] == "a_1"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--vector=1", "--vector=2", "--vector=3"], "compare takes one or two --vector flags, got 3"),
+    (["compare", "--vector=1", "--vector=2", "--seed=1"], "--seed applies only when a single --vector is given"),
+    (["compare", "--vector=1,2"], "vector #1: expected 100 components, got 2"),
+    (["classify", "--vector=1,2"], "vector: expected 100 components, got 2"),
+], ids=["compare-three", "compare-seed", "compare-length", "classify-length"])
+def test_vector_arguments_are_checked_before_the_chain_basis(tmp_path, capsys, argv, message):
+    # the chain basis of a dense 100 x 100 matrix would take seconds
+    rng = random.Random(100)
+    doc = {"matrix": [[rng.randint(-9, 9) for _ in range(100)] for _ in range(100)]}
+    spec = write(tmp_path, "dense100.json", doc)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], spec, *argv[1:])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -333,3 +334,20 @@ def test_chain_slots_layout():
         (1, 1, 4),
     ]
     assert slots[-1].eigenvalue == Fraction(1)
+
+
+@pytest.mark.parametrize("eigen_blocks, message", [
+    (((Fraction(1), ((1, 1),)), (Fraction(0), ((1, 1),))), "eigenvalues must be distinct and canonically ordered"),
+    (((Fraction(0), ((1, 1),)), (Fraction(0), ((2, 1),))), "eigenvalues must be distinct and canonically ordered"),
+    (((Fraction(0), ()),), "eigenvalue Fraction(0, 1) has no blocks"),
+    (((Fraction(0), ((2, 1), (1, 1))),), "block sizes for eigenvalue Fraction(0, 1) must strictly increase"),
+    (((Fraction(0), ((1, 1), (1, 2))),), "block sizes for eigenvalue Fraction(0, 1) must strictly increase"),
+])
+def test_non_canonical_types_are_refused(eigen_blocks, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        JordanType(eigen_blocks)
+
+
+def test_char_poly_needs_a_square_matrix():
+    with pytest.raises(ValueError, match=re.escape("characteristic polynomial needs a square matrix, got 1x2")):
+        characteristic_polynomial(Matrix([[1, 2]]))

@@ -6,6 +6,7 @@ from centorbits.jordan import JordanType
 from centorbits.lattice import (
     CapExceeded,
     MismatchedLabels,
+    OrbitLabel,
     bottom,
     dual,
     enumerate_labels,
@@ -205,3 +206,8 @@ def test_lattice_laws_random(triple):
         assert leq(a, c)
     if leq(a, b) and leq(b, a):
         assert a == b
+
+
+def test_label_needs_one_group_per_eigenvalue():
+    with pytest.raises(ValueError, match="deltas and limits must have one group per eigenvalue"):
+        OrbitLabel(((0,),), ((1,), (1,)))

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centorbits.linalg import Matrix, ShapeError, as_fraction
+from centorbits.linalg import Matrix, RefusedForm, ShapeError, as_fraction
 
 from conftest import RATIONALS
 
@@ -249,3 +250,39 @@ def test_equal_values_give_equal_matrices():
     assert Matrix([["1/2", "1/3"]]).scaled(6) == Matrix([[3, 2]])
     assert Matrix([["1/2"], ["1/2"]]) - Matrix([["1/2"], ["1/2"]]) == Matrix.column([0, 0])
     assert Matrix([[1, 2]]) != Matrix([[1], [2]])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Matrix([]), ShapeError, "a matrix needs at least one row and one column"),
+    (lambda: Matrix([[]]), ShapeError, "a matrix needs at least one row and one column"),
+    (lambda: Matrix([[1, 2], [3]]), ShapeError, "all rows must have the same length"),
+    (lambda: Matrix.from_columns([]), ShapeError, "from_columns needs at least one column"),
+    (lambda: Matrix.from_columns([Matrix.column([1, 2]), Matrix.column([1])]), ShapeError,
+     "from_columns expects n x 1 matrices of equal height"),
+    (lambda: Matrix.from_columns([Matrix([[1, 2]])]), ShapeError,
+     "from_columns expects n x 1 matrices of equal height"),
+    (lambda: Matrix.column([1]).augment(Matrix.column([1, 2])), ShapeError, "cannot augment 1x1 with 2x1"),
+    (lambda: Matrix([[1, 2]]) + Matrix.column([1, 2]), ShapeError, "cannot add 1x2 and 2x1"),
+    (lambda: Matrix([[1, 2]]) - Matrix.column([1, 2]), ShapeError, "cannot subtract 2x1 from 1x2"),
+    (lambda: Matrix([[1, 2]]).inverse(), ShapeError, "only square matrices invert, got 1x2"),
+    (lambda: Matrix([[1]]) + 1, TypeError, "unsupported operand type(s) for +"),
+    (lambda: Matrix([[1]]) - 1, TypeError, "unsupported operand type(s) for -"),
+    (lambda: Matrix([[1]]) @ 1, TypeError, "unsupported operand type(s) for @"),
+])
+def test_shape_and_operand_refusals(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
+
+
+@pytest.mark.parametrize("text", ["1_000", "-1_0/3", "1_0.5", "2 / 3", "2 /3", "2/ 3", "2\t/3", "1_0 / 3_0"])
+def test_forms_read_differently_across_versions_are_refused(text):
+    # 3.10 reads neither form, 3.11 reads "_" between digits and 3.12 spaces around "/"
+    with pytest.raises(RefusedForm, match="Python versions read differently"):
+        as_fraction(text)
+
+
+@pytest.mark.parametrize("text", ["a_1", "_1", "1__0", "1_0_", "a / b"])
+def test_underscores_and_slashes_outside_numbers_are_not_refused_as_forms(text):
+    with pytest.raises(ValueError) as err:
+        as_fraction(text)
+    assert not isinstance(err.value, RefusedForm)
