@@ -87,14 +87,13 @@ def sample_invertible(cb: CentralizerBasis, rng_seed: int) -> Matrix:
     n = cb.basis.dimension
     for _ in range(64):
         acc = [[0] * n for _ in range(n)]
-        for op in cb.operators:
+        for src, tgt, shift in cb.operators:
             c = rng.randint(-9, 9)
-            if op.source == op.target and op.shift == 0:
+            if src == tgt and shift == 0:
                 while c == 0:
                     c = rng.randint(-9, 9)
-            if c:
-                rows = shift_operator_rows(n, *op)
-                acc = [[a + c * x for a, x in zip(ra, rx)] for ra, rx in zip(acc, rows)]
+            for a in range(min(src.size, tgt.size - shift)):  # the 1s of shift_operator_rows
+                acc[tgt.offset + shift + a][src.offset + a] += c
         chain_form = Matrix(acc)
         if chain_form.rank() == n:
             return cb.basis.transform @ chain_form @ cb.basis.inverse_transform

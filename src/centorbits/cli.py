@@ -16,8 +16,8 @@ Verbs: analyze, lattice (--format dot|json), classify (--vector), compare
 image under a sampled commuting invertible), verify (--prime).
 
 Exit codes: 0 success or verification pass, 1 verification failure,
-2 input error, 3 enumeration cap exceeded. All output is deterministic:
-identical inputs (and seeds) give byte-identical bytes.
+2 input error, 3 enumeration cap exceeded (matrix caps: ``jordan``). All
+output is deterministic: identical inputs (and seeds) give identical bytes.
 """
 
 from __future__ import annotations
@@ -37,8 +37,10 @@ from .centralizer import centralizer_basis, centralizer_dimension, sample_invert
 from .classify import classify_vector, comparability, same_solution_class
 from .counting import gen_function
 from .jordan import (
+    MATRIX_DIMENSION_CAP,
     JordanType,
     _normalize_eigenvalue,
+    grid_bits,
     jordan_basis,
     jordan_type,
 )
@@ -55,17 +57,6 @@ from .lattice import (
 from .linalg import Matrix, RefusedForm, TooManyDigits, _echo, as_fraction
 
 DEFAULT_SEED = 0
-# Largest matrix dimension accepted. Kernel chains cost about n^4 integer
-# operations: at n = 128 with 5-bit entries, analyze takes about 13 s and
-# classify about 14 s (README, the caps list).
-MATRIX_DIMENSION_CAP = 128
-# Largest n^5 b^2 accepted for a matrix of n rows whose integer grid (the
-# entries over their common denominator, and that denominator) holds integers
-# of up to b bits. The char poly and the kernel chains multiply b-bit entries
-# by intermediates of about n b bits some n^4 times: a planted 32 x 32 matrix
-# S J S^-1 with 256-bit entries, at this cap, takes about 8 s for classify
-# (README, the caps list).
-MATRIX_GRID_CAP = 2 ** 41
 
 
 class SpecError(ValueError):
@@ -93,23 +84,17 @@ def _parse_matrix(raw, field: str) -> Matrix:
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise SpecError(f"{field}: expected a non-empty 2D array")
     n = len(raw)
-    if n > MATRIX_DIMENSION_CAP:
-        raise CapExceeded(n, MATRIX_DIMENSION_CAP, what="matrix rows")
+    longest = grid_bits(n)
     for i, row in enumerate(raw):
         if len(row) != n:
             raise SpecError(f"{field}: must be square, row {i} has {len(row)} entries for {n} rows")
     entries = [[_entry(x, f"{field}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(raw)]
-    longest = math.isqrt(MATRIX_GRID_CAP // n ** 5)
     den = 1
     for d in {x.denominator for row in entries for x in row}:
         den = math.lcm(den, d)
         if den.bit_length() > longest:  # refuse before a long lcm is built and the grid scaled to it
             raise CapExceeded(den.bit_length(), longest, what=f"bits or more in the denominator of a {n}-row matrix")
-    matrix = Matrix(entries)
-    bits = max(map(int.bit_length, itertools.chain((den,), *matrix._grid)))
-    if bits > longest:
-        raise CapExceeded(bits, longest, what=f"bits in an integer of the grid of a {n}-row matrix")
-    return matrix
+    return Matrix._reduced([[x.numerator * (den // x.denominator) for x in row] for row in entries], den)
 
 
 def _parse_eigenvalue(raw, field: str):

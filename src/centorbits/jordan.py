@@ -34,7 +34,9 @@ a modulus above 2 |g(0)|, where the symmetric residue is the integer root
 p stops with CapExceeded past ROOT_SEARCH_CAP residues tried in all. A
 candidate is accepted, with its multiplicity, only by exact synthetic
 division of c; a factor left over means an irrational or complex root. Each
-accepted root r gives the eigenvalue r / d.
+accepted root r gives the eigenvalue r / d. Every entry point on T starts
+here, refusing first n > MATRIX_DIMENSION_CAP or a grid integer (d included)
+over grid_bits(n) bits. Matrix() has no cap: J may hold longer entries.
 
 Both the type and the basis come from one kernel chain per eigenvalue: the
 kernel bases of ker N ⊂ ker N^2 ⊂ ... for N = T - lambda, built once and
@@ -199,6 +201,30 @@ def chain_slots(jt: JordanType) -> tuple:
 # -- characteristic polynomial and rational roots -----------------------
 
 
+# Largest matrix dimension accepted. Kernel chains cost about n^4 integer
+# operations: at n = 128 with 5-bit entries, analyze takes about 13 s and
+# classify about 14 s (README, the caps list).
+MATRIX_DIMENSION_CAP = 128
+# Largest n^5 b^2 accepted for a matrix of n rows whose integer grid (the
+# entries over their common denominator, and that denominator) holds integers
+# of up to b bits. The char poly and the kernel chains multiply b-bit entries
+# by intermediates of about n b bits some n^4 times: a planted 32 x 32 matrix
+# S J S^-1 with 256-bit entries, at this cap, takes about 8 s for classify
+# (README, the caps list).
+MATRIX_GRID_CAP = 2 ** 41
+# Residues the search for a prime with simple roots may try, summed over the
+# primes walked. The cost of one residue grows only with the degree, which
+# the matrix dimension cap bounds.
+ROOT_SEARCH_CAP = 1_000_000
+
+
+def grid_bits(n: int) -> int:
+    """The most bits an integer of the grid of an n-row matrix may hold; refuses n over the dimension cap."""
+    if n > MATRIX_DIMENSION_CAP:
+        raise CapExceeded(n, MATRIX_DIMENSION_CAP, what="matrix rows")
+    return isqrt(MATRIX_GRID_CAP // n ** 5)
+
+
 def _integer_charpoly(t: Matrix) -> tuple:
     """(c, d): d the common denominator of T, c = det(xI - dT) highest first.
 
@@ -211,6 +237,9 @@ def _integer_charpoly(t: Matrix) -> tuple:
     if not t.is_square():
         raise ShapeError(f"characteristic polynomial needs a square matrix, got {t.rows}x{t.cols}")
     a, d = t._grid, t._den
+    longest, bits = grid_bits(t.rows), max(max(map(int.bit_length, row)) for row in ((d,), *a))
+    if bits > longest:
+        raise CapExceeded(bits, longest, what=f"bits in an integer of the grid of a {t.rows}-row matrix")
     poly = [1]
     for k in range(t.rows):
         row, column = a[k][:k], [a[i][k] for i in range(k)]
@@ -298,12 +327,6 @@ def _next_prime(p: int) -> int:
     while any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         p += 1
     return p
-
-
-# Residues the search for a prime with simple roots may try, summed over the
-# primes walked. The cost of one residue grows only with the degree, which
-# the matrix dimension cap bounds.
-ROOT_SEARCH_CAP = 1_000_000
 
 
 def _eval_mod(poly: list, x: int, m: int) -> int:

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from centorbits import jordan
 from centorbits.jordan import (
+    CapExceeded,
     JordanType,
     NonSplittingCharPoly,
     chain_slots,
@@ -351,3 +353,25 @@ def test_non_canonical_types_are_refused(eigen_blocks, message):
 def test_char_poly_needs_a_square_matrix():
     with pytest.raises(ValueError, match=re.escape("characteristic polynomial needs a square matrix, got 1x2")):
         characteristic_polynomial(Matrix([[1, 2]]))
+
+
+@pytest.mark.parametrize("entry_point", [characteristic_polynomial, rational_eigenvalues, jordan_type, jordan_basis])
+def test_every_entry_point_refuses_an_over_cap_grid_at_once(entry_point):
+    # the matrix the CLI refuses in test_cli.py::test_long_entries_are_refused_at_once
+    rng = random.Random(1000)
+    t = Matrix([[str(rng.randrange(10**999, 10**1000)) for _ in range(32)] for _ in range(32)])
+    bits = max(x.numerator.bit_length() for i in range(32) for x in t.row(i))
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as refusal:
+        entry_point(t)
+    assert time.perf_counter() - start < 2
+    assert str(refusal.value) == f"refusing to enumerate {bits} bits in an integer of the grid of a 32-row matrix (cap 256)"
+    with pytest.raises(CapExceeded, match=re.escape("refusing to enumerate 129 matrix rows (cap 128)")):
+        entry_point(Matrix.identity(129))
+
+
+def test_entries_at_the_grid_cap_give_a_longer_eigenvalue():
+    # 256 bits is the cap at n = 32; J holds 32 * 2^255, which no cap on construction may refuse
+    basis = jordan_basis(Matrix([[2**255] * 32 for _ in range(32)]))
+    assert basis.jordan_type == JordanType.of({0: [(1, 31)], 32 * 2**255: [(1, 1)]})
+    assert jordan_matrix(basis.jordan_type)[31, 31] == 32 * 2**255

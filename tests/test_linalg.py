@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centorbits.cli import parse_operator_spec
 from centorbits.linalg import Matrix, RefusedForm, ShapeError, as_fraction
 
 from conftest import RATIONALS
@@ -247,6 +248,9 @@ def test_equality_and_hash_follow_the_entries(m, factors, other):
 def test_equal_values_give_equal_matrices():
     assert Matrix([["2/4"]]) == Matrix([["1/2"]])
     assert hash(Matrix([["2/4", 6]])) == hash(Matrix([["1/2", "12/2"]]))
+    rows = [["1/2", "-3/4", 5], ["2/6", "0", "-7/9"], [-1, "10/4", "3/8"]]
+    parsed = parse_operator_spec({"matrix": rows}).matrix  # built from the lcm of the denominators
+    assert parsed == Matrix(rows) and hash(parsed) == hash(Matrix(rows))
     assert Matrix([["1/2", "1/3"]]).scaled(6) == Matrix([[3, 2]])
     assert Matrix([["1/2"], ["1/2"]]) - Matrix([["1/2"], ["1/2"]]) == Matrix.column([0, 0])
     assert Matrix([[1, 2]]) != Matrix([[1], [2]])
