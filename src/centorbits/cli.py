@@ -54,7 +54,7 @@ from .lattice import (
     lattice_nodes,
     orbit_count,
 )
-from .linalg import Matrix, RefusedForm, TooManyDigits, _echo, as_fraction
+from .linalg import Matrix, NotANumber, _echo, as_fraction
 
 DEFAULT_SEED = 0
 
@@ -72,12 +72,10 @@ class OperatorSpec:
 def _entry(value, field: str) -> Fraction:
     try:
         return as_fraction(value)
-    except (RefusedForm, TooManyDigits) as exc:
-        raise SpecError(f"{field}: {exc}") from None
-    except (TypeError, ValueError):
+    except (TypeError, NotANumber):
         raise SpecError(f"{field}: expected an integer or a 'p/q' string, got {_echo(value)}") from None
-    except ZeroDivisionError:
-        raise SpecError(f"{field}: zero denominator in {_echo(value)}") from None
+    except ValueError as exc:
+        raise SpecError(f"{field}: {exc}") from None
 
 
 def _parse_matrix(raw, field: str) -> Matrix:
@@ -410,6 +408,9 @@ def main(argv=None) -> int:
         return 0
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:  # a raised --cap can admit more than this process can allocate
+        print("error: out of memory; with a lower --cap such input is refused up front", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -69,7 +69,7 @@ from math import isqrt
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from .linalg import Matrix, RefusedForm, ShapeError, TooManyDigits, _echo, _primitive, as_fraction
+from .linalg import Matrix, NotANumber, ShapeError, _echo, _primitive, as_fraction
 
 Eigenvalue = Union[Fraction, str]
 
@@ -98,13 +98,8 @@ def _normalize_eigenvalue(eig) -> Eigenvalue:
     if isinstance(eig, str):
         try:
             return as_fraction(eig)
-        except (RefusedForm, TooManyDigits):
-            raise
-        except ValueError:
-            pass
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {_echo(eig)}") from None
-        label = eig.strip()
+        except NotANumber:
+            label = eig.strip()
         if not label:
             raise ValueError("symbolic eigenvalue label must be nonempty")
         return label

@@ -43,6 +43,10 @@ class ShapeError(ValueError):
     """Matrix dimensions do not fit the requested operation."""
 
 
+class NotANumber(ValueError):
+    """A string that is no number, and in none of the forms :class:`RefusedForm` names."""
+
+
 class RefusedForm(ValueError):
     """A number string in a refused form: an exponent (``"1e5"``), or a form Python versions disagree on."""
 
@@ -51,9 +55,16 @@ class TooManyDigits(ValueError):
     """A number string with an integer over Python's limit on digits in int conversion."""
 
 
+# The one number grammar: a sign, digits with an optional '/digits' or
+# '.digits' part, whitespace around the whole. It is fractions.Fraction's on
+# Python 3.10 less the exponent, and every later version reads it alike.
+_NUMBER = re.compile(r"\s*[-+]?(?=\.?\d)\d*(/\d+|\.\d*)?\s*")
 # A decimal mantissa with at least one digit, then an exponent: the strings
 # Fraction would read by computing 10**exponent, however large
 _EXPONENT_FORM = re.compile(r"\s*[-+]?(\d[\d_]*(\.[\d_]*)?|\.\d[\d_]*)[eE][-+]?\d[\d_]*\s*")
+# The grammar with '_' between digits (read from Python 3.11 on) and
+# whitespace around '/' (from 3.12 on)
+_VERSION_FORM = re.compile(r"\s*[-+]?(?=\.?\d)(\d+(_\d+)*)?(\s*/\s*\d+(_\d+)*|\.(\d+(_\d+)*)?)?\s*")
 
 
 def _echo(value) -> str:
@@ -66,57 +77,42 @@ def _echo(value) -> str:
 def as_fraction(value: Scalar) -> Fraction:
     """Coerce ``value`` to an exact rational.
 
-    Accepts Fraction, int and strings such as ``"7"`` or ``"-3/4"``.
-    Floats and bools are rejected outright; exactness is the whole point.
-    Exponent strings such as ``"1e5"`` raise :class:`RefusedForm`: nine
-    characters like ``"1e9999999"`` would stand for a ten-million-digit
-    integer, which no digit limit on integer strings catches. So do numbers
-    written with ``_`` between digits (read from Python 3.11 on) or with
-    whitespace around ``/`` (from 3.12 on), so that one string means one
-    thing on every supported version. A string
-    holding an integer of more digits than that limit (4300 by default, see
-    ``sys.get_int_max_str_digits``) raises :class:`TooManyDigits`.
+    Accepts Fraction, int, and strings in one grammar that every supported
+    Python reads alike: a sign, then digits with an optional ``/digits`` or
+    ``.digits`` part, with whitespace around the whole (``"-3/4"``). Refused:
+
+    - a float or bool (inexact), or any other type: TypeError;
+    - an exponent, since ``"1e9999999"`` stands for ten million digits, ``_``
+      between digits (read from Python 3.11 on) or whitespace around ``/``
+      (from 3.12 on): :class:`RefusedForm`;
+    - an integer of more digits than ``sys.get_int_max_str_digits()``: :class:`TooManyDigits`;
+    - a zero denominator: ValueError;
+    - any other string: :class:`NotANumber`.
     """
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, (bool, float)):
-        raise TypeError(
-            f"inexact or boolean entry {value!r}; use int, Fraction or a 'p/q' string"
-        )
-    if isinstance(value, str) and _EXPONENT_FORM.fullmatch(value):
-        raise RefusedForm(f"exponent notation {_echo(value)} is not accepted; write an integer or 'p/q'")
-    if isinstance(value, (int, str)):
-        plain = _plain(value) if isinstance(value, str) else value
+        raise TypeError(f"inexact or boolean entry {value!r}; use int, Fraction or a 'p/q' string")
+    if isinstance(value, (Fraction, int)):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise TypeError(f"cannot interpret {_echo(value)} as a rational number")
+    if _NUMBER.fullmatch(value):
         try:
-            number = Fraction(plain)
-        except ValueError as exc:
-            if "int_max_str_digits" not in str(exc):
-                raise
-        else:
-            if plain == value:
-                return number
-            raise RefusedForm(
-                f"{_echo(value)} has '_' between digits or whitespace around '/', which Python "
-                "versions read differently; write an integer or 'p/q'"
-            )
-        raise TooManyDigits(
-            f"{_echo(value)} has an integer of more than {sys.get_int_max_str_digits()} digits, "
-            "the limit on integer strings"
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {_echo(value)}") from None
+        except ValueError:  # the grammar leaves only the digit limit to fail on
+            raise TooManyDigits(
+                f"{_echo(value)} has an integer of more than {sys.get_int_max_str_digits()} digits, "
+                "the limit on integer strings"
+            ) from None
+    if _EXPONENT_FORM.fullmatch(value):
+        raise RefusedForm(f"exponent notation {_echo(value)} is not accepted; write an integer or 'p/q'")
+    if _VERSION_FORM.fullmatch(value):
+        raise RefusedForm(
+            f"{_echo(value)} has '_' between digits or whitespace around '/', which Python "
+            "versions read differently; write an integer or 'p/q'"
         )
-    raise TypeError(f"cannot interpret {_echo(value)} as a rational number")
-
-
-def _plain(text: str) -> str:
-    """text without the whitespace around '/' (read from Python 3.12 on) and '_' between digits (3.11 on)."""
-    if "/" in text:
-        num, _, den = text.partition("/")
-        if num[-1:].isspace() or den[:1].isspace():
-            text = num.rstrip() + "/" + den.lstrip()
-    if "_" in text:
-        pieces = text.split("_")
-        if all(a[-1:].isdecimal() and b[:1].isdecimal() for a, b in zip(pieces, pieces[1:])):
-            text = "".join(pieces)
-    return text
+    raise NotANumber(f"{_echo(value)} is not a number; write an integer or 'p/q'")
 
 
 def _primitive(row: Sequence[int]) -> Sequence[int]:

@@ -169,8 +169,9 @@ def _lines(p: int, n: int):
     for lead in range(n):
         head = (0,) * lead + (1,)
         tail = n - lead - 1
-        # product materialises range(p); only a tail reaches it, and the
-        # line cap admits a tail only when p^tail is small.
+        # product materialises range(p) once a tail exists; the default line
+        # cap keeps p small then, but a raised --cap can admit a p whose range
+        # does not fit in memory (the CLI reports the MemoryError, exit 3)
         for rest in itertools.product(range(p), repeat=tail) if tail else ((),):
             yield head + rest
 

@@ -621,6 +621,23 @@ def test_repeated_calls_match_fresh_processes(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
+@pytest.mark.parametrize("doc, argv", [
+    ({"matrix": [["1", "0"], ["0", "1"]]}, ["verify", "--prime", "1000000007"]),
+    ({"jordan": [{"eigenvalue": "0", "blocks": [[1000000000, 1]]}]}, ["lattice", "--format", "json"]),
+], ids=["verify-lines", "lattice-heights"])
+def test_running_out_of_memory_under_a_raised_cap_is_one_error_line(tmp_path, doc, argv):
+    # the child alone runs under a 2 GiB address-space limit, where range(10^9) does not fit
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+             "from centorbits.cli import main\n"
+             "raise SystemExit(main(sys.argv[1:]))\n")
+    spec = write(tmp_path, "big.json", doc)
+    proc = subprocess.run([sys.executable, "-c", child, argv[0], spec, *argv[1:], "--cap", str(10**11)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: out of memory; with a lower --cap such input is refused up front\n"
+
+
 def test_long_entries_are_refused_at_once(tmp_path, capsys):
     rng = random.Random(1000)
     doc = {"matrix": [[str(rng.randrange(10**999, 10**1000)) for _ in range(32)] for _ in range(32)]}
@@ -667,6 +684,36 @@ def test_forms_read_differently_across_versions_are_refused(tmp_path, capsys, te
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith(f"error: {field}: {text!r} ")
     assert "Python versions read differently" in err
+
+
+_VERSION_FORM = ("has '_' between digits or whitespace around '/', which Python versions read differently; "
+                 "write an integer or 'p/q'")
+SINGLE_FAULTS = {
+    "not-a-number": ("x", "expected an integer or a 'p/q' string, got 'x'"),
+    "zero-denominator": ("3/0", "zero denominator in '3/0'"),
+    "exponent": ("1e5", "exponent notation '1e5' is not accepted; write an integer or 'p/q'"),
+    "underscore": ("1_000", f"'1_000' {_VERSION_FORM}"),
+    "spaced-slash": ("2 / 3", f"'2 / 3' {_VERSION_FORM}"),
+    "long-integer": ("1" * 4301, "'11111111111111111111'... (4301 characters) has an integer of more than 4300 "
+                                 "digits, the limit on integer strings"),
+}
+
+
+@pytest.mark.parametrize("fault", SINGLE_FAULTS)
+@pytest.mark.parametrize("where", ["matrix", "vector", "eigenvalue"])
+def test_each_single_fault_has_one_pinned_error_line(tmp_path, capsys, where, fault):
+    text, message = SINGLE_FAULTS[fault]
+    if where == "matrix":
+        doc, argv, field = {"matrix": [["1", "0"], [text, "2"]]}, ["analyze"], "matrix[1][0]"
+    elif where == "vector":
+        doc, argv, field = {"matrix": [["1", "0"], ["0", "2"]]}, ["classify", f"--vector=1,{text}"], "vector[1]"
+    else:
+        if fault == "not-a-number":  # a string that is no number is a label, so the fault is a float
+            text, message = 1.5, "eigenvalue 1.5 must be an int, Fraction or symbolic label"
+        doc = {"jordan": [{"eigenvalue": "0", "blocks": [[1, 1]]}, {"eigenvalue": text, "blocks": [[1, 1]]}]}
+        argv, field = ["analyze"], "jordan[1].eigenvalue"
+    code, out, err = run_cli(capsys, argv[0], write(tmp_path, "fault.json", doc), *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {field}: {message}\n")
 
 
 def test_underscore_in_a_label_keeps_it_a_label(tmp_path, capsys):

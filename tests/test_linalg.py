@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centorbits.cli import parse_operator_spec
-from centorbits.linalg import Matrix, RefusedForm, ShapeError, as_fraction
+from centorbits.jordan import _normalize_eigenvalue
+from centorbits.linalg import Matrix, NotANumber, RefusedForm, ShapeError, as_fraction
 
 from conftest import RATIONALS
 
@@ -278,9 +279,11 @@ def test_shape_and_operand_refusals(build, error, message):
         build()
 
 
-@pytest.mark.parametrize("text", ["1_000", "-1_0/3", "1_0.5", "2 / 3", "2 /3", "2/ 3", "2\t/3", "1_0 / 3_0"])
+@pytest.mark.parametrize("text", ["1_000", "-1_0/3", "1_0.5", "2 / 3", "2 /3", "2/ 3", "2\t/3", "1_0 / 3_0",
+                                  "7 /0", "1_000/0", "1_" + "1" * 5000])
 def test_forms_read_differently_across_versions_are_refused(text):
-    # 3.10 reads neither form, 3.11 reads "_" between digits and 3.12 spaces around "/"
+    # 3.10 reads neither form, 3.11 reads "_" between digits and 3.12 spaces around "/";
+    # the form is refused before a zero denominator or an over-long integer in it
     with pytest.raises(RefusedForm, match="Python versions read differently"):
         as_fraction(text)
 
@@ -290,3 +293,31 @@ def test_underscores_and_slashes_outside_numbers_are_not_refused_as_forms(text):
     with pytest.raises(ValueError) as err:
         as_fraction(text)
     assert not isinstance(err.value, RefusedForm)
+
+
+@pytest.mark.parametrize("build", [lambda: as_fraction("1/0"), lambda: Matrix([["1/0"]])])
+def test_a_zero_denominator_is_a_value_error(build):
+    with pytest.raises(ValueError, match=re.escape("zero denominator in '1/0'")) as err:
+        build()
+    assert type(err.value) is ValueError
+
+
+@given(st.text(alphabet="0123456789 \t\u00a0/_.+-e", max_size=8))
+@settings(max_examples=300)
+def test_the_number_grammar_reads_what_fraction_reads_and_leaves_the_rest_to_labels(text):
+    try:
+        value = as_fraction(text)
+    except NotANumber:
+        not_a_number = True
+    except ValueError:
+        not_a_number = False
+    else:
+        not_a_number = False
+        assert value == Fraction(text)
+        assert "_" not in text and not re.search(r"\s/|/\s", text)
+    try:
+        label = isinstance(_normalize_eigenvalue(text), str)
+    except ValueError:
+        label = False
+    # a blank string is no number and no label either
+    assert label == (not_a_number and bool(text.strip()))
