@@ -27,11 +27,11 @@ each rational root is an integer dividing the constant term of the
 square-free part g of c, itself monic up to sign. g is c when gcd(c, c') = 1
 modulo one large prime, else it comes from a primitive remainder sequence.
 The roots are found without factoring any coefficient: g is taken modulo
-the smallest prime p at which every root of g mod p is simple, the roots
-mod p are found by evaluation and lifted by Newton's (Hensel's) iteration to
-a modulus above 2 |g(0)|, where the symmetric residue is the integer root
-(von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15); the walk to
-p stops with CapExceeded past ROOT_SEARCH_CAP residues tried in all. A
+the smallest prime p at which the same gcd test finds it square-free, one
+not dividing disc(g), so the input bounds the walk. The roots mod p, found
+by evaluation, are simple and lift by Newton's (Hensel's) iteration to a
+modulus above 2 |g(0)|, where the symmetric residue is the integer root
+(von zur Gathen and Gerhard, Modern Computer Algebra, ch. 14-15). A
 candidate is accepted, with its multiplicity, only by exact synthetic
 division of c; a factor left over means an irrational or complex root. Each
 accepted root r gives the eigenvalue r / d. Every entry point on T starts
@@ -207,10 +207,6 @@ MATRIX_DIMENSION_CAP = 128
 # S J S^-1 with 256-bit entries, at this cap, takes about 8 s for classify
 # (README, the caps list).
 MATRIX_GRID_CAP = 2 ** 41
-# Residues the search for a prime with simple roots may try, summed over the
-# primes walked. The cost of one residue grows only with the degree, which
-# the matrix dimension cap bounds.
-ROOT_SEARCH_CAP = 1_000_000
 
 
 def grid_bits(n: int) -> int:
@@ -306,7 +302,10 @@ def _square_free_mod(f: list, p: int) -> bool:
     A repeated factor h^2 over Z, h monic and not constant, stays one mod p.
     """
     a, b = [x % p for x in f], [x % p for x in _derivative(f)]
-    while b and b[0]:
+    # f' mod p loses its leading terms where p divides their exponents
+    while b and not b[0]:
+        b.pop(0)
+    while b:
         inv = pow(b[0], -1, p)
         while len(a) >= len(b):
             q = a[0] * inv % p
@@ -334,22 +333,16 @@ def _eval_mod(poly: list, x: int, m: int) -> int:
 def _root_candidates(g: list) -> list:
     """Every integer root of g, square-free and monic up to sign, and maybe more.
 
-    At the smallest prime p at which every root of g mod p is simple, each
-    integer root r of g reduces to a root mod p, which Newton's iteration
-    lifts uniquely to a root mod p^(2^k) > 2 |g(0)|. Since r divides g(0),
-    the symmetric residue of that lift is r.
+    At the smallest prime p at which g is square-free, one not dividing
+    disc(g), each integer root r of g is a simple root mod p, which Newton's
+    iteration lifts uniquely to a root mod p^(2^k) > 2 |g(0)|. Since r
+    divides g(0), the symmetric residue of that lift is r.
     """
-    derivative = _derivative(g)
-    p, tried = 2, 0
-    while True:
-        tried += p
-        if tried > ROOT_SEARCH_CAP:
-            raise CapExceeded(tried, ROOT_SEARCH_CAP, what="residues in the root search")
-        g_mod_p = [c % p for c in g]
-        roots = [x for x in range(p) if _eval_mod(g_mod_p, x, p) == 0]
-        if all(_eval_mod(derivative, x, p) for x in roots):
-            break
+    p = 2
+    while not _square_free_mod(g, p):
         p = _next_prime(p)
+    g_mod_p, derivative = [c % p for c in g], _derivative(g)
+    roots = [x for x in range(p) if _eval_mod(g_mod_p, x, p) == 0]
     candidates = []
     for x in roots:
         m = p

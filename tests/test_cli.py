@@ -461,21 +461,18 @@ def primorial_below(bound: int) -> int:
     return product
 
 
-@pytest.mark.parametrize("bound, codes", [(3000, {0}), (9000, {0, 3})])
-def test_root_search_ends_at_once_when_small_primes_merge_the_roots(tmp_path, capsys, bound, codes):
+@pytest.mark.parametrize("bound", [3000, 9000])
+def test_root_search_ends_at_once_when_small_primes_merge_the_roots(tmp_path, capsys, bound):
     # every prime below the bound divides every difference of the eigenvalues
-    # M, 2M and 3M, so the search for a prime with simple roots walks past them all
+    # M, 2M and 3M, so the search for a prime where they stay distinct walks past them all
     m = primorial_below(bound)
     doc = {"matrix": [[str(m * (i + 1)) if i == j else "0" for j in range(3)] for i in range(3)]}
     spec = write(tmp_path, "primorial.json", doc)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "analyze", spec)
     assert time.perf_counter() - start < 2
-    assert code in codes
-    if code == 0:
-        assert [e["eigenvalue"] for e in json.loads(out)["jordan_type"]] == [str(m), str(2 * m), str(3 * m)]
-    else:
-        assert out == "" and err.startswith("error: refusing to enumerate") and err.count("\n") == 1
+    assert (code, err) == (0, "")
+    assert [e["eigenvalue"] for e in json.loads(out)["jordan_type"]] == [str(m), str(2 * m), str(3 * m)]
 
 
 @pytest.mark.parametrize("text", ["1e3", "2E-2", "1e999999999", "1e1000000"])

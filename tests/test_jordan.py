@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centorbits import jordan
@@ -23,6 +23,7 @@ from centorbits.jordan import (
 from centorbits.linalg import Matrix
 
 from conftest import RATIONALS, power, rational_corpus_types, transform_column
+from test_cli import primorial_below
 from test_golden import MATRICES as GOLDEN_MATRICES
 
 
@@ -102,24 +103,78 @@ def test_distinct_integer_roots_beyond_the_small_primes():
     assert rational_eigenvalues(t) == [(Fraction(i), 1) for i in range(31)]
 
 
+def poly_product(factors) -> list:
+    """The product of integer polynomials, coefficients highest first."""
+    c = [1]
+    for factor in factors:
+        c = [sum(c[i] * factor[k - i] for i in range(len(c)) if 0 <= k - i < len(factor))
+             for k in range(len(c) + len(factor) - 1)]
+    return c
+
+
 def test_square_free_test_mod_p_agrees_with_the_remainder_sequence():
     # products of random monic factors, some squared; a square must never pass
     for seed in range(40):
         rng = random.Random(seed)
-        c, squared = [1], False
+        factors, squared = [], False
         for _ in range(rng.randint(1, 4)):
             factor = [1] + [rng.randint(-50, 50) for _ in range(rng.randint(1, 3))]
             exponent = rng.choice((1, 1, 2))
             squared |= exponent == 2
-            for _ in range(exponent):
-                c = [sum(c[i] * factor[k - i] for i in range(len(c)) if 0 <= k - i < len(factor))
-                     for k in range(len(c) + len(factor) - 1)]
+            factors += [factor] * exponent
+        c = poly_product(factors)
         passed = jordan._square_free_mod(c, jordan.SQUARE_FREE_PRIME)
         assert passed == (jordan._square_free_part(c) == c)
         assert not (passed and squared)
     # x^3 - 2 is square-free, but (x + 1)^3 mod 3, where 3 also divides the degree
     assert jordan._square_free_mod([1, 0, 0, -2], 5)
     assert not jordan._square_free_mod([1, 0, 0, -2], 3)
+    # x^2 - 3x + 2 is x^2 + x mod 2, square-free although its derivative drops a degree
+    assert jordan._square_free_mod([1, -3, 2], 2)
+
+
+def test_roots_merged_by_every_prime_below_9000():
+    # every prime below 9000 divides every difference of M, 2M and 3M
+    m = primorial_below(9000)
+    assert rational_eigenvalues(diag(m, 2 * m, 3 * m)) == [
+        (Fraction(m), 1), (Fraction(2 * m), 1), (Fraction(3 * m), 1)]
+
+
+PRIMORIAL_200 = primorial_below(200)
+# (x^2 - 2)(x^2 - 3)(x^2 - 6) has a root modulo every prime and none in Q
+INTERSECTIVE = poly_product([[1, 0, -2], [1, 0, -3], [1, 0, -6]])
+NON_LINEAR = ([1, 0, 1], [1, 1, 1], [1, 0, -PRIMORIAL_200], [1, PRIMORIAL_200, 1], INTERSECTIVE)
+
+
+@st.composite
+def planted_polynomials(draw):
+    """(roots, factors): integer roots, multiples of the product of the primes
+    below 200, with multiplicities, and monic factors with no rational root;
+    degree at most 12 in all."""
+    factors = draw(st.lists(st.sampled_from(NON_LINEAR), max_size=2)
+                   .filter(lambda fs: sum(len(f) - 1 for f in fs) <= 8))
+    room = 12 - sum(len(f) - 1 for f in factors)
+    ks = draw(st.lists(st.integers(-6, 6), unique=True, min_size=1, max_size=room))
+    roots, spare = [], room - len(ks)
+    for k in ks:
+        extra = draw(st.integers(0, min(2, spare)))
+        spare -= extra
+        roots.append((k * PRIMORIAL_200, 1 + extra))
+    return roots, factors
+
+
+@given(planted_polynomials())
+@example(([(PRIMORIAL_200, 1), (-2 * PRIMORIAL_200, 2), (0, 1)], [INTERSECTIVE]))
+@settings(max_examples=100, deadline=None)
+def test_integer_roots_sharing_a_primorial_factor(planted):
+    roots, factors = planted
+    c = poly_product([[1, -r] for r, m in roots for _ in range(m)] + factors)
+    if factors:
+        residual = sum(len(f) - 1 for f in factors)
+        with pytest.raises(NonSplittingCharPoly, match=rf"\(residual factor of degree {residual}\)"):
+            jordan._integer_roots(c)
+    else:
+        assert sorted(jordan._integer_roots(c)) == sorted(roots)
 
 
 def test_repeated_fractional_root_keeps_its_multiplicity():
