@@ -87,11 +87,16 @@ def _parse_matrix(raw, field: str) -> Matrix:
         if len(row) != n:
             raise SpecError(f"{field}: must be square, row {i} has {len(row)} entries for {n} rows")
     entries = [[_entry(x, f"{field}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(raw)]
+    return _over_common_denominator(entries, longest, f"{n}-row matrix")
+
+
+def _over_common_denominator(entries, longest: int, what: str) -> Matrix:
+    """The rows of Fractions as one grid over the lcm of their denominators, refused past longest bits."""
     den = 1
     for d in {x.denominator for row in entries for x in row}:
         den = math.lcm(den, d)
         if den.bit_length() > longest:  # refuse before a long lcm is built and the grid scaled to it
-            raise CapExceeded(den.bit_length(), longest, what=f"bits or more in the denominator of a {n}-row matrix")
+            raise CapExceeded(den.bit_length(), longest, what=f"bits or more in the denominator of a {what}")
     return Matrix._reduced([[x.numerator * (den // x.denominator) for x in row] for row in entries], den)
 
 
@@ -198,7 +203,8 @@ def _parse_vector(text: str, n: int, field: str) -> Matrix:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise SpecError(f"{field}: expected {n} components, got {len(parts)}")
-    return Matrix.column([_entry(p, f"{field}[{i}]") for i, p in enumerate(parts)])
+    entries = [[_entry(p, f"{field}[{i}]")] for i, p in enumerate(parts)]
+    return _over_common_denominator(entries, grid_bits(n), f"{n}-row vector")
 
 
 def _emit(payload) -> None:

@@ -206,17 +206,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def augment(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ShapeError(
-                f"cannot augment {self.rows}x{self.cols} with {other.rows}x{other.cols}"
-            )
-        den = lcm(self._den, other._den)
-        fa, fb = den // self._den, den // other._den
-        return Matrix._reduced(
-            [[x * fa for x in ra] + [x * fb for x in rb] for ra, rb in zip(self._grid, other._grid)], den
-        )
-
     # -- arithmetic ----------------------------------------------------
 
     def _combine(self, other: "Matrix", sign: int) -> "Matrix":
@@ -332,8 +321,10 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise ShapeError(f"only square matrices invert, got {self.rows}x{self.cols}")
-        n = self.rows
-        m, pivots = self.augment(Matrix.identity(n))._integer_rref()
+        n, d = self.rows, self._den
+        # T = A/d, so [A | dI] row-reduces to [I | T^-1]
+        grid = [[*row, *(d * (i == j) for j in range(n))] for i, row in enumerate(self._grid)]
+        m, pivots = Matrix._reduced(grid, 1)._integer_rref()
         if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular")
         den = lcm(*(row[i] for i, row in enumerate(m[:n])))

@@ -3,22 +3,22 @@
 The predicted lattice says that the subspaces invariant under the algebra A
 of operators commuting with the Jordan form J are exactly the coordinate
 subspaces of the orbit closures, one per label. This module checks that
-claim over F_p without the library's own centralizer construction. It
-writes J mod p in chain coordinates, solves XJ = JX as n^2 linear equations
-mod p for a basis of A, and collects the invariant subspaces from cyclic
-submodules: every invariant W is the sum of the submodules A w over w in W,
-and A (cw) = A w for c != 0, so the spans A v over the lines v of F_p^n,
-closed under sums, are exactly the invariant subspaces. The scan visits the
-(p^n - 1)/(p - 1) lines, not every subspace.
+claim over F_p without the library's own centralizer construction, in
+stages that pass their results on as data: a gate certifies p and caps the
+lines of F_p^n from n alone; jordan_mod_p writes J mod p in chain
+coordinates; centralizer_mod_p, which takes any n x n matrix mod p, solves
+XJ = JX as n^2 linear equations mod p for a basis of A; cyclic_submodules
+spans A v for every line v; and a sum closure ends the scan. Every
+invariant W is the sum of the submodules A w over w in W, and A (cw) = A w
+for c != 0, so these spans, closed under sums, are exactly the invariant
+subspaces. The scan visits the (p^n - 1)/(p - 1) lines, not every subspace.
 
 The block-size arguments behind the prediction only ever use that the
 eigenvalues lie in the field and are distinct, so agreement over F_2 and F_3
 is evidence (not proof) that the classification computed over the rationals
 is field-independent. Rational eigenvalues must stay representable and
-distinct mod p. One pass in canonical order assigns the residues: symbolic
-labels sort after every rational, so each takes the least residue not yet
-used. A matrix input is checked through its Jordan type: its chain basis is
-not mapped into F_p.
+distinct mod p (eigenvalues_mod_p). A matrix input is checked through its
+Jordan type: its chain basis is not mapped into F_p.
 
 A matrix mod p is a tuple of row tuples with entries in [0, p), and a
 subspace is the tuple of rows of its reduced echelon basis (its echelon
@@ -135,14 +135,13 @@ def jordan_mod_p(jt: JordanType, p: int) -> tuple:
     return tuple(map(tuple, rows))
 
 
-def centralizer_mod_p(jt: JordanType, p: int) -> tuple:
-    """A basis of the algebra {X : XJ = JX} over F_p, solved from its n^2 equations.
+def centralizer_mod_p(j: tuple, p: int) -> tuple:
+    """A basis of the algebra {X : XJ = JX} over F_p, for any n x n matrix j = J mod p.
 
     Unknown X[a][b] is number a*n + b; equation (i, k) is
     sum_c X[i][c] J[c][k] - sum_r J[i][r] X[r][k] = 0. Each unknown left
     free by the reduced equations gives one basis element.
     """
-    j = jordan_mod_p(jt, p)
     n = len(j)
     equations = [[0] * (n * n) for _ in range(n * n)]
     for r, row in enumerate(j):
@@ -219,13 +218,12 @@ def _echelon(vectors, p: int) -> tuple:
     return tuple(tuple(rows[lead]) for lead in leads)
 
 
-def cyclic_submodules(jt: JordanType, p: int):
-    """Each line v of F_p^n with the echelon basis of A v = span{X v : X in a basis of A}.
+def cyclic_submodules(algebra: tuple, p: int):
+    """Each line v of F_p^n with the echelon basis of A v = span{X v : X in algebra}, a basis of A.
 
     No cap is applied here: callers check the line count first.
     """
-    n = jt.dimension
-    algebra = centralizer_mod_p(jt, p)
+    n = len(algebra[0])
     # by_column[c] lists the nonzero entries X_k[r][c] = a as (k, r, a); the
     # images X_k v are kept mod p and updated only where v changes from the
     # previous line
@@ -259,6 +257,12 @@ def _sum_closure(generators, p: int) -> set:
     return found
 
 
+def _invariant_subspaces(j: tuple, p: int) -> list:
+    """Every subspace invariant under the algebra commuting with j mod p, by dimension, then echelon tuple."""
+    cyclic = {span for _, span in cyclic_submodules(centralizer_mod_p(j, p), p)}
+    return sorted(_sum_closure(cyclic, p), key=lambda s: (len(s), s))
+
+
 def invariant_subspaces_bruteforce(
     jt: JordanType, p: int, cap: int = DEFAULT_LINE_CAP
 ) -> list:
@@ -267,10 +271,9 @@ def invariant_subspaces_bruteforce(
     Works in chain coordinates; cap bounds the number of lines scanned.
     Result is sorted by dimension, then by the echelon tuple lexicographically.
     """
-    eigenvalues_mod_p(jt, p)
+    _require_prime(p)
     _check_cap(p, jt.dimension, cap)
-    cyclic = {span for _, span in cyclic_submodules(jt, p)}
-    return sorted(_sum_closure(cyclic, p), key=lambda s: (len(s), s))
+    return _invariant_subspaces(jordan_mod_p(jt, p), p)
 
 
 @dataclass(frozen=True)
@@ -283,24 +286,17 @@ class OracleVerdict:
     mismatch: object  # str describing the first mismatch, or None
 
 
-def compare_with_prediction(
-    jt: JordanType,
-    p: int,
-    cap: int = DEFAULT_LINE_CAP,
-    labels=None,
-) -> OracleVerdict:
+def compare_with_prediction(jt: JordanType, p: int, cap: int = DEFAULT_LINE_CAP) -> OracleVerdict:
     """Check the predicted lattice against the invariant subspaces found mod p.
 
-    ``labels`` defaults to the full predicted label set; passing a mutated
-    list exists so the harness can be shown to catch corrupted predictions.
-    A mismatch is a verdict, not an exception; p and the line cap are
-    checked before any label or subspace is built.
+    A mismatch is a verdict, not an exception; p, the line cap and then the
+    eigenvalue residues are checked before any label or subspace is built.
     """
     n = jt.dimension
-    eigenvalues_mod_p(jt, p)
+    _require_prime(p)
     _check_cap(p, n, cap)
-    if labels is None:
-        labels = enumerate_labels(jt)
+    j = jordan_mod_p(jt, p)
+    labels = enumerate_labels(jt)
     predicted = {}  # echelon tuple -> label, in label order
     for label in labels:
         positions = invariant_positions(jt, label)
@@ -311,7 +307,7 @@ def compare_with_prediction(
                 f"differs from predicted dimension {dimension}",
             )
         predicted.setdefault(tuple(_identity(n)[i] for i in positions), label)
-    brute = invariant_subspaces_bruteforce(jt, p, cap)
+    brute = _invariant_subspaces(j, p)
     found = set(brute)
     mismatches = [
         f"predicted subspace for label {label.deltas} (dimension {len(sub)}) is not invariant"

@@ -215,15 +215,15 @@ def test_streamed_lattice_matches_the_label_reference(tmp_path, capsys, jt):
 def test_closed_stdout_ends_quietly(tmp_path):
     """`lattice ... | head -2`: the reader leaves early, and the writer ends without a traceback."""
     spec = write(tmp_path, "big.json", {"jordan": [{"eigenvalue": "0", "blocks": [[99, 1], [198, 1]]}]})
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "centorbits", "lattice", spec, "--format", "json"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    assert [proc.stdout.readline() for _ in range(2)] == [b"{\n", b'  "nodes": [\n']
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) != 1
+    ) as proc:
+        assert [proc.stdout.readline() for _ in range(2)] == [b"{\n", b'  "nodes": [\n']
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) != 1
     assert err == b""
 
 
@@ -453,6 +453,13 @@ def test_verify_checks_a_matrix_against_the_line_cap_before_its_jordan_type(
     assert result == (code, "", f"error: {message}\n")
 
 
+def test_verify_checks_a_type_against_the_line_cap_before_its_residues(tmp_path, capsys):
+    # n = 14 is over the line cap at p = 2, where the eigenvalues 0 and 2 also coincide
+    doc = {"jordan": [{"eigenvalue": e, "blocks": [[7, 1]]} for e in ("0", "2")]}
+    result = run_cli(capsys, "verify", write(tmp_path, "coincide.json", doc), "--prime", "2")
+    assert result == (3, "", "error: refusing to enumerate at least 2^13 lines of F_2^14 (cap 8191)\n")
+
+
 def primorial_below(bound: int) -> int:
     product = 1
     for p in range(2, bound):
@@ -665,6 +672,20 @@ def test_grid_cap_counts_the_longest_integer_and_the_denominator(tmp_path, capsy
     else:
         assert (code, out) == (3, "")
         assert err == f"error: refusing to enumerate {refusal} of a 32-row matrix (cap 256)\n"
+
+
+@pytest.mark.parametrize("verb", ["classify", "compare"])
+def test_a_long_vector_denominator_is_refused_at_once(tmp_path, capsys, verb):
+    # 16 distinct 100-digit denominators: their lcm passes the 1448 bits a 16-row grid may hold
+    rng = random.Random(16)
+    vector = ",".join(f"1/{rng.randrange(10**99, 10**100)}" for _ in range(16))
+    doc = {"matrix": [[str(i + 1) if i == j else "0" for j in range(16)] for i in range(16)]}
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, verb, write(tmp_path, "diag16.json", doc), "--vector", vector)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"error: refusing to enumerate \d+ bits or more in the denominator of a 16-row vector "
+                        r"\(cap 1448\)\n", err)
 
 
 @pytest.mark.parametrize("text", ["1_000", "2 / 3"])

@@ -225,7 +225,6 @@ def test_every_operation_returns_the_canonical_form(a, b, c, data):
     same_shape = Matrix([[data.draw(RATIONALS) for _ in range(a.cols)] for _ in range(a.rows)])
     results += [a + same_shape, a - same_shape, a - a]
     width = data.draw(st.integers(1, 3))
-    results.append(a.augment(Matrix([[data.draw(RATIONALS) for _ in range(width)] for _ in range(a.rows)])))
     results.append(a @ Matrix([[data.draw(RATIONALS) for _ in range(width)] for _ in range(a.cols)]))
     if a.is_square() and a.rank() == a.rows:
         results.append(a.inverse())
@@ -266,7 +265,6 @@ def test_equal_values_give_equal_matrices():
      "from_columns expects n x 1 matrices of equal height"),
     (lambda: Matrix.from_columns([Matrix([[1, 2]])]), ShapeError,
      "from_columns expects n x 1 matrices of equal height"),
-    (lambda: Matrix.column([1]).augment(Matrix.column([1, 2])), ShapeError, "cannot augment 1x1 with 2x1"),
     (lambda: Matrix([[1, 2]]) + Matrix.column([1, 2]), ShapeError, "cannot add 1x2 and 2x1"),
     (lambda: Matrix([[1, 2]]) - Matrix.column([1, 2]), ShapeError, "cannot subtract 2x1 from 1x2"),
     (lambda: Matrix([[1, 2]]).inverse(), ShapeError, "only square matrices invert, got 1x2"),

@@ -135,11 +135,18 @@ def test_line_scan_matches_the_subspace_walk(jt, p, monkeypatch):
     walk = invariant_subspaces_walk(jt, p)
     assert invariant_subspaces_bruteforce(jt, p) == walk
     labels = enumerate_labels(jt)
-    label_sets = (None, labels[:-1], labels[:-1] + [labels[0]])
-    verdicts = [compare_with_prediction(jt, p, labels=ls) for ls in label_sets]
-    assert verdicts[0].passed and not verdicts[1].passed and not verdicts[2].passed
-    monkeypatch.setattr(oracle, "invariant_subspaces_bruteforce", lambda jt, p, cap: walk)
-    assert [compare_with_prediction(jt, p, labels=ls) for ls in label_sets] == verdicts
+
+    def verdicts():
+        found = []
+        for ls in (labels, labels[:-1], labels[:-1] + [labels[0]]):
+            monkeypatch.setattr(oracle, "enumerate_labels", lambda jt, ls=ls: ls)
+            found.append(compare_with_prediction(jt, p))
+        return found
+
+    scanned = verdicts()
+    assert scanned[0].passed and not scanned[1].passed and not scanned[2].passed
+    monkeypatch.setattr(oracle, "_invariant_subspaces", lambda j, p: walk)
+    assert verdicts() == scanned
 
 
 def _imported_modules(source: str) -> set:
@@ -193,7 +200,7 @@ def _matmul(a, b, p):
 def test_solved_algebra_commutes_and_has_the_centralizer_dimension(blocks, p):
     jt = JordanType.of(blocks)
     j = jordan_mod_p(jt, p)
-    algebra = centralizer_mod_p(jt, p)
+    algebra = centralizer_mod_p(j, p)
     assert len(algebra) == centralizer_dimension(jt)
     flat = [sum(x, ()) for x in algebra]
     assert len(oracle._echelon(flat, p)) == len(algebra)
@@ -217,7 +224,7 @@ def test_classify_names_the_cyclic_submodule_of_every_line(blocks, p):
     """For every line v, the label classify gives v's 0..p-1 representative spans A v."""
     jt = JordanType.of(blocks)
     n = jt.dimension
-    for v, span in cyclic_submodules(jt, p):
+    for v, span in cyclic_submodules(centralizer_mod_p(jordan_mod_p(jt, p), p), p):
         label = classify_chain_coordinates(jt, Matrix.column(list(v))).label
         units = tuple(tuple(int(c == i) for c in range(n)) for i in invariant_positions(jt, label))
         assert units == span
@@ -308,14 +315,33 @@ def test_count_independent_of_prime():
         assert counts[2] == counts[3]
 
 
-def test_corrupted_prediction_is_caught():
+def test_corrupted_prediction_is_caught(monkeypatch):
     jt = JordanType.of({0: [(1, 1), (2, 1)]})
     labels = enumerate_labels(jt)
-    dropped = compare_with_prediction(jt, 2, labels=labels[:-1])
+    monkeypatch.setattr(oracle, "enumerate_labels", lambda jt: labels[:-1])
+    dropped = compare_with_prediction(jt, 2)
     assert not dropped.passed
     assert "not predicted" in dropped.mismatch
-    duplicated = compare_with_prediction(jt, 2, labels=labels[:-1] + [labels[0]])
+    monkeypatch.setattr(oracle, "enumerate_labels", lambda jt: labels[:-1] + [labels[0]])
+    duplicated = compare_with_prediction(jt, 2)
     assert not duplicated.passed
+
+
+def test_one_verdict_maps_the_eigenvalues_once(monkeypatch):
+    calls = []
+    mapped = oracle.eigenvalues_mod_p
+    monkeypatch.setattr(oracle, "eigenvalues_mod_p", lambda jt, p: calls.append(p) or mapped(jt, p))
+    assert compare_with_prediction(JordanType.of({0: [(1, 1)], 1: [(2, 1)]}), 3).passed
+    assert calls == [3]
+
+
+def test_the_algebra_is_solved_for_any_matrix_mod_p():
+    # J = [[0, 1], [0, 0]] is a nilpotent block written upper triangular, outside chain coordinates
+    j = ((0, 1), (0, 0))
+    algebra = centralizer_mod_p(j, 3)
+    assert sorted(algebra) == [((0, 1), (0, 0)), ((1, 0), (0, 1))]
+    spans = {span for _, span in cyclic_submodules(algebra, 3)}
+    assert spans == {((1, 0),), ((1, 0), (0, 1))}
 
 
 def test_non_invariant_prediction_is_named(monkeypatch):
