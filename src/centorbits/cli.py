@@ -23,13 +23,13 @@ output is deterministic: identical inputs (and seeds) give identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracle
@@ -63,7 +63,7 @@ class SpecError(ValueError):
     """Invalid input document; the message names the offending field."""
 
 
-@dataclass
+@dataclasses.dataclass
 class OperatorSpec:
     matrix: object  # Matrix or None
     jordan: object  # JordanType or None
@@ -110,21 +110,18 @@ def _parse_eigenvalue(raw, field: str):
 def _parse_jordan(raw, field: str) -> JordanType:
     if not isinstance(raw, list) or not raw:
         raise SpecError(f"{field}: expected a non-empty list of eigenvalue entries")
-    pairs = []
-    seen = set()
+    types = {}  # eigenvalue -> {size: multiplicity}
     for i, item in enumerate(raw):
         here = f"{field}[{i}]"
         if not isinstance(item, dict) or set(item) != {"eigenvalue", "blocks"}:
             raise SpecError(f"{here}: expected an object with 'eigenvalue' and 'blocks'")
         eig = _parse_eigenvalue(item["eigenvalue"], f"{here}.eigenvalue")
-        if eig in seen:
+        if eig in types:
             raise SpecError(f"{here}.eigenvalue: duplicate eigenvalue {_echo(item['eigenvalue'])}")
-        seen.add(eig)
         blocks_raw = item["blocks"]
         if not isinstance(blocks_raw, list) or not blocks_raw:
             raise SpecError(f"{here}.blocks: expected a non-empty list of [size, multiplicity]")
-        blocks = []
-        sizes = set()
+        blocks = types[eig] = {}
         for j, pair in enumerate(blocks_raw):
             spot = f"{here}.blocks[{j}]"
             if (
@@ -136,12 +133,10 @@ def _parse_jordan(raw, field: str) -> JordanType:
             size, mult = pair
             if size < 1 or mult < 1:
                 raise SpecError(f"{spot}: size and multiplicity must be >= 1")
-            if size in sizes:
+            if size in blocks:
                 raise SpecError(f"{spot}: duplicate block size {size}")
-            sizes.add(size)
-            blocks.append((size, mult))
-        pairs.append((eig, blocks))
-    return JordanType.of(pairs)
+            blocks[size] = mult
+    return JordanType.of({eig: blocks.items() for eig, blocks in types.items()})
 
 
 def parse_operator_spec(doc) -> OperatorSpec:
@@ -298,44 +293,39 @@ def _classification_payload(jt, report) -> dict:
     }
 
 
+def _basis_and_vectors(args, verb: str, fields) -> tuple:
+    """The chain basis of the spec's matrix, then each --vector flag as a column named by fields."""
+    matrix = spec_matrix(load_spec(args.spec), verb)
+    vectors = [_parse_vector(text, matrix.rows, field) for text, field in zip(args.vector, fields)]
+    return jordan_basis(matrix), vectors
+
+
 def cmd_classify(args) -> int:
     if len(args.vector) != 1:
         raise SpecError(f"classify takes one --vector flag, got {len(args.vector)}")
-    matrix = spec_matrix(load_spec(args.spec), "classify")
-    v = _parse_vector(args.vector[0], matrix.rows, "vector")
-    basis = jordan_basis(matrix)
-    report = classify_vector(basis, v)
-    _emit(_classification_payload(basis.jordan_type, report))
+    basis, (v,) = _basis_and_vectors(args, "classify", ["vector"])
+    _emit(_classification_payload(basis.jordan_type, classify_vector(basis, v)))
     return 0
 
 
 def cmd_compare(args) -> int:
-    matrix = spec_matrix(load_spec(args.spec), "compare")
     if len(args.vector) > 2:
         raise SpecError(f"compare takes one or two --vector flags, got {len(args.vector)}")
     if len(args.vector) == 2 and args.seed is not None:
         raise SpecError("--seed applies only when a single --vector is given")
-    vectors = [
-        _parse_vector(text, matrix.rows, f"vector #{i + 1}")
-        for i, text in enumerate(args.vector)
-    ]
-    basis = jordan_basis(matrix)
-    payload = {}
+    basis, vectors = _basis_and_vectors(args, "compare", ["vector #1", "vector #2"])
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     if len(vectors) == 1:
-        seed = args.seed if args.seed is not None else DEFAULT_SEED
-        u = sample_invertible(centralizer_basis(basis), seed)
-        v1, v2 = vectors[0], u @ vectors[0]
-        payload["seed"] = seed
-    else:
-        v1, v2 = vectors
-    equivalent, r1, r2 = same_solution_class(basis, v1, v2)
+        vectors.append(sample_invertible(centralizer_basis(basis), seed) @ vectors[0])
+    equivalent, r1, r2 = same_solution_class(basis, *vectors)
     payload = {
         "equivalent": equivalent,
         "label1": label_name(r1.label),
         "label2": label_name(r2.label),
         "comparable": comparability(r1.label, r2.label),
-        **payload,
     }
+    if len(args.vector) == 1:
+        payload["seed"] = seed
     _emit(payload)
     return 0
 
@@ -344,19 +334,9 @@ def cmd_verify(args) -> int:
     cap = _cap(args, oracle.DEFAULT_LINE_CAP)
     spec = load_spec(args.spec)
     if spec.matrix is not None:  # the line cap needs only n, not the Jordan type
-        oracle._require_prime(args.prime)
-        oracle._check_cap(args.prime, spec.matrix.rows, cap)
+        oracle.check_scan(args.prime, spec.matrix.rows, cap)
     verdict = oracle.compare_with_prediction(spec_type(spec), args.prime, cap)
-    _emit(
-        {
-            "passed": verdict.passed,
-            "prime": verdict.prime,
-            "dimension": verdict.dimension,
-            "labels": verdict.label_count,
-            "invariant_subspaces": verdict.bruteforce_count,
-            "mismatch": verdict.mismatch,
-        }
-    )
+    _emit(dataclasses.asdict(verdict))
     return 0 if verdict.passed else 1
 
 
@@ -415,7 +395,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except MemoryError:  # a raised --cap can admit more than this process can allocate
+    except (MemoryError, OverflowError):  # a raised --cap can admit more than memory holds or an index reaches
         print("error: out of memory; with a lower --cap such input is refused up front", file=sys.stderr)
         return 3
     except ValueError as exc:

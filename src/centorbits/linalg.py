@@ -210,6 +210,11 @@ class Matrix:
 
     def _combine(self, other: "Matrix", sign: int) -> "Matrix":
         """self + sign * other, over the lcm of the denominators."""
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            a, b = f"{self.rows}x{self.cols}", f"{other.rows}x{other.cols}"
+            raise ShapeError(f"cannot add {a} and {b}" if sign > 0 else f"cannot subtract {b} from {a}")
         den = lcm(self._den, other._den)
         fa, fb = den // self._den, sign * (den // other._den)
         return Matrix._reduced(
@@ -218,21 +223,9 @@ class Matrix:
         )
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError(
-                f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
-            )
         return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError(
-                f"cannot subtract {other.rows}x{other.cols} from {self.rows}x{self.cols}"
-            )
         return self._combine(other, -1)
 
     def scaled(self, c: Scalar) -> "Matrix":

@@ -4,14 +4,15 @@ The predicted lattice says that the subspaces invariant under the algebra A
 of operators commuting with the Jordan form J are exactly the coordinate
 subspaces of the orbit closures, one per label. This module checks that
 claim over F_p without the library's own centralizer construction, in
-stages that pass their results on as data: a gate certifies p and caps the
-lines of F_p^n from n alone; jordan_mod_p writes J mod p in chain
-coordinates; centralizer_mod_p, which takes any n x n matrix mod p, solves
-XJ = JX as n^2 linear equations mod p for a basis of A; cyclic_submodules
-spans A v for every line v; and a sum closure ends the scan. Every
-invariant W is the sum of the submodules A w over w in W, and A (cw) = A w
-for c != 0, so these spans, closed under sums, are exactly the invariant
-subspaces. The scan visits the (p^n - 1)/(p - 1) lines, not every subspace.
+stages that pass their results on as data: the gate check_scan certifies p
+and caps the lines of F_p^n from n alone, and every stage after it trusts
+p; jordan_mod_p writes J mod p in chain coordinates; centralizer_mod_p,
+which takes any n x n matrix mod p, solves XJ = JX as n^2 linear equations
+mod p for a basis of A; cyclic_submodules spans A v for every line v; and a
+sum closure ends the scan. Every invariant W is the sum of the submodules
+A w over w in W, and A (cw) = A w for c != 0, so these spans, closed under
+sums, are exactly the invariant subspaces. The scan visits the
+(p^n - 1)/(p - 1) lines, not every subspace.
 
 The block-size arguments behind the prediction only ever use that the
 eigenvalues lie in the field and are distinct, so agreement over F_2 and F_3
@@ -81,8 +82,12 @@ def subspace_count(n: int, p: int) -> int:
     return sum(gaussian_binomial(n, k, p) for k in range(n + 1))
 
 
-def _check_cap(p: int, n: int, cap: int):
-    """Refuse a scan of more than cap lines; F_p^n has at least 2^(n-1), so a large n goes uncounted."""
+def check_scan(p: int, n: int, cap: int):
+    """The gate before every scan: certify p, then refuse more than cap lines of F_p^n.
+
+    F_p^n has at least 2^(n-1) lines, so a large n goes uncounted.
+    """
+    _require_prime(p)
     what = f"lines of F_{p}^{n}"
     if n > cap.bit_length():
         raise CapExceeded(f"at least 2^{n - 1}", cap, what=what)
@@ -97,9 +102,9 @@ def eigenvalues_mod_p(jt: JordanType, p: int) -> dict:
     One pass in canonical order. Rational eigenvalues reduce mod p; a zero
     denominator or two eigenvalues with one residue is an error. Each
     symbolic label, coming after every rational, takes the least residue not
-    yet used, and it is an error if none is left.
+    yet used, and it is an error if none is left. p is trusted: check_scan
+    has certified it.
     """
-    _require_prime(p)
     owner = {}  # residue -> eigenvalue
     spare = 0
     for eig, _ in jt.eigen_blocks:  # rationals first: symbolic labels sort last
@@ -123,7 +128,10 @@ def eigenvalues_mod_p(jt: JordanType, p: int) -> dict:
 
 
 def jordan_mod_p(jt: JordanType, p: int) -> tuple:
-    """J over F_p in chain coordinates: each residue on the diagonal, 1 below it within a chain."""
+    """J over F_p in chain coordinates: each residue on the diagonal, 1 below it within a chain.
+
+    Like every stage behind check_scan, it trusts p to be prime.
+    """
     residue = eigenvalues_mod_p(jt, p)
     n = jt.dimension
     rows = [[0] * n for _ in range(n)]
@@ -170,7 +178,8 @@ def _lines(p: int, n: int):
         tail = n - lead - 1
         # product materialises range(p) once a tail exists; the default line
         # cap keeps p small then, but a raised --cap can admit a p whose range
-        # does not fit in memory (the CLI reports the MemoryError, exit 3)
+        # does not fit in memory, or past 2^63 no range length at all (the CLI
+        # reports the MemoryError or OverflowError, exit 3)
         for rest in itertools.product(range(p), repeat=tail) if tail else ((),):
             yield head + rest
 
@@ -221,7 +230,7 @@ def _echelon(vectors, p: int) -> tuple:
 def cyclic_submodules(algebra: tuple, p: int):
     """Each line v of F_p^n with the echelon basis of A v = span{X v : X in algebra}, a basis of A.
 
-    No cap is applied here: callers check the line count first.
+    No cap is applied here: callers pass check_scan first.
     """
     n = len(algebra[0])
     # by_column[c] lists the nonzero entries X_k[r][c] = a as (k, r, a); the
@@ -271,8 +280,7 @@ def invariant_subspaces_bruteforce(
     Works in chain coordinates; cap bounds the number of lines scanned.
     Result is sorted by dimension, then by the echelon tuple lexicographically.
     """
-    _require_prime(p)
-    _check_cap(p, jt.dimension, cap)
+    check_scan(p, jt.dimension, cap)
     return _invariant_subspaces(jordan_mod_p(jt, p), p)
 
 
@@ -281,8 +289,8 @@ class OracleVerdict:
     passed: bool
     prime: int
     dimension: int
-    label_count: int
-    bruteforce_count: int
+    labels: int
+    invariant_subspaces: int
     mismatch: object  # str describing the first mismatch, or None
 
 
@@ -293,8 +301,7 @@ def compare_with_prediction(jt: JordanType, p: int, cap: int = DEFAULT_LINE_CAP)
     eigenvalue residues are checked before any label or subspace is built.
     """
     n = jt.dimension
-    _require_prime(p)
-    _check_cap(p, n, cap)
+    check_scan(p, n, cap)
     j = jordan_mod_p(jt, p)
     labels = enumerate_labels(jt)
     predicted = {}  # echelon tuple -> label, in label order

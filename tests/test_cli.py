@@ -5,11 +5,12 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
 
-from centorbits import JordanType, cli
+from centorbits import JordanType, cli, oracle
 from centorbits.classify import orbit_dimension
 from centorbits.lattice import _steps, column_sizes, enumerate_labels, hasse_covers, orbit_count
 
@@ -263,6 +264,13 @@ def test_classify_requires_matrix_spec(tmp_path, capsys):
     assert "concrete matrix" in err
 
 
+def test_compare_checks_its_flag_count_before_the_spec(tmp_path, capsys):
+    # a jordan spec is itself an error for compare; the flag count is reported first, as classify does
+    spec = write(tmp_path, "t135.json", T135_DOC)
+    result = run_cli(capsys, "compare", spec, "--vector=1", "--vector=2", "--vector=3")
+    assert result == (2, "", "error: compare takes one or two --vector flags, got 3\n")
+
+
 def test_classify_vector_length_mismatch(tmp_path, capsys):
     spec = write(tmp_path, "j23.json", J23_DOC)
     code, _, err = run_cli(capsys, "classify", spec, "--vector", "1,2")
@@ -460,6 +468,22 @@ def test_verify_checks_a_type_against_the_line_cap_before_its_residues(tmp_path,
     assert result == (3, "", "error: refusing to enumerate at least 2^13 lines of F_2^14 (cap 8191)\n")
 
 
+@pytest.mark.parametrize("doc, certified", [(T135_DOC, 1), (J23_DOC, 2)], ids=["type", "matrix"])
+def test_verify_certifies_the_prime_once_per_gate(tmp_path, capsys, monkeypatch, doc, certified):
+    # one gate in compare_with_prediction, plus the CLI's pre-check from n alone for a matrix
+    calls = []
+    certify = oracle._require_prime
+    monkeypatch.setattr(oracle, "_require_prime", lambda p: calls.append(p) or certify(p))
+    code, _, _ = run_cli(capsys, "verify", write(tmp_path, "spec.json", doc), "--prime", "2")
+    assert (code, calls) == (0, [2] * certified)
+
+
+def test_verify_prints_the_verdict_record(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "verify", write(tmp_path, "t135.json", T135_DOC), "--prime", "2")
+    verdict = oracle.compare_with_prediction(JordanType.of({0: [(1, 1), (3, 1), (5, 1)]}), 2)
+    assert (code, out) == (0, json.dumps(asdict(verdict), indent=2) + "\n")
+
+
 def primorial_below(bound: int) -> int:
     product = 1
     for p in range(2, bound):
@@ -640,6 +664,19 @@ def test_running_out_of_memory_under_a_raised_cap_is_one_error_line(tmp_path, do
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == "error: out of memory; with a lower --cap such input is refused up front\n"
+
+
+@pytest.mark.parametrize("doc, argv", [
+    ({"jordan": [{"eigenvalue": "0", "blocks": [[1, 2]]}]}, ["verify", "--prime", "10000000000000000051"]),
+    ({"jordan": [{"eigenvalue": "0", "blocks": [[10**20, 1]]}]}, ["lattice", "--format", "json"]),
+], ids=["verify-lines", "lattice-heights"])
+def test_a_cap_raised_past_the_index_range_is_one_error_line(tmp_path, capsys, doc, argv):
+    # a range longer than 2^63 has no length, so no list of it is ever attempted
+    spec = write(tmp_path, "huge.json", doc)
+    start = time.perf_counter()
+    result = run_cli(capsys, argv[0], spec, *argv[1:], "--cap", str(10**30))
+    assert time.perf_counter() - start < 1
+    assert result == (3, "", "error: out of memory; with a lower --cap such input is refused up front\n")
 
 
 def test_long_entries_are_refused_at_once(tmp_path, capsys):

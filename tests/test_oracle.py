@@ -291,7 +291,7 @@ def test_blocks_one_two_match_generating_function():
     assert [len(s) for s in subs] == [0, 1, 2, 3]
     verdict = compare_with_prediction(jt, 2)
     assert verdict.passed
-    assert verdict.label_count == verdict.bruteforce_count == 4
+    assert verdict.labels == verdict.invariant_subspaces == 4
 
 
 def test_two_block_example_verdict():
@@ -299,7 +299,7 @@ def test_two_block_example_verdict():
     for p in (2, 3):
         verdict = compare_with_prediction(jt, p)
         assert verdict.passed
-        assert verdict.label_count == verdict.bruteforce_count == 6
+        assert verdict.labels == verdict.invariant_subspaces == 6
         assert verdict.mismatch is None
 
 
@@ -367,7 +367,7 @@ def test_coordinate_count_mismatch_is_named_before_the_scan(monkeypatch):
     monkeypatch.setattr(oracle, "invariant_positions", short)
     verdict = compare_with_prediction(jt, 2)
     assert not verdict.passed
-    assert verdict.bruteforce_count == -1
+    assert verdict.invariant_subspaces == -1
     assert verdict.mismatch == "label ((2,),): coordinate count 1 differs from predicted dimension 2"
 
 
@@ -375,15 +375,15 @@ def test_multi_eigenvalue_verdict():
     jt = JordanType.of({0: [(1, 1)], 1: [(2, 1)]})
     verdict = compare_with_prediction(jt, 3)
     assert verdict.passed
-    assert verdict.label_count == 6
+    assert verdict.labels == 6
 
 
 def test_default_cap_bounds_lines():
-    oracle._check_cap(2, 13, oracle.DEFAULT_LINE_CAP)
+    oracle.check_scan(2, 13, oracle.DEFAULT_LINE_CAP)
     with pytest.raises(CapExceeded, match=r"at least 2\^13 lines of F_2\^14"):
-        oracle._check_cap(2, 14, oracle.DEFAULT_LINE_CAP)
+        oracle.check_scan(2, 14, oracle.DEFAULT_LINE_CAP)
     with pytest.raises(CapExceeded, match=r"9841 lines of F_3\^9"):
-        oracle._check_cap(3, 9, oracle.DEFAULT_LINE_CAP)
+        oracle.check_scan(3, 9, oracle.DEFAULT_LINE_CAP)
 
 
 def test_symbolic_eigenvalues_take_spare_residues():
