@@ -169,7 +169,7 @@ def load_spec(path: str) -> OperatorSpec:
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read {path}: {exc}") from None
     try:
         return parse_operator_spec(json.loads(text, parse_int=number))
@@ -235,9 +235,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _cap(args, default: int) -> int:
-    if args.cap is None:
-        return default
+def _cap(args) -> int:
     if args.cap < 1:
         raise SpecError(f"--cap must be at least 1, got {args.cap}")
     return args.cap
@@ -263,7 +261,7 @@ def _write_joined(template: str, pairs, sep: str) -> None:
 
 
 def cmd_lattice(args) -> int:
-    cap = _cap(args, DEFAULT_ENUMERATION_CAP)
+    cap = _cap(args)
     tables = column_tables(spec_type(load_spec(args.spec)), cap)
     head, node, sep, middle, cover, tail = _LATTICE_TEXT[args.format]
     sys.stdout.write(head)
@@ -331,7 +329,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cap = _cap(args, oracle.DEFAULT_LINE_CAP)
+    cap = _cap(args)
     spec = load_spec(args.spec)
     if spec.matrix is not None:  # the line cap needs only n, not the Jordan type
         oracle.check_scan(args.prime, spec.matrix.rows, cap)
@@ -362,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("lattice", cmd_lattice, "orbit lattice nodes and covering edges")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.add_argument("--cap", type=int, default=None, help=f"enumeration cap (default {DEFAULT_ENUMERATION_CAP})")
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="enumeration cap (default %(default)s)")
 
     p = add("classify", cmd_classify, "orbit of a concrete vector")
     p.add_argument("--vector", action="append", required=True, metavar="a,b,...")
@@ -374,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", cmd_verify, "exhaustive check of the predicted lattice over F_p")
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None, help=f"cap on the lines of F_p^n scanned (default {oracle.DEFAULT_LINE_CAP})")
+    p.add_argument("--cap", type=int, default=oracle.DEFAULT_LINE_CAP, help="cap on the lines of F_p^n scanned (default %(default)s)")
 
     return parser
 

@@ -23,14 +23,14 @@ integers: T is stored as an integer grid over d, the lcm of its entry
 denominators, and Berkowitz's division-free recurrence on that grid gives
 c(x) = det(xI - dT), monic with integer coefficients, in O(n^4) integer
 operations. Its roots are d times the eigenvalues, and by Gauss's lemma
-each rational root is an integer dividing the constant term of the
-square-free part g of c, itself monic up to sign. g is c when gcd(c, c') = 1
-modulo one large prime, else it comes from a primitive remainder sequence.
-The roots are found without factoring any coefficient: g is taken modulo
-the smallest prime p at which the same gcd test finds it square-free, one
-not dividing disc(g), so the input bounds the walk. The roots mod p, found
-by evaluation, are simple and lift by Newton's (Hensel's) iteration to a
-modulus above 2 |g(0)|, where the symmetric residue is the integer root
+each rational root is an integer root of the square-free part g of c,
+itself monic up to sign. g is c when gcd(c, c') = 1 modulo one large
+prime, else it comes from a primitive remainder sequence. The roots are
+found without factoring any coefficient: g is taken modulo the smallest
+prime p at which the same gcd test finds it square-free, one not dividing
+disc(g), so the input bounds the walk. The roots mod p, found by evaluation,
+are simple and lift by Newton's (Hensel's) iteration past twice Fujiwara's
+bound read off g, where the symmetric residue is the integer root
 (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 14-15). A
 candidate is accepted, with its multiplicity, only by exact synthetic
 division of c; a factor left over means an irrational or complex root. Each
@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .linalg import Matrix, NotANumber, ShapeError, _echo, _primitive, as_fraction
 
@@ -136,18 +136,14 @@ class JordanType:
 
     @classmethod
     def of(cls, blocks_by_eigenvalue) -> "JordanType":
-        """Canonicalize arbitrary block data.
+        """Canonicalize block data given as a mapping of eigenvalue to blocks.
 
-        Accepts a mapping or an iterable of (eigenvalue, blocks) pairs, where
         blocks is an iterable of (size, multiplicity). Repeated sizes merge by
-        summing multiplicities; repeated eigenvalue keys merge their blocks.
+        summing multiplicities; keys that read as one eigenvalue, such as 0 and
+        "0", merge their blocks.
         """
-        if isinstance(blocks_by_eigenvalue, Mapping):
-            items: Iterable = blocks_by_eigenvalue.items()
-        else:
-            items = blocks_by_eigenvalue
         merged: dict = {}
-        for eig, blocks in items:
+        for eig, blocks in blocks_by_eigenvalue.items():
             eig = _normalize_eigenvalue(eig)
             per_size = merged.setdefault(eig, {})
             for size, mult in blocks:
@@ -198,7 +194,12 @@ def chain_slots(jt: JordanType) -> tuple:
 
 # Largest matrix dimension accepted. Kernel chains cost about n^4 integer
 # operations: at n = 128 with 5-bit entries, analyze takes about 13 s and
-# classify about 14 s (README, the caps list).
+# classify about 14 s. Long blocks cost far more, each power of T - lambda
+# being row-reduced afresh: three eigenvalues with one block of 20 each
+# (n = 60) take about 8.4 s for analyze, blocks of 30 (n = 90) about 96 s.
+# So does one repeated root beside many simple ones, through the remainder
+# sequence for the square-free part: 1 (32 times) and 64 distinct integers
+# on the diagonal (n = 96) take about 8.4 s (README, the caps list).
 MATRIX_DIMENSION_CAP = 128
 # Largest n^5 b^2 accepted for a matrix of n rows whose integer grid (the
 # entries over their common denominator, and that denominator) holds integers
@@ -335,18 +336,22 @@ def _root_candidates(g: list) -> list:
 
     At the smallest prime p at which g is square-free, one not dividing
     disc(g), each integer root r of g is a simple root mod p, which Newton's
-    iteration lifts uniquely to a root mod p^(2^k) > 2 |g(0)|. Since r
-    divides g(0), the symmetric residue of that lift is r.
+    iteration lifts uniquely to a root mod p^(2^k) >= 2^(bits + 1), where
+    |r| < 2^bits by Fujiwara's bound; the symmetric residue of that lift is r.
     """
     p = 2
     while not _square_free_mod(g, p):
         p = _next_prime(p)
     g_mod_p, derivative = [c % p for c in g], _derivative(g)
     roots = [x for x in range(p) if _eval_mod(g_mod_p, x, p) == 0]
+    # Fujiwara: |r| <= 2 max |g_i|^(1/i) over the coefficients g_i, i places
+    # after the leading one, which is 1 up to sign; each |g_i|^(1/i) is below
+    # 2^ceil(bitlen(g_i) / i), whatever g(0) is
+    bits = 1 + max(-(-c.bit_length() // i) for i, c in enumerate(g[1:], 1))
     candidates = []
     for x in roots:
         m = p
-        while m <= 2 * abs(g[-1]):
+        while m.bit_length() <= bits + 1:
             m *= m
             x = (x - _eval_mod(g, x, m) * pow(_eval_mod(derivative, x, m), -1, m)) % m
         candidates.append(x - m if 2 * x > m else x)

@@ -210,25 +210,25 @@ def _check_cap(jt: JordanType, cap: int):
         raise CapExceeded(total, cap)
 
 
-def enumerate_labels(jt: JordanType, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
+def enumerate_labels(jt: JordanType) -> list:
     """All labels in lexicographic order of their flattened heights (equally, deltas)."""
-    _check_cap(jt, cap)
+    _check_cap(jt, DEFAULT_ENUMERATION_CAP)
     sizes = column_sizes(jt)
     columns = [_column_heights(_steps(group)) for group in sizes]
     return [OrbitLabel(heights, sizes) for heights in itertools.product(*columns)]
 
 
-def hasse_covers(jt: JordanType, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
+def hasse_covers(jt: JordanType) -> list:
     """All covering pairs (lower, upper), in lexicographic order of the pair.
 
     The labels come in lexicographic order and so do the upper covers of
     each, so the flat list needs no sorting. Tests pin the pairs against the
     definition by exhaustive search for intermediates.
     """
-    return [(lower, upper) for lower in enumerate_labels(jt, cap) for upper in upper_covers(lower)]
+    return [(lower, upper) for lower in enumerate_labels(jt) for upper in upper_covers(lower)]
 
 
-def column_tables(jt: JordanType, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
+def column_tables(jt: JordanType, cap: int) -> list:
     """Per eigenvalue, a row (digits, sum m_k * H_k, upper covers' digits) per valid heights.
 
     Rows and covers are in lexicographic order; the cap is checked before any is built.

@@ -272,15 +272,13 @@ def _invariant_subspaces(j: tuple, p: int) -> list:
     return sorted(_sum_closure(cyclic, p), key=lambda s: (len(s), s))
 
 
-def invariant_subspaces_bruteforce(
-    jt: JordanType, p: int, cap: int = DEFAULT_LINE_CAP
-) -> list:
+def invariant_subspaces_bruteforce(jt: JordanType, p: int) -> list:
     """All subspaces of F_p^n invariant under the centralizer algebra solved mod p.
 
-    Works in chain coordinates; cap bounds the number of lines scanned.
+    Works in chain coordinates and scans at most DEFAULT_LINE_CAP lines.
     Result is sorted by dimension, then by the echelon tuple lexicographically.
     """
-    check_scan(p, jt.dimension, cap)
+    check_scan(p, jt.dimension, DEFAULT_LINE_CAP)
     return _invariant_subspaces(jordan_mod_p(jt, p), p)
 
 

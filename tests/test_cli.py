@@ -1,3 +1,5 @@
+import importlib
+import io
 import json
 import math
 import random
@@ -7,12 +9,20 @@ import sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from centorbits import JordanType, cli, oracle
 from centorbits.classify import orbit_dimension
-from centorbits.lattice import _steps, column_sizes, enumerate_labels, hasse_covers, orbit_count
+from centorbits.lattice import (
+    DEFAULT_ENUMERATION_CAP,
+    _steps,
+    column_sizes,
+    enumerate_labels,
+    hasse_covers,
+    orbit_count,
+)
 
 from conftest import corpus_types
 
@@ -602,8 +612,6 @@ def test_analyze_orbit_count_matches_lattice_node_count(tmp_path, capsys):
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(T135_DOC)))
     code, out, _ = run_cli(capsys, "analyze", "-")
     assert code == 0
@@ -614,6 +622,36 @@ def test_missing_file_is_an_input_error(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/spec.json")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_a_spec_that_is_not_utf8_names_its_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff" + json.dumps(T135_DOC).encode())
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["lattice", "-"], DEFAULT_ENUMERATION_CAP),
+    (["verify", "-", "--prime", "2"], oracle.DEFAULT_LINE_CAP),
+], ids=["lattice", "verify"])
+def test_the_parser_holds_each_cap_default(argv, cap):
+    assert cli.build_parser().parse_args(argv).cap == cap
+
+
+def test_the_console_script_runs_analyze(capsys, monkeypatch):
+    """The [project.scripts] entry point, resolved as an installer would, on a spec from stdin."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, _, name = scripts["centorbits"].partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    doc = {"jordan": [{"eigenvalue": "0", "blocks": [[2, 1], [3, 1]]}]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    monkeypatch.setattr(sys, "argv", ["centorbits", "analyze", "-"])
+    assert entry() == 0
+    assert json.loads(capsys.readouterr().out)["orbit_count"] == 6
 
 
 def test_byte_identical_runs(tmp_path):

@@ -140,6 +140,21 @@ def test_roots_merged_by_every_prime_below_9000():
         (Fraction(m), 1), (Fraction(2 * m), 1), (Fraction(3 * m), 1)]
 
 
+def test_the_lift_stops_at_a_root_bound_read_off_g(monkeypatch):
+    # the roots have about as many bits as M; 2 |g(0)| = 12 M^3 has three times as many
+    m = primorial_below(3000)
+    g = poly_product([[1, -m], [1, -2 * m], [1, -3 * m]])
+    moduli, evaluate = [], jordan._eval_mod
+
+    def recording(poly, x, modulus):
+        moduli.append(modulus)
+        return evaluate(poly, x, modulus)
+
+    monkeypatch.setattr(jordan, "_eval_mod", recording)
+    assert sorted(jordan._root_candidates(g)) == [m, 2 * m, 3 * m]
+    assert max(moduli).bit_length() < 2 * ((3 * m).bit_length() + 3)
+
+
 PRIMORIAL_200 = primorial_below(200)
 # (x^2 - 2)(x^2 - 3)(x^2 - 6) has a root modulo every prime and none in Q
 INTERSECTIVE = poly_product([[1, 0, -2], [1, 0, -3], [1, 0, -6]])
@@ -242,7 +257,7 @@ def test_jordan_matrix_is_lower_subdiagonal(j23):
 
 
 def test_jordan_type_canonicalization_and_validation():
-    merged = JordanType.of([(0, [(2, 1)]), (0, [(2, 1), (1, 1)])])
+    merged = JordanType.of({0: [(2, 1)], "0": [(2, 1), (1, 1)]})
     assert merged == JordanType.of({0: [(1, 1), (2, 2)]})
     assert merged.dimension == 5
     with pytest.raises(ValueError):
