@@ -1,9 +1,9 @@
 """Orbit membership of concrete vectors, representatives, and dimensions.
 
-A vector's orbit is read off from its chain coordinates in two passes. Each
-chain contributes a raw height: the flag depth of the component along that
-chain (size minus the lowest shift exponent carrying a nonzero coefficient).
-Per eigenvalue, the raw column height h_k is the max over chains of the k-th
+A vector's orbit is read off from its chain coordinates. Each chain
+contributes a raw height: the flag depth of the component along that chain
+(size minus the lowest shift exponent carrying a nonzero coefficient). Per
+eigenvalue, the raw column height h_k is the max over chains of the k-th
 size. Closing under the commuting action then forces
 
 * left to right, H_k = max(h_k, H_{k-1}): whatever a column reaches at some
@@ -17,16 +17,28 @@ centralizer basis applied to the vector (the closure subspace) is the
 coordinate subspace holding the top H_k positions of every chain in column
 k; its dimension is sum_k m_k * H_k with m_k the number of blocks of size
 s_k. Tests validate the two-pass rule against that span directly.
+
+Classification is one scan over the chains of a :class:`ChainPlan`, smallest
+size first within each eigenvalue, that reads each coordinate only while it
+can still matter: a column starts at the height of the one before (the
+left-to-right pass), each chain is read in shift order only over the shifts
+that would raise the column, and stops at its first nonzero coordinate. A
+vector in the original coordinates is never transformed whole: coordinate i
+of P^-1 v is the integer dot product of row i of P^-1's grid with v's grid,
+taken when the scan reaches it, so one classification costs at most one dot
+product per coordinate scanned. The right-to-left pass and the sum m_k * H_k
+follow per eigenvalue.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
-from .jordan import JordanBasis, JordanType, chain_slots, coords_in_jordan_basis
+from .jordan import ChainPlan, JordanBasis, JordanType, _check_vector, chain_plan, chain_slots
 from .lattice import OrbitLabel, column_sizes, leq, top
-from .linalg import Matrix, ShapeError
+from .linalg import Matrix
 
 
 @dataclass(frozen=True)
@@ -52,39 +64,39 @@ def _validate_label(jt: JordanType, label: OrbitLabel):
         raise ValueError(f"label bounds {label.limits} do not belong to this type ({top(jt).limits})")
 
 
+def _scan(plan: ChainPlan, coordinate) -> OrbitReport:
+    """The one pass over the chains; ``coordinate(i)`` is an integer, zero exactly when coordinate i is."""
+    heights, dimension = [], 0
+    for sizes, mults, offsets in zip(*plan):
+        column, h = [], 0
+        for size, chains in zip(sizes, offsets):
+            # h starts at the height of the column before: the left-to-right pass
+            for offset in chains:
+                # only a nonzero at shift j < size - h raises the column, to size - j
+                for i in range(offset, offset + size - h):
+                    if coordinate(i):
+                        h = size - (i - offset)
+                        break
+            column.append(h)
+        for k in range(len(column) - 2, -1, -1):
+            column[k] = max(column[k], column[k + 1] - (sizes[k + 1] - sizes[k]))
+        heights.append(tuple(column))
+        dimension += sum(map(mul, mults, column))
+    return OrbitReport(OrbitLabel(tuple(heights), plan.sizes), dimension)
+
+
 def classify_chain_coordinates(jt: JordanType, coords: Matrix) -> OrbitReport:
     """Classify a vector given directly in chain coordinates."""
-    n = jt.dimension
-    if coords.rows != n or coords.cols != 1:
-        raise ShapeError(f"vector must be {n}x1, got {coords.rows}x{coords.cols}")
+    _check_vector(jt.dimension, coords)
     # x / den is zero exactly when the integer x is
-    nonzero = [x != 0 for (x,) in coords._grid]
-    raw = []
-    offset = 0
-    for _, blocks in jt.eigen_blocks:  # the chains in chain_slots order
-        heights = []
-        for size, mult in blocks:
-            height = 0
-            for _ in range(mult):
-                chain = nonzero[offset:offset + size]
-                if True in chain:
-                    height = max(height, size - chain.index(True))
-                offset += size
-            heights.append(height)
-        raw.append(heights)
-    sizes = column_sizes(jt)
-    for h, s in zip(raw, sizes):
-        for k in range(1, len(h)):
-            h[k] = max(h[k], h[k - 1])
-        for k in range(len(h) - 2, -1, -1):
-            h[k] = max(h[k], h[k + 1] - (s[k + 1] - s[k]))
-    label = OrbitLabel(tuple(map(tuple, raw)), sizes)
-    return OrbitReport(label, orbit_dimension(jt, label))
+    return _scan(chain_plan(jt), [x for (x,) in coords._grid].__getitem__)
 
 
 def classify_vector(basis: JordanBasis, v: Matrix) -> OrbitReport:
-    """Classify a vector given in the original coordinates of the matrix."""
-    return classify_chain_coordinates(basis.jordan_type, coords_in_jordan_basis(basis, v))
+    """Classify a vector given in the original coordinates of the matrix, reading P^-1 v row by row."""
+    _check_vector(basis.dimension, v)
+    rows, grid = basis.inverse_transform._grid, [x for (x,) in v._grid]
+    return _scan(basis.plan, lambda i: sum(map(mul, rows[i], grid)))
 
 
 def representative(jt: JordanType, label: OrbitLabel) -> Matrix:

@@ -22,7 +22,8 @@ The eigenvalues come from the characteristic polynomial, computed over the
 integers: T is stored as an integer grid over d, the lcm of its entry
 denominators, and Berkowitz's division-free recurrence on that grid gives
 c(x) = det(xI - dT), monic with integer coefficients, in O(n^4) integer
-operations. Its roots are d times the eigenvalues, and by Gauss's lemma
+operations; a triangular grid gives c as the product of the x - a_ii at
+once. Its roots are d times the eigenvalues, and by Gauss's lemma
 each rational root is an integer root of the square-free part g of c,
 itself monic up to sign. g is c when gcd(c, c') = 1 modulo one large
 prime, else it comes from a primitive remainder sequence. The roots are
@@ -41,9 +42,13 @@ over grid_bits(n) bits. Matrix() has no cap: J may hold longer entries.
 Both the type and the basis come from one kernel chain per eigenvalue: the
 kernel bases of ker N ⊂ ker N^2 ⊂ ... for N = T - lambda, built once and
 stopped where dim ker N^k reaches the algebraic multiplicity, which happens
-exactly at the largest block size. With d_k = dim ker N^k, the number of
-blocks of size exactly i is 2 d_i - d_{i-1} - d_{i+1}. N is written on the
-integer grid of T = A/d: for lambda = p/q, N = (qA - pd I) / (qd).
+exactly at the largest block size. No power of N is formed: as
+rowspace(N^k) = rowspace(N^{k-1}) N, the kernel basis of N^k is that of
+R N, R the nonzero rows left by the reduction for N^{k-1}, and the reduced
+form, so the kernel basis, depends only on the row space. With
+d_k = dim ker N^k, the number of blocks of size exactly i is
+2 d_i - d_{i-1} - d_{i+1}. N is written on the integer grid of T = A/d: for
+lambda = p/q, N = (qA - pd I) / (qd).
 
 Chain construction walks block sizes from largest to smallest. At size s the
 vectors already forced into ker N^s are a basis of ker N^{s-1} together with
@@ -69,7 +74,7 @@ from math import isqrt
 from operator import mul
 from typing import NamedTuple, Union
 
-from .linalg import Matrix, NotANumber, ShapeError, _echo, _primitive, as_fraction
+from .linalg import Matrix, NotANumber, ShapeError, _echo, _kernel_vectors, _primitive, as_fraction
 
 Eigenvalue = Union[Fraction, str]
 
@@ -189,14 +194,42 @@ def chain_slots(jt: JordanType) -> tuple:
     return tuple(slots)
 
 
+class ChainPlan(NamedTuple):
+    """The chains of a type grouped for a scan, one entry per eigenvalue in canonical order.
+
+    ``sizes`` holds each eigenvalue's distinct block sizes (so ``sizes`` is
+    ``lattice.column_sizes(jt)``), ``mults`` their multiplicities, and
+    ``offsets`` per size the first chain coordinate of each of its chains.
+    """
+
+    sizes: tuple
+    mults: tuple
+    offsets: tuple
+
+
+def chain_plan(jt: JordanType) -> ChainPlan:
+    """The chains of :func:`chain_slots`, grouped by eigenvalue and size."""
+    sizes, mults, offsets = [], [], []
+    offset = 0
+    for _, blocks in jt.eigen_blocks:
+        sizes.append(tuple(size for size, _ in blocks))
+        mults.append(tuple(mult for _, mult in blocks))
+        columns = []
+        for size, mult in blocks:
+            columns.append(tuple(range(offset, offset + size * mult, size)))
+            offset += size * mult
+        offsets.append(tuple(columns))
+    return ChainPlan(tuple(sizes), tuple(mults), tuple(offsets))
+
+
 # -- characteristic polynomial and rational roots -----------------------
 
 
 # Largest matrix dimension accepted. Kernel chains cost about n^4 integer
 # operations: at n = 128 with 5-bit entries, analyze takes about 13 s and
-# classify about 14 s. Long blocks cost far more, each power of T - lambda
-# being row-reduced afresh: three eigenvalues with one block of 20 each
-# (n = 60) take about 8.4 s for analyze, blocks of 30 (n = 90) about 96 s.
+# classify about 14 s. Long blocks cost more, each power of T - lambda
+# taking one more reduction: three eigenvalues with one block of 20 each
+# (n = 60) take about 2.6 s for analyze, blocks of 30 (n = 90) about 13.5 s.
 # So does one repeated root beside many simple ones, through the remainder
 # sequence for the square-free part: 1 (32 times) and 64 distinct integers
 # on the diagonal (n = 96) take about 8.4 s (README, the caps list).
@@ -221,10 +254,8 @@ def _integer_charpoly(t: Matrix) -> tuple:
     """(c, d): d the common denominator of T, c = det(xI - dT) highest first.
 
     T is stored as an integer grid over d, the lcm of its entry
-    denominators, so dT is that grid. Berkowitz's recurrence: with
-    A_k = [[M, C], [R, a]] the leading k x k block of dT, p_k is the
-    lower-triangular Toeplitz matrix with first column
-    (1, -a, -RC, -RMC, ..., -RM^{k-2}C) applied to p_{k-1}.
+    denominators, so dT is that grid. A triangular grid gives c as the
+    product of the x - a_ii, any other runs :func:`_berkowitz`.
     """
     if not t.is_square():
         raise ShapeError(f"characteristic polynomial needs a square matrix, got {t.rows}x{t.cols}")
@@ -232,8 +263,25 @@ def _integer_charpoly(t: Matrix) -> tuple:
     longest, bits = grid_bits(t.rows), max(max(map(int.bit_length, row)) for row in ((d,), *a))
     if bits > longest:
         raise CapExceeded(bits, longest, what=f"bits in an integer of the grid of a {t.rows}-row matrix")
+    triangular = (all(not any(row[:i]) for i, row in enumerate(a))
+                  or all(not any(row[i + 1:]) for i, row in enumerate(a)))
+    if not triangular:
+        return _berkowitz(a), d
     poly = [1]
-    for k in range(t.rows):
+    for i, row in enumerate(a):
+        poly = [x - row[i] * y for x, y in zip(poly + [0], [0] + poly)]
+    return poly, d
+
+
+def _berkowitz(a: tuple) -> list:
+    """det(xI - A) for a square integer grid A, highest first, by Berkowitz's recurrence.
+
+    With A_k = [[M, C], [R, a]] the leading k x k block of A, p_k is the
+    lower-triangular Toeplitz matrix with first column
+    (1, -a, -RC, -RMC, ..., -RM^{k-2}C) applied to p_{k-1}.
+    """
+    poly = [1]
+    for k in range(len(a)):
         row, column = a[k][:k], [a[i][k] for i in range(k)]
         toeplitz = [1, -a[k][k]]
         for _ in range(k):
@@ -241,7 +289,7 @@ def _integer_charpoly(t: Matrix) -> tuple:
             column = [sum(map(mul, a[i], column)) for i in range(k)]
         poly = [sum(toeplitz[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
                 for i in range(k + 2)]
-    return poly, d
+    return poly
 
 
 def characteristic_polynomial(t: Matrix) -> tuple:
@@ -338,6 +386,7 @@ def _root_candidates(g: list) -> list:
     disc(g), each integer root r of g is a simple root mod p, which Newton's
     iteration lifts uniquely to a root mod p^(2^k) >= 2^(bits + 1), where
     |r| < 2^bits by Fujiwara's bound; the symmetric residue of that lift is r.
+    g'(x)^-1 is inverted once mod p and lifted alongside the root.
     """
     p = 2
     while not _square_free_mod(g, p):
@@ -352,8 +401,12 @@ def _root_candidates(g: list) -> list:
     for x in roots:
         m = p
         while m.bit_length() <= bits + 1:
+            # y = g'(x)^-1 mod m, lifted by Newton's iteration for an inverse
+            # from the one inversion mod p; a step mod m^2 needs y mod m only
+            slope = _eval_mod(derivative, x, m)
+            y = pow(slope, -1, p) if m == p else y * (2 - slope * y) % m
             m *= m
-            x = (x - _eval_mod(g, x, m) * pow(_eval_mod(derivative, x, m), -1, m)) % m
+            x = (x - _eval_mod(g, x, m) * y) % m
         candidates.append(x - m if 2 * x > m else x)
     return candidates
 
@@ -426,10 +479,12 @@ def _kernel_chains(t: Matrix):
              for i, row in enumerate(t._grid)],
             q * d,
         )
-        power, kernels = nilpotent, [[], nilpotent.kernel_basis()]
+        rows, pivots = nilpotent._integer_rref()
+        kernels, columns = [[], _kernel_vectors(rows, pivots, t.rows)], list(zip(*nilpotent._grid))
         while len(kernels[-1]) < alg_mult:
-            power = nilpotent @ power
-            kernels.append(power.kernel_basis())
+            product = [[sum(map(mul, row, column)) for column in columns] for row in rows[:len(pivots)]]
+            rows, pivots = Matrix._reduced(product, 1)._integer_rref()
+            kernels.append(_kernel_vectors(rows, pivots, t.rows))
         dims = [len(basis) for basis in kernels] + [alg_mult]
         blocks = []
         for size in range(1, len(kernels)):
@@ -468,6 +523,7 @@ class JordanBasis:
     jordan_type: JordanType
     transform: Matrix          # P, each chain's columns from its chain_slots offset
     inverse_transform: Matrix  # P^-1
+    plan: ChainPlan            # chain_plan(jordan_type), built once for classification
 
     @property
     def dimension(self) -> int:
@@ -498,13 +554,16 @@ def jordan_basis(t: Matrix) -> JordanBasis:
     p_inv = p.inverse()
     if t @ p != p @ jordan_matrix(jt):
         raise RuntimeError("Jordan basis reconstruction check failed; this is a bug")
-    return JordanBasis(t, jt, p, p_inv)
+    return JordanBasis(t, jt, p, p_inv, chain_plan(jt))
 
 
 def coords_in_jordan_basis(basis: JordanBasis, v: Matrix) -> Matrix:
     """Coordinates of v in the chain basis, i.e. P^-1 v."""
-    if v.rows != basis.dimension or v.cols != 1:
-        raise ShapeError(
-            f"vector must be {basis.dimension}x1, got {v.rows}x{v.cols}"
-        )
+    _check_vector(basis.dimension, v)
     return basis.inverse_transform @ v
+
+
+def _check_vector(n: int, v: Matrix):
+    """Refuse anything but an n x 1 matrix."""
+    if v.rows != n or v.cols != 1:
+        raise ShapeError(f"vector must be {n}x1, got {v.rows}x{v.cols}")

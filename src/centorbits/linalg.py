@@ -299,17 +299,7 @@ class Matrix:
         minus the reduced form's entry in the free column, written over the
         lcm of the pivots.
         """
-        m, pivots = self._integer_rref()
-        den = lcm(*(m[r][pc] for r, pc in enumerate(pivots)))
-        scales = [den // m[r][pc] for r, pc in enumerate(pivots)]
-        basis = []
-        for free in sorted(set(range(self.cols)) - set(pivots)):
-            coords = [[0] for _ in range(self.cols)]
-            coords[free] = [den]
-            for r, pc in enumerate(pivots):
-                coords[pc] = [-m[r][free] * scales[r]]
-            basis.append(Matrix._reduced(coords, den))
-        return basis
+        return _kernel_vectors(*self._integer_rref(), self.cols)
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
@@ -322,3 +312,17 @@ class Matrix:
             raise ValueError("matrix is singular")
         den = lcm(*(row[i] for i, row in enumerate(m[:n])))
         return Matrix._reduced([[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(m[:n])], den)
+
+
+def _kernel_vectors(m: list, pivots: tuple, cols: int) -> list:
+    """The kernel basis read off the integer rows and pivots :meth:`Matrix._integer_rref` returns."""
+    den = lcm(*(m[r][pc] for r, pc in enumerate(pivots)))
+    scales = [den // m[r][pc] for r, pc in enumerate(pivots)]
+    basis = []
+    for free in sorted(set(range(cols)) - set(pivots)):
+        coords = [[0] for _ in range(cols)]
+        coords[free] = [den]
+        for r, pc in enumerate(pivots):
+            coords[pc] = [-m[r][free] * scales[r]]
+        basis.append(Matrix._reduced(coords, den))
+    return basis

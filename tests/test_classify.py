@@ -13,11 +13,12 @@ from centorbits.classify import (
     representative,
     same_solution_class,
 )
-from centorbits.jordan import JordanType, jordan_basis, jordan_matrix
+from centorbits.jordan import JordanType, chain_slots, coords_in_jordan_basis, jordan_basis, jordan_matrix
 from centorbits.lattice import bottom, enumerate_labels, label_for, leq, top
-from centorbits.linalg import Matrix
+from centorbits.linalg import Matrix, ShapeError
 
 from conftest import rational_corpus_types, transform_column
+from test_jordan import random_conjugate
 
 T23 = JordanType.of({0: [(2, 1), (3, 1)]})
 
@@ -213,8 +214,11 @@ def test_mixed_eigenvalues_classify_componentwise():
 
 def test_classify_vector_dimension_mismatch(j23):
     basis = jordan_basis(j23)
-    with pytest.raises(ValueError):
-        classify_vector(basis, Matrix.column([1, 2, 3]))
+    for v, shape in ((Matrix.column([1, 2, 3]), "3x1"), (Matrix([[1, 2]] * 5), "5x2")):
+        for call in (classify_vector, coords_in_jordan_basis, lambda b, w: same_solution_class(b, w, w)):
+            with pytest.raises(ShapeError) as refusal:
+                call(basis, v)
+            assert str(refusal.value) == f"vector must be 5x1, got {shape}"
 
 
 @pytest.mark.parametrize("coords, shape", [(Matrix.column([0]), "1x1"), (Matrix([[0, 0], [0, 0]]), "2x2")])
@@ -222,3 +226,43 @@ def test_chain_coordinates_need_an_n_by_1_vector(coords, shape):
     jt = JordanType.of({0: [(2, 1)]})
     with pytest.raises(ValueError, match=f"vector must be 2x1, got {shape}"):
         classify_chain_coordinates(jt, coords)
+
+
+def test_classify_vector_reads_the_chain_coordinates_of_p_inverse_v():
+    types = rational_corpus_types(max_dim=9) + [
+        JordanType.of({3: [(1, 2), (2, 1)], Fraction(-1, 2): [(1, 1), (3, 1)]}),
+    ]
+    for seed, jt in enumerate(types):
+        rng = random.Random(seed)
+        basis = jordan_basis(random_conjugate(jordan_matrix(jt), seed))
+        cb = centralizer_basis(basis)
+        n, slots = jt.dimension, chain_slots(jt)
+        vectors = [Matrix.column([0] * n)]
+        for _ in range(8):
+            # chain coordinates with whole chains zero, then mapped back by P
+            coords = [rng.randint(-2, 2) for _ in range(n)]
+            for slot in rng.sample(slots, rng.randint(1, len(slots))):
+                coords[slot.offset:slot.offset + slot.size] = [0] * slot.size
+            vectors.append(basis.transform @ Matrix.column(coords))
+            vectors.append(Matrix.column([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]))
+        units = [sample_invertible(cb, s) for s in range(3)]
+        for v in vectors:
+            for w in [v] + [u @ v for u in units]:
+                expected = classify_chain_coordinates(jt, basis.inverse_transform @ w)
+                assert classify_vector(basis, w) == expected, (jt, w)
+                assert classify_vector(basis, w).label == classify_vector(basis, v).label
+
+
+def test_classify_vector_takes_no_matrix_product(monkeypatch):
+    jt = JordanType.of({0: [(1, 1), (3, 1)], 2: [(2, 2)]})
+    basis = jordan_basis(random_conjugate(jordan_matrix(jt), 13))
+    vectors = [Matrix.column([1, 0, "2/3", -1, 0, 4, 0, 1]), Matrix.column([0] * 8)]
+    expected = [classify_chain_coordinates(jt, basis.inverse_transform @ v) for v in vectors]
+
+    def refuse(self, other):
+        raise AssertionError("classification multiplied two matrices")
+
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    assert [classify_vector(basis, v) for v in vectors] == expected
+    assert same_solution_class(basis, *vectors) == (False, *expected)
+

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import time
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from centorbits import jordan
 from centorbits.jordan import (
     CapExceeded,
+    ChainPlan,
     JordanType,
     NonSplittingCharPoly,
+    chain_plan,
     chain_slots,
     characteristic_polynomial,
     coords_in_jordan_basis,
@@ -90,6 +93,36 @@ def test_characteristic_polynomial_matches_faddeev_leverrier(t):
     assert all(isinstance(c, Fraction) for c in coeffs)
 
 
+def test_a_triangular_grid_gives_what_berkowitz_gives():
+    rng = random.Random(29)
+    for _ in range(30):
+        n = rng.randint(1, 10)
+        den = rng.randint(1, 6)
+        upper = [[Fraction(rng.randint(-20, 20), den) if j >= i else 0 for j in range(n)] for i in range(n)]
+        for grid in (upper, list(zip(*upper))):
+            t = Matrix(grid)
+            c, d = jordan._integer_charpoly(t)
+            assert (c, d) == (jordan._berkowitz(t._grid), t._den)
+            assert characteristic_polynomial(t) == faddeev_leverrier(t)
+
+
+def test_a_triangular_grid_takes_no_product(monkeypatch):
+    products = []
+
+    def counting(a, b):
+        products.append((a, b))
+        return a * b
+
+    monkeypatch.setattr(jordan, "mul", counting)
+    upper = Matrix([[i + j + 1 if j >= i else 0 for j in range(12)] for i in range(12)])
+    lower = Matrix([[i - j - 1 if j <= i else 0 for j in range(12)] for i in range(12)])
+    for t in (upper, lower, Matrix.identity(40)):
+        characteristic_polynomial(t)
+    assert products == []
+    characteristic_polynomial(upper + Matrix([[int(i == 5 and j == 0) for j in range(12)] for i in range(12)]))
+    assert products
+
+
 def companion(*coeffs) -> Matrix:
     """Companion matrix of the monic polynomial x^n + coeffs[0] x^{n-1} + ... + coeffs[-1]."""
     n = len(coeffs)
@@ -153,6 +186,26 @@ def test_the_lift_stops_at_a_root_bound_read_off_g(monkeypatch):
     monkeypatch.setattr(jordan, "_eval_mod", recording)
     assert sorted(jordan._root_candidates(g)) == [m, 2 * m, 3 * m]
     assert max(moduli).bit_length() < 2 * ((3 * m).bit_length() + 3)
+
+
+def test_one_inversion_per_root_mod_p(monkeypatch):
+    # g'(x)^-1 is lifted with the root, so only the inverse mod p is taken
+    m = primorial_below(3000)
+    g = poly_product([[1, -m], [1, -2 * m], [1, -3 * m]])
+    moduli = []
+
+    def counting(base, exp, mod=None):
+        if exp == -1:
+            moduli.append(mod)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(jordan, "pow", counting, raising=False)
+    p = 2
+    while not jordan._square_free_mod(g, p):
+        p = jordan._next_prime(p)
+    walk = len(moduli)  # the inversions of the square-free tests on the way to p
+    assert sorted(jordan._root_candidates(g)) == [m, 2 * m, 3 * m]
+    assert moduli[2 * walk:] == [p] * 3
 
 
 PRIMORIAL_200 = primorial_below(200)
@@ -329,6 +382,54 @@ def test_chains_match_type_and_powers():
                 assert power(shift, t) @ chain[0] == (
                     chain[t] if t < slot.size else Matrix([[0]] * n)
                 ), (name, slot, t)
+
+
+PLANTED_TYPES = rational_corpus_types() + [
+    JordanType.of({0: [(1, 1), (2, 1), (4, 1)], 3: [(3, 1)]}),
+    JordanType.of({Fraction(-1, 2): [(5, 1)], 2: [(1, 2), (2, 1)]}),
+    JordanType.of({0: [(1, 3), (2, 3), (3, 1)]}),
+]
+
+
+def test_each_kernel_is_the_kernel_basis_of_the_power():
+    for seed, jt in enumerate(PLANTED_TYPES):
+        t = random_conjugate(jordan_matrix(jt), seed)
+        for eig, _, nilpotent, kernels in jordan._kernel_chains(t):
+            assert kernels[0] == []
+            for k in range(1, len(kernels)):
+                assert kernels[k] == power(nilpotent, k).kernel_basis(), (jt, eig, k)
+
+
+def test_each_reduction_after_the_first_has_the_rank_of_the_last_power(monkeypatch):
+    jt = JordanType.of({0: [(1, 1), (2, 1), (4, 1)], 3: [(3, 1)]})
+    t = random_conjugate(jordan_matrix(jt), 7)
+    n = t.rows
+    expected = []
+    for eig, blocks in jt.eigen_blocks:
+        shift = t - Matrix.identity(n).scaled(eig)
+        expected += [n] + [power(shift, k - 1).rank() for k in range(2, blocks[-1][0] + 1)]
+    assert expected == [10, 7, 5, 4, 10, 9, 8]
+    rows, reduce = [], Matrix._integer_rref
+
+    def recording(self):
+        rows.append(self.rows)
+        return reduce(self)
+
+    monkeypatch.setattr(Matrix, "_integer_rref", recording)
+    assert jordan_type(t) == jt
+    assert rows == expected
+
+
+def test_the_basis_carries_the_plan_of_its_type():
+    jt = JordanType.of({0: [(1, 2), (3, 1)], Fraction(1, 2): [(2, 2)]})
+    basis = jordan_basis(random_conjugate(jordan_matrix(jt), 3))
+    assert basis.plan == chain_plan(jt) == ChainPlan(
+        sizes=((1, 3), (2,)), mults=((2, 1), (2,)), offsets=(((0, 1), (2,)), ((5, 7),)))
+    flat = [o for columns in basis.plan.offsets for chains in columns for o in chains]
+    assert flat == [slot.offset for slot in chain_slots(jt)]
+    assert hash(basis) == hash(jordan_basis(basis.matrix))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.plan = None
 
 
 def test_reconstruction_check_catches_a_wrong_chain(j23, monkeypatch):
