@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .jordan import ChainSlot, JordanBasis, JordanType, chain_slots
 from .lattice import column_steps
-from .linalg import Matrix
+from .linalg import Matrix, _integer_rref
 
 
 class CentralizerOperator(NamedTuple):
@@ -80,8 +80,9 @@ def sample_invertible(cb: CentralizerBasis, rng_seed: int) -> Matrix:
     diagonal shift-0 operator (these sum to the identity) is forced nonzero.
     Generic combinations are invertible, so a handful of retries suffices;
     the draw sequence is fully determined by the seed. The combination is
-    summed and tested for invertibility in chain coordinates, and only the
-    accepted one is conjugated into the original coordinates.
+    summed in chain coordinates as integer rows, its rank is read off those
+    rows, and only the accepted one becomes a Matrix, conjugated into the
+    original coordinates.
     """
     rng = random.Random(rng_seed)
     n = cb.basis.dimension
@@ -94,7 +95,6 @@ def sample_invertible(cb: CentralizerBasis, rng_seed: int) -> Matrix:
                     c = rng.randint(-9, 9)
             for a in range(min(src.size, tgt.size - shift)):  # the 1s of shift_operator_rows
                 acc[tgt.offset + shift + a][src.offset + a] += c
-        chain_form = Matrix(acc)
-        if chain_form.rank() == n:
-            return cb.basis.transform @ chain_form @ cb.basis.inverse_transform
+        if len(_integer_rref(acc)[1]) == n:
+            return cb.basis.transform @ Matrix._reduced(acc, 1) @ cb.basis.inverse_transform
     raise RuntimeError("no invertible combination found in 64 attempts; this is a bug")

@@ -32,11 +32,10 @@ follow per eigenvalue.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import mul
 
-from .jordan import ChainPlan, JordanBasis, JordanType, _check_vector, chain_plan, chain_slots
+from .jordan import ChainPlan, JordanBasis, JordanType, _check_vector, chain_plan
 from .lattice import OrbitLabel, column_sizes, leq, top
 from .linalg import Matrix
 
@@ -108,25 +107,26 @@ def representative(jt: JordanType, label: OrbitLabel) -> Matrix:
     """
     _validate_label(jt, label)
     coords = [0] * jt.dimension
-    heights = itertools.chain.from_iterable(label.heights)
-    for slot in chain_slots(jt):
-        if slot.index == 1 and (h := next(heights)):
-            coords[slot.offset + slot.size - h] = 1
+    plan = chain_plan(jt)
+    for heights, sizes, columns in zip(label.heights, plan.sizes, plan.offsets):
+        for h, size, chains in zip(heights, sizes, columns):
+            if h:
+                coords[chains[0] + size - h] = 1
     return Matrix.column(coords)
 
 
 def invariant_positions(jt: JordanType, label: OrbitLabel) -> tuple:
     """Chain coordinates spanning the orbit closure: the top H_k shifts of every chain.
 
-    One walk over the slots, H_k read at each column's first: positions ascend.
+    One walk over the chains of :func:`chain_plan`, in offset order: positions ascend.
     """
     _validate_label(jt, label)
-    heights = itertools.chain.from_iterable(label.heights)
+    plan = chain_plan(jt)
     positions = []
-    for slot in chain_slots(jt):
-        if slot.index == 1:
-            h = next(heights)
-        positions.extend(range(slot.offset + slot.size - h, slot.offset + slot.size))
+    for heights, sizes, columns in zip(label.heights, plan.sizes, plan.offsets):
+        for h, size, chains in zip(heights, sizes, columns):
+            for offset in chains:
+                positions.extend(range(offset + size - h, offset + size))
     return tuple(positions)
 
 

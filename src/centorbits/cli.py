@@ -30,7 +30,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import oracle
 from .centralizer import centralizer_basis, centralizer_dimension, sample_invertible
@@ -69,9 +68,11 @@ class OperatorSpec:
     jordan: object  # JordanType or None
 
 
-def _entry(value, field: str) -> Fraction:
+def _entry(value, field: str) -> tuple:
+    if type(value) is int:  # a JSON int, not a bool, is its own numerator over 1
+        return value, 1
     try:
-        return as_fraction(value)
+        return as_fraction(value).as_integer_ratio()
     except (TypeError, NotANumber):
         raise SpecError(f"{field}: expected an integer or a 'p/q' string, got {_echo(value)}") from None
     except ValueError as exc:
@@ -91,13 +92,13 @@ def _parse_matrix(raw, field: str) -> Matrix:
 
 
 def _over_common_denominator(entries, longest: int, what: str) -> Matrix:
-    """The rows of Fractions as one grid over the lcm of their denominators, refused past longest bits."""
+    """Rows of (numerator, denominator) pairs over the lcm of the denominators, refused past longest bits."""
     den = 1
-    for d in {x.denominator for row in entries for x in row}:
+    for d in {d for row in entries for _, d in row}:
         den = math.lcm(den, d)
         if den.bit_length() > longest:  # refuse before a long lcm is built and the grid scaled to it
             raise CapExceeded(den.bit_length(), longest, what=f"bits or more in the denominator of a {what}")
-    return Matrix._reduced([[x.numerator * (den // x.denominator) for x in row] for row in entries], den)
+    return Matrix._reduced([[x * (den // d) for x, d in row] for row in entries], den)
 
 
 def _parse_eigenvalue(raw, field: str):

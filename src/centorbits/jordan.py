@@ -37,7 +37,7 @@ candidate is accepted, with its multiplicity, only by exact synthetic
 division of c; a factor left over means an irrational or complex root. Each
 accepted root r gives the eigenvalue r / d. Every entry point on T starts
 here, refusing first n > MATRIX_DIMENSION_CAP or a grid integer (d included)
-over grid_bits(n) bits. Matrix() has no cap: J may hold longer entries.
+over grid_bits(n) bits. Building a Matrix has no cap: J may hold longer entries.
 
 Both the type and the basis come from one kernel chain per eigenvalue: the
 kernel bases of ker N ⊂ ker N^2 ⊂ ... for N = T - lambda, built once and
@@ -70,11 +70,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 from typing import NamedTuple, Union
 
-from .linalg import Matrix, NotANumber, ShapeError, _echo, _kernel_vectors, _primitive, as_fraction
+from .linalg import Matrix, NotANumber, ShapeError, _echo, _integer_rref, _kernel_vectors, _primitive, as_fraction
 
 Eigenvalue = Union[Fraction, str]
 
@@ -182,18 +182,6 @@ class ChainSlot(NamedTuple):
     offset: int  # first chain coordinate of this chain
 
 
-def chain_slots(jt: JordanType) -> tuple:
-    """Chains of a type in canonical order, with their coordinate offsets."""
-    slots = []
-    offset = 0
-    for eig, blocks in jt.eigen_blocks:
-        for size, mult in blocks:
-            for index in range(1, mult + 1):
-                slots.append(ChainSlot(eig, size, index, offset))
-                offset += size
-    return tuple(slots)
-
-
 class ChainPlan(NamedTuple):
     """The chains of a type grouped for a scan, one entry per eigenvalue in canonical order.
 
@@ -208,18 +196,27 @@ class ChainPlan(NamedTuple):
 
 
 def chain_plan(jt: JordanType) -> ChainPlan:
-    """The chains of :func:`chain_slots`, grouped by eigenvalue and size."""
+    """The chains of a type in canonical order, grouped by eigenvalue and size."""
     sizes, mults, offsets = [], [], []
     offset = 0
     for _, blocks in jt.eigen_blocks:
-        sizes.append(tuple(size for size, _ in blocks))
-        mults.append(tuple(mult for _, mult in blocks))
+        size_row, mult_row = zip(*blocks)
+        sizes.append(size_row)
+        mults.append(mult_row)
         columns = []
         for size, mult in blocks:
             columns.append(tuple(range(offset, offset + size * mult, size)))
             offset += size * mult
         offsets.append(tuple(columns))
     return ChainPlan(tuple(sizes), tuple(mults), tuple(offsets))
+
+
+def chain_slots(jt: JordanType) -> tuple:
+    """Chains of a type in canonical order, with their coordinate offsets, read off :func:`chain_plan`."""
+    plan = chain_plan(jt)
+    return tuple(ChainSlot(eig, size, index, offset)
+                 for (eig, _), sizes, columns in zip(jt.eigen_blocks, plan.sizes, plan.offsets)
+                 for size, chains in zip(sizes, columns) for index, offset in enumerate(chains, 1))
 
 
 # -- characteristic polynomial and rational roots -----------------------
@@ -479,11 +476,11 @@ def _kernel_chains(t: Matrix):
              for i, row in enumerate(t._grid)],
             q * d,
         )
-        rows, pivots = nilpotent._integer_rref()
+        rows, pivots = _integer_rref(nilpotent._grid)
         kernels, columns = [[], _kernel_vectors(rows, pivots, t.rows)], list(zip(*nilpotent._grid))
         while len(kernels[-1]) < alg_mult:
-            product = [[sum(map(mul, row, column)) for column in columns] for row in rows[:len(pivots)]]
-            rows, pivots = Matrix._reduced(product, 1)._integer_rref()
+            rows, pivots = _integer_rref([[sum(map(mul, row, column)) for column in columns]
+                                          for row in rows[:len(pivots)]])
             kernels.append(_kernel_vectors(rows, pivots, t.rows))
         dims = [len(basis) for basis in kernels] + [alg_mult]
         blocks = []
@@ -500,19 +497,18 @@ def jordan_type(t: Matrix) -> JordanType:
 
 
 def jordan_matrix(jt: JordanType) -> Matrix:
-    """The canonical block matrix of a type with rational eigenvalues."""
-    n = jt.dimension
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    """The canonical block matrix of a type with rational eigenvalues, as a grid over their lcm denominator."""
+    for eig, _ in jt.eigen_blocks:
+        if not isinstance(eig, Fraction):
+            raise TypeError(f"symbolic eigenvalue label {eig!r} has no matrix realization")
+    n, den = jt.dimension, lcm(*(eig.denominator for eig, _ in jt.eigen_blocks))
+    rows = [[0] * n for _ in range(n)]
     for slot in chain_slots(jt):
-        if not isinstance(slot.eigenvalue, Fraction):
-            raise TypeError(
-                f"symbolic eigenvalue label {slot.eigenvalue!r} has no matrix realization"
-            )
-        for k in range(slot.size):
-            rows[slot.offset + k][slot.offset + k] = slot.eigenvalue
-        for k in range(slot.size - 1):
-            rows[slot.offset + k + 1][slot.offset + k] = Fraction(1)
-    return Matrix(rows)
+        for k in range(slot.offset, slot.offset + slot.size):
+            rows[k][k] = slot.eigenvalue.numerator * (den // slot.eigenvalue.denominator)
+            if k > slot.offset:
+                rows[k][k - 1] = den
+    return Matrix._reduced(rows, den)
 
 
 @dataclass(frozen=True)
@@ -539,7 +535,8 @@ def jordan_basis(t: Matrix) -> JordanBasis:
         chains = []  # [v, Nv, ..., N^{s-1} v] per chain, smallest size first
         for size in range(len(kernels) - 1, 0, -1):
             forced = kernels[size - 1] + [c[len(c) - size] for c in chains]
-            _, pivots = Matrix.from_columns(forced + kernels[size])._integer_rref()
+            # a column scaled by its denominator is a pivot column exactly when it was one
+            _, pivots = _integer_rref(zip(*[[x for (x,) in c._grid] for c in forced + kernels[size]]))
             tops = [kernels[size][c - len(forced)] for c in pivots if c >= len(forced)]
             if len(tops) != mult.get(size, 0):
                 raise RuntimeError("Jordan chain construction failed; this is a bug")
@@ -555,12 +552,6 @@ def jordan_basis(t: Matrix) -> JordanBasis:
     if t @ p != p @ jordan_matrix(jt):
         raise RuntimeError("Jordan basis reconstruction check failed; this is a bug")
     return JordanBasis(t, jt, p, p_inv, chain_plan(jt))
-
-
-def coords_in_jordan_basis(basis: JordanBasis, v: Matrix) -> Matrix:
-    """Coordinates of v in the chain basis, i.e. P^-1 v."""
-    _check_vector(basis.dimension, v)
-    return basis.inverse_transform @ v
 
 
 def _check_vector(n: int, v: Matrix):

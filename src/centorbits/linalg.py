@@ -10,15 +10,15 @@ printing builds ``fractions.Fraction`` values.
 
 Every operation runs on the integers. A product is the integer product of
 the grids over the product of the denominators; sums, stacked columns and
-scalings rescale to the lcm of the denominators. Elimination reads the
-integer rows as they are and eliminates fraction-free: the target row is
-multiplied by the pivot before the pivot row is subtracted, and each updated
-row is divided by its content (the gcd of its entries) to keep the integers
-short. Scaling a row by a nonzero number changes neither its span nor the
-span of the rows, and the reduced row echelon form of a matrix depends only
-on that row space, so the reduced form read off the integer rows at the end,
-row i over its pivot, is the one exact rational Gauss-Jordan elimination
-gives: ranks, kernel bases and inverses are unchanged. Kernel vectors and
+scalings rescale to the lcm of the denominators. Elimination,
+:func:`_integer_rref`, runs fraction-free on integer rows: the target row
+is multiplied by the pivot before the pivot row is subtracted, and each
+updated row is divided by its content (the gcd of its entries) to keep the
+integers short. Scaling a row by a nonzero number changes neither its span
+nor the span of the rows, and the reduced row echelon form depends only on
+the row space, so the reduced form read off the integer rows, row i over
+its pivot, is the one exact rational Gauss-Jordan elimination gives:
+ranks, kernel bases and inverses are unchanged. Kernel vectors and
 inverses are written over the lcm of the pivots they divide by.
 
 Row reduction pivots on the first nonzero entry of each column (exact
@@ -248,47 +248,16 @@ class Matrix:
 
     # -- elimination ---------------------------------------------------
 
-    def _integer_rref(self) -> tuple[list, tuple]:
-        """Integer rows whose scaled form is the reduced row echelon form, and the pivots.
-
-        Row i < rank divided by its entry in pivot column ``pivots[i]`` is
-        row i of the reduced form; the rows below are zero. Every row is
-        primitive (its entries have gcd 1) or zero.
-        """
-        m = [_primitive(row) for row in self._grid]
-        pivots = []
-        pr = 0
-        for pc in range(self.cols):
-            pivot_row = None
-            for r in range(pr, self.rows):
-                if m[r][pc] != 0:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            m[pr], m[pivot_row] = m[pivot_row], m[pr]
-            prow = m[pr]
-            p = prow[pc]
-            for r in range(self.rows):
-                f = m[r][pc]
-                if r != pr and f != 0:
-                    m[r] = _primitive([p * a - f * b for a, b in zip(m[r], prow)])
-            pivots.append(pc)
-            pr += 1
-            if pr == self.rows:
-                break
-        return m, tuple(pivots)
-
     def rref(self) -> tuple["Matrix", tuple]:
         """Reduced row echelon form and the tuple of pivot columns."""
-        m, pivots = self._integer_rref()
+        m, pivots = _integer_rref(self._grid)
         den = lcm(*(m[i][pc] for i, pc in enumerate(pivots)))
         reduced = [[x * (den // m[i][pc]) for x in m[i]] for i, pc in enumerate(pivots)]
         reduced += [[0] * self.cols for _ in range(self.rows - len(pivots))]
         return Matrix._reduced(reduced, den), pivots
 
     def rank(self) -> int:
-        return len(self._integer_rref()[1])
+        return len(_integer_rref(self._grid)[1])
 
     def kernel_basis(self) -> list:
         """Basis of the right kernel as n x 1 matrices.
@@ -299,7 +268,7 @@ class Matrix:
         minus the reduced form's entry in the free column, written over the
         lcm of the pivots.
         """
-        return _kernel_vectors(*self._integer_rref(), self.cols)
+        return _kernel_vectors(*_integer_rref(self._grid), self.cols)
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
@@ -307,15 +276,48 @@ class Matrix:
         n, d = self.rows, self._den
         # T = A/d, so [A | dI] row-reduces to [I | T^-1]
         grid = [[*row, *(d * (i == j) for j in range(n))] for i, row in enumerate(self._grid)]
-        m, pivots = Matrix._reduced(grid, 1)._integer_rref()
+        m, pivots = _integer_rref(grid)
         if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular")
         den = lcm(*(row[i] for i, row in enumerate(m[:n])))
         return Matrix._reduced([[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(m[:n])], den)
 
 
+def _integer_rref(rows: Iterable[Sequence[int]]) -> tuple[list, tuple]:
+    """Integer rows whose scaled form is the reduced row echelon form of ``rows``, and the pivots.
+
+    Row i < rank divided by its entry in pivot column ``pivots[i]`` is row
+    i of the reduced form; the rows below are zero. Every row is primitive
+    (its entries have gcd 1) or zero. ``rows`` is read, never changed.
+    """
+    m = [_primitive(row) for row in rows]
+    height = len(m)
+    pivots = []
+    pr = 0
+    for pc in range(len(m[0])):
+        pivot_row = None
+        for r in range(pr, height):
+            if m[r][pc] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        prow = m[pr]
+        p = prow[pc]
+        for r in range(height):
+            f = m[r][pc]
+            if r != pr and f != 0:
+                m[r] = _primitive([p * a - f * b for a, b in zip(m[r], prow)])
+        pivots.append(pc)
+        pr += 1
+        if pr == height:
+            break
+    return m, tuple(pivots)
+
+
 def _kernel_vectors(m: list, pivots: tuple, cols: int) -> list:
-    """The kernel basis read off the integer rows and pivots :meth:`Matrix._integer_rref` returns."""
+    """The kernel basis read off the integer rows and pivots :func:`_integer_rref` returns."""
     den = lcm(*(m[r][pc] for r, pc in enumerate(pivots)))
     scales = [den // m[r][pc] for r, pc in enumerate(pivots)]
     basis = []

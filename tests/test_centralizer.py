@@ -15,6 +15,7 @@ from centorbits.linalg import Matrix
 
 from conftest import corpus_types, operator_matrix, power, rational_corpus_types
 from test_cli import wide_step_types
+from test_jordan import random_conjugate
 
 
 def flatten(m):
@@ -139,6 +140,21 @@ def test_sample_invertible_contract(j23):
     assert u @ j23 == j23 @ u
     assert sample_invertible(cb, rng_seed=42) == u
     assert sample_invertible(cb, rng_seed=43) != u
+
+
+def test_sample_invertible_builds_no_matrix_from_entries(monkeypatch):
+    jt = JordanType.of({0: [(1, 1), (2, 1)], 3: [(2, 2)]})
+    cb = centralizer_basis(jordan_basis(random_conjugate(jordan_matrix(jt), 5)))
+    expected = sample_invertible(cb, 7)
+    calls, init = [], Matrix.__init__
+
+    def counting(self, rows_data):
+        calls.append(self)
+        init(self, rows_data)
+
+    monkeypatch.setattr(Matrix, "__init__", counting)
+    assert sample_invertible(cb, 7) == expected
+    assert calls == []
 
 
 def test_sample_invertible_single_block_is_polynomial_in_t():

@@ -13,7 +13,7 @@ from centorbits.classify import (
     representative,
     same_solution_class,
 )
-from centorbits.jordan import JordanType, chain_slots, coords_in_jordan_basis, jordan_basis, jordan_matrix
+from centorbits.jordan import JordanType, chain_slots, jordan_basis, jordan_matrix
 from centorbits.lattice import bottom, enumerate_labels, label_for, leq, top
 from centorbits.linalg import Matrix, ShapeError
 
@@ -215,7 +215,7 @@ def test_mixed_eigenvalues_classify_componentwise():
 def test_classify_vector_dimension_mismatch(j23):
     basis = jordan_basis(j23)
     for v, shape in ((Matrix.column([1, 2, 3]), "3x1"), (Matrix([[1, 2]] * 5), "5x2")):
-        for call in (classify_vector, coords_in_jordan_basis, lambda b, w: same_solution_class(b, w, w)):
+        for call in (classify_vector, lambda b, w: same_solution_class(b, w, w)):
             with pytest.raises(ShapeError) as refusal:
                 call(basis, v)
             assert str(refusal.value) == f"vector must be 5x1, got {shape}"

@@ -618,6 +618,28 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["orbit_count"] == 18
 
 
+def test_int_entries_are_read_without_as_fraction(capsys, monkeypatch):
+    read = cli.as_fraction
+
+    def strings_only(value):
+        if type(value) is int:
+            raise AssertionError(f"as_fraction called on the int {value}")
+        return read(value)
+
+    monkeypatch.setattr(cli, "as_fraction", strings_only)
+    doc = {"matrix": [[2, 1, 0], [0, 2, 0], [0, 0, -3]]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out, _ = run_cli(capsys, "analyze", "-")
+    assert code == 0
+    assert json.loads(out)["jordan_type"] == [{"eigenvalue": "-3", "blocks": [[1, 1]]},
+                                              {"eigenvalue": "2", "blocks": [[2, 1]]}]
+    for entry, message in (("x", "expected an integer or a 'p/q' string, got 'x'"),
+                           (True, "expected an integer or a 'p/q' string, got True")):
+        doc = {"matrix": [[2, 1], [entry, 2]]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        assert run_cli(capsys, "analyze", "-") == (2, "", f"error: matrix[1][0]: {message}\n")
+
+
 def test_missing_file_is_an_input_error(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/spec.json")
     assert code == 2

@@ -17,7 +17,6 @@ from centorbits.jordan import (
     chain_plan,
     chain_slots,
     characteristic_polynomial,
-    coords_in_jordan_basis,
     jordan_basis,
     jordan_matrix,
     jordan_type,
@@ -25,7 +24,7 @@ from centorbits.jordan import (
 )
 from centorbits.linalg import Matrix
 
-from conftest import RATIONALS, power, rational_corpus_types, transform_column
+from conftest import RATIONALS, corpus_types, power, rational_corpus_types, transform_column
 from test_cli import primorial_below
 from test_golden import MATRICES as GOLDEN_MATRICES
 
@@ -409,15 +408,31 @@ def test_each_reduction_after_the_first_has_the_rank_of_the_last_power(monkeypat
         shift = t - Matrix.identity(n).scaled(eig)
         expected += [n] + [power(shift, k - 1).rank() for k in range(2, blocks[-1][0] + 1)]
     assert expected == [10, 7, 5, 4, 10, 9, 8]
-    rows, reduce = [], Matrix._integer_rref
+    rows, reduce = [], jordan._integer_rref
 
-    def recording(self):
-        rows.append(self.rows)
-        return reduce(self)
+    def recording(grid):
+        grid = list(grid)
+        rows.append(len(grid))
+        return reduce(grid)
 
-    monkeypatch.setattr(Matrix, "_integer_rref", recording)
+    monkeypatch.setattr(jordan, "_integer_rref", recording)
     assert jordan_type(t) == jt
     assert rows == expected
+
+
+def test_jordan_basis_stacks_columns_once_for_p(monkeypatch):
+    jt = JordanType.of({0: [(1, 2), (3, 1)], Fraction(1, 2): [(2, 2)]})
+    t = random_conjugate(jordan_matrix(jt), 3)
+    calls, stack = [], Matrix.from_columns
+
+    def counting(cls, columns):
+        calls.append(len(columns))
+        return stack(columns)
+
+    monkeypatch.setattr(Matrix, "from_columns", classmethod(counting))
+    basis = jordan_basis(t)
+    assert basis.jordan_type == jt
+    assert calls == [t.rows]
 
 
 def test_the_basis_carries_the_plan_of_its_type():
@@ -458,20 +473,20 @@ def test_coords_round_trip():
     t = random_conjugate(jordan_matrix(JordanType.of({0: [(2, 1), (3, 1)]})), 11)
     basis = jordan_basis(t)
     v = Matrix.column([1, "2/3", -1, 0, 4])
-    coords = coords_in_jordan_basis(basis, v)
+    coords = basis.inverse_transform @ v
     assert basis.transform @ coords == v
 
 
 def test_coords_identity_transform(j23):
     basis = jordan_basis(j23)
     v = Matrix.column([1, 2, 3, 4, 5])
-    assert coords_in_jordan_basis(basis, v) == v
+    assert basis.inverse_transform @ v == v
 
 
 def test_coords_dimension_mismatch(j23):
     basis = jordan_basis(j23)
     with pytest.raises(ValueError):
-        coords_in_jordan_basis(basis, Matrix.column([1, 2]))
+        basis.inverse_transform @ Matrix.column([1, 2])
 
 
 def test_chain_generator_sum_has_unit_chain_top_coordinates(j23):
@@ -479,7 +494,7 @@ def test_chain_generator_sum_has_unit_chain_top_coordinates(j23):
     tops = {slot.offset for slot in chain_slots(basis.jordan_type)}
     assert tops == {0, 2}
     total = transform_column(basis, 0) + transform_column(basis, 2)
-    coords = coords_in_jordan_basis(basis, total)
+    coords = basis.inverse_transform @ total
     for i in range(5):
         assert coords[i, 0] == (1 if i in tops else 0)
 
@@ -507,6 +522,16 @@ def test_chain_slots_layout():
         (1, 1, 4),
     ]
     assert slots[-1].eigenvalue == Fraction(1)
+    # every corpus type, symbolic labels included, against a direct walk of its blocks
+    for jt in corpus_types():
+        walk, offset = [], 0
+        for eig, blocks in jt.eigen_blocks:
+            for size, mult in blocks:
+                for index in range(1, mult + 1):
+                    walk.append((eig, size, index, offset))
+                    offset += size
+        assert [(s.eigenvalue, s.size, s.index, s.offset) for s in chain_slots(jt)] == walk, jt
+        assert offset == jt.dimension
 
 
 @pytest.mark.parametrize("eigen_blocks, message", [
