@@ -39,16 +39,17 @@ accepted root r gives the eigenvalue r / d. Every entry point on T starts
 here, refusing first n > MATRIX_DIMENSION_CAP or a grid integer (d included)
 over grid_bits(n) bits. Building a Matrix has no cap: J may hold longer entries.
 
-Both the type and the basis come from one kernel chain per eigenvalue: the
-kernel bases of ker N ⊂ ker N^2 ⊂ ... for N = T - lambda, built once and
-stopped where dim ker N^k reaches the algebraic multiplicity, which happens
-exactly at the largest block size. No power of N is formed: as
-rowspace(N^k) = rowspace(N^{k-1}) N, the kernel basis of N^k is that of
-R N, R the nonzero rows left by the reduction for N^{k-1}, and the reduced
-form, so the kernel basis, depends only on the row space. With
-d_k = dim ker N^k, the number of blocks of size exactly i is
-2 d_i - d_{i-1} - d_{i+1}. N is written on the integer grid of T = A/d: for
-lambda = p/q, N = (qA - pd I) / (qd).
+Both the type and the basis come from one elimination record per
+eigenvalue: the row reductions of N, N^2, ... for N = T - lambda, made once
+and stopped where dim ker N^k = n - rank N^k reaches the algebraic
+multiplicity, which happens exactly at the largest block size. No power of
+N is formed: as rowspace(N^k) = rowspace(N^{k-1}) N, the reduction for N^k
+is that of R N, R the nonzero rows left by the reduction for N^{k-1}, and
+the reduced form depends only on the row space. The type is read off the
+ranks alone: with d_k = dim ker N^k, the number of blocks of size exactly i
+is 2 d_i - d_{i-1} - d_{i+1}. Only `jordan_basis` builds kernel bases from
+the reductions, one per power, and N as a Matrix. N is written on the
+integer grid of T = A/d: for lambda = p/q, N = (qA - pd I) / (qd).
 
 Chain construction walks block sizes from largest to smallest. At size s the
 vectors already forced into ker N^s are a basis of ker N^{s-1} together with
@@ -411,40 +412,33 @@ def _root_candidates(g: list) -> list:
 def _integer_roots(c: list) -> list:
     """All integer roots (root, multiplicity) of a monic integer polynomial c.
 
-    The candidates come from p-adic lifting of the roots of the square-free
-    part modulo a small prime; each one, and its multiplicity, is confirmed by
-    exact synthetic division. Raises NonSplittingCharPoly when a nontrivial
-    factor remains after every integer root has been divided out.
+    The candidates, 0 among them when c(0) = 0, come from p-adic lifting of
+    the roots of the square-free part modulo a small prime; each one, and
+    its multiplicity, is confirmed by exact synthetic division. Raises
+    NonSplittingCharPoly when a nontrivial factor remains after every
+    integer root has been divided out.
     """
-    work = list(c)
-    roots = []
-    zero_mult = 0
-    while len(work) > 1 and work[-1] == 0:
-        work.pop()
-        zero_mult += 1
-    if zero_mult:
-        roots.append((0, zero_mult))
+    work, roots = list(c), []
+    square_free = work if _square_free_mod(work, SQUARE_FREE_PRIME) else _square_free_part(work)
+    for cand in _root_candidates(square_free):
+        mult = 0
+        while len(work) > 1:
+            quotient = [work[0]]
+            for x in work[1:-1]:
+                quotient.append(x + cand * quotient[-1])
+            if work[-1] + cand * quotient[-1] != 0:
+                break
+            work = quotient
+            mult += 1
+        if mult:
+            roots.append((cand, mult))
     if len(work) > 1:
-        square_free = work if _square_free_mod(work, SQUARE_FREE_PRIME) else _square_free_part(work)
-        for cand in _root_candidates(square_free):
-            mult = 0
-            while len(work) > 1:
-                quotient = [work[0]]
-                for x in work[1:-1]:
-                    quotient.append(x + cand * quotient[-1])
-                if work[-1] + cand * quotient[-1] != 0:
-                    break
-                work = quotient
-                mult += 1
-            if mult:
-                roots.append((cand, mult))
-        if len(work) > 1:
-            raise NonSplittingCharPoly(
-                "the characteristic polynomial has an irrational or complex root "
-                f"(residual factor of degree {len(work) - 1}); supply the Jordan block "
-                "data directly (eigenvalue -> [size, multiplicity] pairs) to analyze "
-                "this operator"
-            )
+        raise NonSplittingCharPoly(
+            "the characteristic polynomial has an irrational or complex root "
+            f"(residual factor of degree {len(work) - 1}); supply the Jordan block "
+            "data directly (eigenvalue -> [size, multiplicity] pairs) to analyze "
+            "this operator"
+        )
     return roots
 
 
@@ -461,39 +455,48 @@ def rational_eigenvalues(t: Matrix) -> list:
 
 
 def _kernel_chains(t: Matrix):
-    """Per rational eigenvalue, in canonical order: (eig, blocks, N, kernels).
+    """Per rational eigenvalue, in canonical order: (eig, blocks, (grid, den), reductions).
 
-    N is T - eig and ``kernels[k]`` a basis of the kernel of N^k, for k = 0
-    up to the largest block size, the first k where dim ker N^k reaches the
-    algebraic multiplicity.
+    N = T - eig is the integer grid over den, and ``reductions[k - 1]`` the
+    (rows, pivots) :func:`_integer_rref` returns for a matrix with the row
+    space of N^k, for k = 1 up to the largest block size, the first k where
+    dim ker N^k = n - len(pivots) reaches the algebraic multiplicity.
     """
-    d = t._den
+    n, d = t.rows, t._den
     for eig, alg_mult in rational_eigenvalues(t):
         # with T = A/d and eig = p/q, N = (qA - pd I) / (qd)
         p, q = eig.numerator, eig.denominator
-        nilpotent = Matrix._reduced(
-            [[q * x - p * d if i == j else q * x for j, x in enumerate(row)]
-             for i, row in enumerate(t._grid)],
-            q * d,
-        )
-        rows, pivots = _integer_rref(nilpotent._grid)
-        kernels, columns = [[], _kernel_vectors(rows, pivots, t.rows)], list(zip(*nilpotent._grid))
-        while len(kernels[-1]) < alg_mult:
-            rows, pivots = _integer_rref([[sum(map(mul, row, column)) for column in columns]
-                                          for row in rows[:len(pivots)]])
-            kernels.append(_kernel_vectors(rows, pivots, t.rows))
-        dims = [len(basis) for basis in kernels] + [alg_mult]
+        grid = [[q * x - p * d if i == j else q * x for j, x in enumerate(row)]
+                for i, row in enumerate(t._grid)]
+        reductions, columns = [_integer_rref(grid)], list(zip(*grid))
+        while n - len(reductions[-1][1]) < alg_mult:
+            rows, pivots = reductions[-1]
+            reductions.append(_integer_rref([[sum(map(mul, row, column)) for column in columns]
+                                             for row in rows[:len(pivots)]]))
+        dims = [0] + [n - len(pivots) for _, pivots in reductions] + [alg_mult]
         blocks = []
-        for size in range(1, len(kernels)):
+        for size in range(1, len(reductions) + 1):
             count = 2 * dims[size] - dims[size - 1] - dims[size + 1]
             if count:
                 blocks.append((size, count))
-        yield eig, blocks, nilpotent, kernels
+        yield eig, blocks, (grid, q * d), reductions
 
 
 def jordan_type(t: Matrix) -> JordanType:
-    """Block structure read off the kernel dimensions of powers of T - lambda."""
+    """Block structure read off the ranks of the powers of T - lambda."""
     return JordanType.of({eig: blocks for eig, blocks, _, _ in _kernel_chains(t)})
+
+
+def _jordan_rows(jt: JordanType, diagonal: dict, below: int) -> list:
+    """The rows of J: ``diagonal[eig]`` on the diagonal, ``below`` under it within each chain."""
+    n = jt.dimension
+    rows = [[0] * n for _ in range(n)]
+    for slot in chain_slots(jt):
+        for k in range(slot.offset, slot.offset + slot.size):
+            rows[k][k] = diagonal[slot.eigenvalue]
+            if k > slot.offset:
+                rows[k][k - 1] = below
+    return rows
 
 
 def jordan_matrix(jt: JordanType) -> Matrix:
@@ -501,14 +504,9 @@ def jordan_matrix(jt: JordanType) -> Matrix:
     for eig, _ in jt.eigen_blocks:
         if not isinstance(eig, Fraction):
             raise TypeError(f"symbolic eigenvalue label {eig!r} has no matrix realization")
-    n, den = jt.dimension, lcm(*(eig.denominator for eig, _ in jt.eigen_blocks))
-    rows = [[0] * n for _ in range(n)]
-    for slot in chain_slots(jt):
-        for k in range(slot.offset, slot.offset + slot.size):
-            rows[k][k] = slot.eigenvalue.numerator * (den // slot.eigenvalue.denominator)
-            if k > slot.offset:
-                rows[k][k - 1] = den
-    return Matrix._reduced(rows, den)
+    den = lcm(*(eig.denominator for eig, _ in jt.eigen_blocks))
+    scaled = {eig: eig.numerator * (den // eig.denominator) for eig, _ in jt.eigen_blocks}
+    return Matrix._reduced(_jordan_rows(jt, scaled, den), den)
 
 
 @dataclass(frozen=True)
@@ -529,8 +527,10 @@ class JordanBasis:
 def jordan_basis(t: Matrix) -> JordanBasis:
     data = {}
     columns = []
-    for eig, blocks, nilpotent, kernels in _kernel_chains(t):
+    for eig, blocks, (grid, den), reductions in _kernel_chains(t):
         data[eig] = blocks
+        nilpotent = Matrix._reduced(grid, den)
+        kernels = [[]] + [_kernel_vectors(rows, pivots, t.rows) for rows, pivots in reductions]
         mult = dict(blocks)
         chains = []  # [v, Nv, ..., N^{s-1} v] per chain, smallest size first
         for size in range(len(kernels) - 1, 0, -1):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classify import invariant_positions, orbit_dimension
-from .jordan import JordanType, chain_slots
+from .jordan import JordanType, _jordan_rows
 from .lattice import CapExceeded, enumerate_labels
 
 DEFAULT_LINE_CAP = 8191
@@ -132,15 +132,7 @@ def jordan_mod_p(jt: JordanType, p: int) -> tuple:
 
     Like every stage behind check_scan, it trusts p to be prime.
     """
-    residue = eigenvalues_mod_p(jt, p)
-    n = jt.dimension
-    rows = [[0] * n for _ in range(n)]
-    for slot in chain_slots(jt):
-        for k in range(slot.offset, slot.offset + slot.size):
-            rows[k][k] = residue[slot.eigenvalue]
-            if k > slot.offset:
-                rows[k][k - 1] = 1
-    return tuple(map(tuple, rows))
+    return tuple(map(tuple, _jordan_rows(jt, eigenvalues_mod_p(jt, p), 1)))
 
 
 def centralizer_mod_p(j: tuple, p: int) -> tuple:

@@ -232,6 +232,8 @@ def planted_polynomials(draw):
 
 @given(planted_polynomials())
 @example(([(PRIMORIAL_200, 1), (-2 * PRIMORIAL_200, 2), (0, 1)], [INTERSECTIVE]))
+@example(([(0, 3), (PRIMORIAL_200, 1), (-3 * PRIMORIAL_200, 2)], []))
+@example(([(0, 2), (2 * PRIMORIAL_200, 1)], [[1, 1, 1]]))
 @settings(max_examples=100, deadline=None)
 def test_integer_roots_sharing_a_primorial_factor(planted):
     roots, factors = planted
@@ -393,10 +395,11 @@ PLANTED_TYPES = rational_corpus_types() + [
 def test_each_kernel_is_the_kernel_basis_of_the_power():
     for seed, jt in enumerate(PLANTED_TYPES):
         t = random_conjugate(jordan_matrix(jt), seed)
-        for eig, _, nilpotent, kernels in jordan._kernel_chains(t):
-            assert kernels[0] == []
-            for k in range(1, len(kernels)):
-                assert kernels[k] == power(nilpotent, k).kernel_basis(), (jt, eig, k)
+        for eig, _, (grid, den), reductions in jordan._kernel_chains(t):
+            nilpotent = Matrix._reduced(grid, den)
+            for k, (rows, pivots) in enumerate(reductions, 1):
+                kernel = jordan._kernel_vectors(rows, pivots, t.rows)
+                assert kernel == power(nilpotent, k).kernel_basis(), (jt, eig, k)
 
 
 def test_each_reduction_after_the_first_has_the_rank_of_the_last_power(monkeypatch):
@@ -418,6 +421,29 @@ def test_each_reduction_after_the_first_has_the_rank_of_the_last_power(monkeypat
     monkeypatch.setattr(jordan, "_integer_rref", recording)
     assert jordan_type(t) == jt
     assert rows == expected
+
+
+def test_jordan_type_builds_no_kernel_basis_and_no_matrix(monkeypatch):
+    jt = JordanType.of({0: [(1, 1), (3, 1)], Fraction(1, 2): [(2, 2)]})
+    t = random_conjugate(jordan_matrix(jt), 5)
+    kernels, matrices = [], []
+    kernel_vectors, reduced = jordan._kernel_vectors, Matrix._reduced
+
+    def counting_kernels(*args):
+        kernels.append(args)
+        return kernel_vectors(*args)
+
+    def counting_matrices(cls, *args):
+        matrices.append(args)
+        return reduced(*args)
+
+    monkeypatch.setattr(jordan, "_kernel_vectors", counting_kernels)
+    monkeypatch.setattr(Matrix, "_reduced", classmethod(counting_matrices))
+    assert jordan_type(t) == jt
+    assert kernels == [] and matrices == []
+    # the basis reads one kernel per power it reduces: 3 for 0, 2 for 1/2
+    assert jordan_basis(t).jordan_type == jt
+    assert len(kernels) == 5
 
 
 def test_jordan_basis_stacks_columns_once_for_p(monkeypatch):
@@ -451,8 +477,8 @@ def test_reconstruction_check_catches_a_wrong_chain(j23, monkeypatch):
     kernel_chains = jordan._kernel_chains
 
     def doubled(t):
-        for eig, blocks, nilpotent, kernels in kernel_chains(t):
-            yield eig, blocks, nilpotent.scaled(2), kernels
+        for eig, blocks, (grid, den), reductions in kernel_chains(t):
+            yield eig, blocks, ([[2 * x for x in row] for row in grid], den), reductions
 
     monkeypatch.setattr(jordan, "_kernel_chains", doubled)
     with pytest.raises(RuntimeError, match="Jordan basis reconstruction check failed"):
