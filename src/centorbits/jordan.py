@@ -22,8 +22,9 @@ The eigenvalues come from the characteristic polynomial, computed over the
 integers: T is stored as an integer grid over d, the lcm of its entry
 denominators, and Berkowitz's division-free recurrence on that grid gives
 c(x) = det(xI - dT), monic with integer coefficients, in O(n^4) integer
-operations; a triangular grid gives c as the product of the x - a_ii at
-once. Its roots are d times the eigenvalues, and by Gauss's lemma
+operations; a step whose new row left of the diagonal, or new column
+above it, is zero multiplies by x - a_kk alone, so a triangular grid takes
+no product. Its roots are d times the eigenvalues, and by Gauss's lemma
 each rational root is an integer root of the square-free part g of c,
 itself monic up to sign. g is c when gcd(c, c') = 1 modulo one large
 prime, else it comes from a primitive remainder sequence. The roots are
@@ -49,7 +50,7 @@ the reduced form depends only on the row space. The type is read off the
 ranks alone: with d_k = dim ker N^k, the number of blocks of size exactly i
 is 2 d_i - d_{i-1} - d_{i+1}. Only `jordan_basis` builds kernel bases from
 the reductions, one per power, and N as a Matrix. N is written on the
-integer grid of T = A/d: for lambda = p/q, N = (qA - pd I) / (qd).
+integer grid of T = A/d: N = (A - rI) / d, r = lambda d the integer root of c.
 
 Chain construction walks block sizes from largest to smallest. At size s the
 vectors already forced into ker N^s are a basis of ker N^{s-1} together with
@@ -251,9 +252,13 @@ def grid_bits(n: int) -> int:
 def _integer_charpoly(t: Matrix) -> tuple:
     """(c, d): d the common denominator of T, c = det(xI - dT) highest first.
 
-    T is stored as an integer grid over d, the lcm of its entry
-    denominators, so dT is that grid. A triangular grid gives c as the
-    product of the x - a_ii, any other runs :func:`_berkowitz`.
+    T is stored as an integer grid A over d, the lcm of its entry
+    denominators, so dT is A. By Berkowitz's recurrence, with
+    A_k = [[M, C], [R, a]] the leading k x k block of A, p_k is the
+    lower-triangular Toeplitz matrix with first column
+    (1, -a, -RC, -RMC, ..., -RM^{k-2}C) applied to p_{k-1}. When R or C is
+    zero, so is every RM^jC, and the step is p_k = (x - a) p_{k-1}: a
+    triangular grid takes no product.
     """
     if not t.is_square():
         raise ShapeError(f"characteristic polynomial needs a square matrix, got {t.rows}x{t.cols}")
@@ -261,33 +266,19 @@ def _integer_charpoly(t: Matrix) -> tuple:
     longest, bits = grid_bits(t.rows), max(max(map(int.bit_length, row)) for row in ((d,), *a))
     if bits > longest:
         raise CapExceeded(bits, longest, what=f"bits in an integer of the grid of a {t.rows}-row matrix")
-    triangular = (all(not any(row[:i]) for i, row in enumerate(a))
-                  or all(not any(row[i + 1:]) for i, row in enumerate(a)))
-    if not triangular:
-        return _berkowitz(a), d
     poly = [1]
-    for i, row in enumerate(a):
-        poly = [x - row[i] * y for x, y in zip(poly + [0], [0] + poly)]
+    for k, row in enumerate(a):
+        r, column = row[:k], [a[i][k] for i in range(k)]
+        toeplitz = [1, -row[k]]
+        if any(r) and any(column):
+            for _ in range(k):
+                toeplitz.append(-sum(map(mul, r, column)))
+                column = [sum(map(mul, a[i], column)) for i in range(k)]
+        # the Toeplitz matrix adds toeplitz[m] times the last p, shifted down m places
+        poly, shifted = poly + [0], poly
+        for m, c in enumerate(toeplitz[1:], 1):
+            poly[m:] = [x + c * y for x, y in zip(poly[m:], shifted)]
     return poly, d
-
-
-def _berkowitz(a: tuple) -> list:
-    """det(xI - A) for a square integer grid A, highest first, by Berkowitz's recurrence.
-
-    With A_k = [[M, C], [R, a]] the leading k x k block of A, p_k is the
-    lower-triangular Toeplitz matrix with first column
-    (1, -a, -RC, -RMC, ..., -RM^{k-2}C) applied to p_{k-1}.
-    """
-    poly = [1]
-    for k in range(len(a)):
-        row, column = a[k][:k], [a[i][k] for i in range(k)]
-        toeplitz = [1, -a[k][k]]
-        for _ in range(k):
-            toeplitz.append(-sum(map(mul, row, column)))
-            column = [sum(map(mul, a[i], column)) for i in range(k)]
-        poly = [sum(toeplitz[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
-                for i in range(k + 2)]
-    return poly
 
 
 def characteristic_polynomial(t: Matrix) -> tuple:
@@ -455,19 +446,19 @@ def rational_eigenvalues(t: Matrix) -> list:
 
 
 def _kernel_chains(t: Matrix):
-    """Per rational eigenvalue, in canonical order: (eig, blocks, (grid, den), reductions).
+    """Per rational eigenvalue, in canonical order: (eig, blocks, grid, reductions).
 
-    N = T - eig is the integer grid over den, and ``reductions[k - 1]`` the
-    (rows, pivots) :func:`_integer_rref` returns for a matrix with the row
-    space of N^k, for k = 1 up to the largest block size, the first k where
-    dim ker N^k = n - len(pivots) reaches the algebraic multiplicity.
+    N = T - eig is the integer grid over T's denominator, and
+    ``reductions[k - 1]`` the (rows, pivots) :func:`_integer_rref` returns
+    for a matrix with the row space of N^k, for k = 1 up to the largest
+    block size, the first k where dim ker N^k = n - len(pivots) reaches the
+    algebraic multiplicity.
     """
     n, d = t.rows, t._den
     for eig, alg_mult in rational_eigenvalues(t):
-        # with T = A/d and eig = p/q, N = (qA - pd I) / (qd)
-        p, q = eig.numerator, eig.denominator
-        grid = [[q * x - p * d if i == j else q * x for j, x in enumerate(row)]
-                for i, row in enumerate(t._grid)]
+        # with T = A/d, r = eig d is an integer root of det(xI - A) and N = (A - rI)/d
+        r = eig.numerator * (d // eig.denominator)
+        grid = [[x - r if i == j else x for j, x in enumerate(row)] for i, row in enumerate(t._grid)]
         reductions, columns = [_integer_rref(grid)], list(zip(*grid))
         while n - len(reductions[-1][1]) < alg_mult:
             rows, pivots = reductions[-1]
@@ -479,7 +470,7 @@ def _kernel_chains(t: Matrix):
             count = 2 * dims[size] - dims[size - 1] - dims[size + 1]
             if count:
                 blocks.append((size, count))
-        yield eig, blocks, (grid, q * d), reductions
+        yield eig, blocks, grid, reductions
 
 
 def jordan_type(t: Matrix) -> JordanType:
@@ -527,9 +518,9 @@ class JordanBasis:
 def jordan_basis(t: Matrix) -> JordanBasis:
     data = {}
     columns = []
-    for eig, blocks, (grid, den), reductions in _kernel_chains(t):
+    for eig, blocks, grid, reductions in _kernel_chains(t):
         data[eig] = blocks
-        nilpotent = Matrix._reduced(grid, den)
+        nilpotent = Matrix._reduced(grid, t._den)
         kernels = [[]] + [_kernel_vectors(rows, pivots, t.rows) for rows, pivots in reductions]
         mult = dict(blocks)
         chains = []  # [v, Nv, ..., N^{s-1} v] per chain, smallest size first

@@ -92,7 +92,7 @@ def test_characteristic_polynomial_matches_faddeev_leverrier(t):
     assert all(isinstance(c, Fraction) for c in coeffs)
 
 
-def test_a_triangular_grid_gives_what_berkowitz_gives():
+def test_a_triangular_grid_gives_what_faddeev_leverrier_gives():
     rng = random.Random(29)
     for _ in range(30):
         n = rng.randint(1, 10)
@@ -101,7 +101,8 @@ def test_a_triangular_grid_gives_what_berkowitz_gives():
         for grid in (upper, list(zip(*upper))):
             t = Matrix(grid)
             c, d = jordan._integer_charpoly(t)
-            assert (c, d) == (jordan._berkowitz(t._grid), t._den)
+            assert d == t._den
+            assert tuple(Fraction(x, d ** k) for k, x in enumerate(c)) == faddeev_leverrier(t)
             assert characteristic_polynomial(t) == faddeev_leverrier(t)
 
 
@@ -117,6 +118,10 @@ def test_a_triangular_grid_takes_no_product(monkeypatch):
     lower = Matrix([[i - j - 1 if j <= i else 0 for j in range(12)] for i in range(12)])
     for t in (upper, lower, Matrix.identity(40)):
         characteristic_polynomial(t)
+    assert products == []
+    # neither upper nor lower triangular, but each step has a zero row or column part
+    mixed = Matrix([[1, 2, 0], [0, 3, 0], [4, 5, 6]])
+    assert jordan._integer_charpoly(mixed) == ([1, -10, 27, -18], 1)
     assert products == []
     characteristic_polynomial(upper + Matrix([[int(i == 5 and j == 0) for j in range(12)] for i in range(12)]))
     assert products
@@ -395,11 +400,17 @@ PLANTED_TYPES = rational_corpus_types() + [
 def test_each_kernel_is_the_kernel_basis_of_the_power():
     for seed, jt in enumerate(PLANTED_TYPES):
         t = random_conjugate(jordan_matrix(jt), seed)
-        for eig, _, (grid, den), reductions in jordan._kernel_chains(t):
-            nilpotent = Matrix._reduced(grid, den)
+        for eig, _, grid, reductions in jordan._kernel_chains(t):
+            nilpotent = Matrix._reduced(grid, t._den)
             for k, (rows, pivots) in enumerate(reductions, 1):
                 kernel = jordan._kernel_vectors(rows, pivots, t.rows)
                 assert kernel == power(nilpotent, k).kernel_basis(), (jt, eig, k)
+
+
+def test_n_is_written_over_the_denominator_of_t():
+    t = Matrix([["-1/2", 1], [0, "-1/2"]])
+    [(eig, blocks, grid, _)] = jordan._kernel_chains(t)
+    assert (eig, blocks, grid, t._den) == (Fraction(-1, 2), [(2, 1)], [[0, 2], [0, 0]], 2)
 
 
 def test_each_reduction_after_the_first_has_the_rank_of_the_last_power(monkeypatch):
@@ -477,8 +488,8 @@ def test_reconstruction_check_catches_a_wrong_chain(j23, monkeypatch):
     kernel_chains = jordan._kernel_chains
 
     def doubled(t):
-        for eig, blocks, (grid, den), reductions in kernel_chains(t):
-            yield eig, blocks, ([[2 * x for x in row] for row in grid], den), reductions
+        for eig, blocks, grid, reductions in kernel_chains(t):
+            yield eig, blocks, [[2 * x for x in row] for row in grid], reductions
 
     monkeypatch.setattr(jordan, "_kernel_chains", doubled)
     with pytest.raises(RuntimeError, match="Jordan basis reconstruction check failed"):
