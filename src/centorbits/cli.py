@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -48,9 +47,9 @@ from .lattice import (
     CapExceeded,
     column_steps,
     column_tables,
+    cover_text,
     label_name,
-    lattice_covers,
-    lattice_nodes,
+    node_text,
     orbit_count,
 )
 from .linalg import Matrix, NotANumber, _echo, as_fraction
@@ -242,23 +241,15 @@ def _cap(args) -> int:
     return args.cap
 
 
-# Per format: (head, node template, separator, middle, cover template, tail),
-# reproducing json.dumps(indent=2) of {"nodes": [...], "covers": [...]} and
-# the DOT lines.
+# Per format: (head, node pieces, separator, middle, cover pieces, tail), a
+# line being a + name + b + dimension or upper name + c, reproducing
+# json.dumps(indent=2) of {"nodes": [...], "covers": [...]} and the DOT lines.
 _LATTICE_TEXT = {
-    "json": ('{\n  "nodes": [\n', '    [\n      "%s",\n      %d\n    ]', ",\n",
-             '\n  ],\n  "covers": [\n', '    [\n      "%s",\n      "%s"\n    ]', "\n  ]\n}\n"),
-    "dot": ("digraph orbit_lattice {\n  rankdir=BT;\n", '  "%s" [dim=%d];', "\n",
-            "\n", '  "%s" -> "%s";', "\n}\n"),
+    "json": ('{\n  "nodes": [\n', ('    [\n      "', '",\n      ', '\n    ]'), ",\n",
+             '\n  ],\n  "covers": [\n', ('    [\n      "', '",\n      "', '"\n    ]'), "\n  ]\n}\n"),
+    "dot": ("digraph orbit_lattice {\n  rankdir=BT;\n", ('  "', '" [dim=', '];'), "\n",
+            "\n", ('  "', '" -> "', '";'), "\n}\n"),
 }
-
-
-def _write_joined(template: str, pairs, sep: str) -> None:
-    """Write the pairs through the template, sep-joined, 4096 at a time."""
-    lead = ""
-    while block := list(itertools.islice(pairs, 4096)):
-        sys.stdout.write(lead + sep.join([template % pair for pair in block]))
-        lead = sep
 
 
 def cmd_lattice(args) -> int:
@@ -266,9 +257,9 @@ def cmd_lattice(args) -> int:
     tables = column_tables(spec_type(load_spec(args.spec)), cap)
     head, node, sep, middle, cover, tail = _LATTICE_TEXT[args.format]
     sys.stdout.write(head)
-    _write_joined(node, lattice_nodes(tables), sep)
+    sys.stdout.writelines(node_text(tables, *node, sep))
     sys.stdout.write(middle)
-    _write_joined(cover, lattice_covers(tables), sep)
+    sys.stdout.writelines(cover_text(tables, *cover, sep))
     sys.stdout.write(tail)
     return 0
 

@@ -271,9 +271,10 @@ def _integer_charpoly(t: Matrix) -> tuple:
         r, column = row[:k], [a[i][k] for i in range(k)]
         toeplitz = [1, -row[k]]
         if any(r) and any(column):
-            for _ in range(k):
-                toeplitz.append(-sum(map(mul, r, column)))
+            toeplitz.append(-sum(map(mul, r, column)))
+            for _ in range(k - 1):  # M^k C would go unread
                 column = [sum(map(mul, a[i], column)) for i in range(k)]
+                toeplitz.append(-sum(map(mul, r, column)))
         # the Toeplitz matrix adds toeplitz[m] times the last p, shifted down m places
         poly, shifted = poly + [0], poly
         for m, c in enumerate(toeplitz[1:], 1):

@@ -29,11 +29,11 @@ Enumeration is guarded by a size cap; :func:`orbit_count` has none.
 As the lattice is a product over eigenvalues, names, dimensions and covers
 split into per-eigenvalue parts: :func:`column_tables` holds one row per
 valid height tuple of each eigenvalue, with its digits, its share of the
-orbit dimension and the digits of its upper covers. :func:`lattice_nodes`
-and :func:`lattice_covers` walk the product of the rows, in label order,
-without building an :class:`OrbitLabel`; a cover swaps one eigenvalue's
-digits in the lower name. Every count reads the (Delta_k, M_k) pairs of
-:func:`column_steps`, M_k the number of blocks of size >= s_k.
+orbit dimension and the digits of its upper covers. :func:`node_text` and
+:func:`cover_text` write the text one name prefix (the rows of all but the
+last eigenvalue) at a time, with no :class:`OrbitLabel`; a cover swaps one
+eigenvalue's digits in the lower name. Every count reads the (Delta_k, M_k)
+pairs of :func:`column_steps`, M_k the number of blocks of size >= s_k.
 """
 
 from __future__ import annotations
@@ -248,22 +248,61 @@ def column_tables(jt: JordanType, cap: int) -> list:
     return tables
 
 
-def lattice_nodes(tables: list):
-    """(name, orbit dimension) of every label, in :func:`enumerate_labels` order."""
-    for rows in itertools.product(*tables):
-        yield "|".join([row[0] for row in rows]), sum([row[1] for row in rows])
+_BLOCK = 512  # labels per block of written text; a longer table of the last eigenvalue is split
 
 
-def lattice_covers(tables: list):
-    """(lower name, upper name) of every cover, in :func:`hasse_covers` order.
+def _prefixes(tables: list, name: str = "", dim: int = 0, swapped=()):
+    """(prefix, dimension, swapped prefixes) per combination of rows, in label order.
 
-    A cover swaps one eigenvalue's digits, eigenvalues last to first as in :func:`upper_covers`.
+    A prefix is the rows' digits, each followed by '|'; a swapped one has one row's
+    digits replaced by an upper cover's, rows last to first as in :func:`upper_covers`.
     """
-    for rows in itertools.product(*tables):
-        pieces = [row[0] for row in rows]
-        name = "|".join(pieces)
-        for g in reversed(range(len(rows))):
-            for upper in rows[g][2]:
-                pieces[g] = upper
-                yield name, "|".join(pieces)
-            pieces[g] = rows[g][0]
+    if not tables:
+        yield name, dim, swapped
+        return
+    for digits, share, uppers in tables[0]:
+        yield from _prefixes(tables[1:], name + digits + "|", dim + share,
+                             [name + upper + "|" for upper in uppers] + [other + digits + "|" for other in swapped])
+
+
+def _blocks(tables: list, derive, piece, sep: str):
+    """The piece(*prefix, run) texts, sep-joined in non-empty blocks of up to _BLOCK labels, each later one led by sep.
+
+    Prefixes span all eigenvalues but the last; a run is derive of up to _BLOCK of the last one's rows,
+    kept if one run holds them all, else derived anew per prefix, so what is kept stays bounded.
+    """
+    *earlier, last = tables
+    kept = [derive(last)] if len(last) <= _BLOCK else None
+    texts = (piece(*prefix, run) for prefix in _prefixes(earlier)
+             for run in kept or map(derive, (last[i:i + _BLOCK] for i in range(0, len(last), _BLOCK))))
+    lead = ""
+    while group := list(itertools.islice(texts, max(1, _BLOCK // len(last)))):
+        if block := sep.join(group):
+            yield lead
+            yield block
+            lead = sep
+
+
+def node_text(tables: list, a: str, b: str, c: str, sep: str):
+    """a + name + b + orbit dimension + c of every label, in :func:`enumerate_labels` order, as :func:`_blocks`."""
+    def piece(prefix, dim, _, run):  # run: the rows' digits + b and their shares
+        return a + prefix + (c + sep + a + prefix).join(map(str.__add__, run[0], map(str, map(dim.__add__, run[1])))) + c
+    return _blocks(tables, lambda run: ([row[0] + b for row in run], [row[1] for row in run]), piece, sep)
+
+
+def cover_text(tables: list, a: str, b: str, c: str, sep: str):
+    """a + lower name + b + upper name + c of every cover, in :func:`hasse_covers` order, as :func:`_blocks`.
+
+    Per label, one join over its last row's upper digits, then one over the swapped prefixes.
+    """
+    def piece(prefix, _, swapped, run):
+        head = a + prefix
+        lines = []
+        for named, closed, uppers in run:
+            lead = head + named
+            if uppers:
+                lines.append(lead + prefix + (sep + lead + prefix).join(uppers))
+            if swapped:
+                lines.append(lead + (closed + sep + lead).join(swapped) + closed)
+        return sep.join(lines)
+    return _blocks(tables, lambda run: [(row[0] + b, row[0] + c, [up + c for up in row[2]]) for row in run], piece, sep)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from centorbits import JordanType, cli, oracle
+from centorbits import JordanType, cli, lattice, oracle
 from centorbits.classify import orbit_dimension
 from centorbits.lattice import (
     DEFAULT_ENUMERATION_CAP,
@@ -203,15 +203,28 @@ def wide_step_types() -> list:
     return types
 
 
-@pytest.mark.parametrize("jt", corpus_types() + wide_step_types(), ids=str)
-def test_streamed_lattice_matches_the_label_reference(tmp_path, capsys, jt):
-    doc = {
+# one eigenvalue's table of 8192 rows, cut into runs of lattice._BLOCK
+ONE_LONG_TABLE = JordanType.of({0: [(size, 1) for size in range(1, 14)]})
+# the last table has _BLOCK + 1 rows, so the top prefix's last run is the top label alone, with no cover
+TOP_ALONE = JordanType.of({0: [(1, 1)], 1: [(2, 1), (4, 1), (6, 1), (24, 1)]})
+
+
+def jordan_doc(jt) -> dict:
+    return {
         "jordan": [
             {"eigenvalue": str(eig), "blocks": [list(b) for b in blocks]}
             for eig, blocks in jt.eigen_blocks
         ]
     }
-    spec = write(tmp_path, "spec.json", doc)
+
+
+@pytest.mark.parametrize("jt", corpus_types() + wide_step_types() + [
+    ONE_LONG_TABLE,
+    JordanType.of({0: [(1, 1)], "a": [(1, 1), (2, 1)], Fraction(1, 2): [(2, 1)], 3: [(1, 2), (3, 1)]}),
+    TOP_ALONE,
+], ids=str)
+def test_streamed_lattice_matches_the_label_reference(tmp_path, capsys, jt):
+    spec = write(tmp_path, "spec.json", jordan_doc(jt))
     nodes = [[cli.label_name(lab), orbit_dimension(jt, lab)] for lab in enumerate_labels(jt)]
     covers = [[cli.label_name(lo), cli.label_name(hi)] for lo, hi in hasse_covers(jt)]
     code, out, _ = run_cli(capsys, "lattice", spec, "--format", "json")
@@ -221,6 +234,27 @@ def test_streamed_lattice_matches_the_label_reference(tmp_path, capsys, jt):
     assert code == 0
     assert [[name, int(dim)] for name, dim in re.findall(r'"([^"]+)" \[dim=(\d+)\];', out)] == nodes
     assert [list(edge) for edge in re.findall(r'"([^"]+)" -> "([^"]+)";', out)] == covers
+    assert "\n\n" not in out  # no separator doubled around a label without covers
+
+
+def test_the_last_table_of_top_alone_ends_in_the_top_row():
+    last = lattice.column_tables(TOP_ALONE, DEFAULT_ENUMERATION_CAP)[-1]
+    assert len(last) == lattice._BLOCK + 1 and last[-1][2] == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_no_write_grows_with_the_label_count(tmp_path, monkeypatch, fmt):
+    """8192 labels in one eigenvalue's table: 2.0 MB of json, 1.3 MB of dot, each write below 256 KiB."""
+    class Recording(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+
+    sizes = []
+    monkeypatch.setattr(sys, "stdout", Recording())
+    assert cli.main(["lattice", write(tmp_path, "spec.json", jordan_doc(ONE_LONG_TABLE)), "--format", fmt]) == 0
+    assert sum(sizes) == len(sys.stdout.getvalue()) > 2**20
+    assert max(sizes) < 2**18
 
 
 def test_closed_stdout_ends_quietly(tmp_path):

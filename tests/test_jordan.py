@@ -127,6 +127,26 @@ def test_a_triangular_grid_takes_no_product(monkeypatch):
     assert products
 
 
+@pytest.mark.parametrize("n", [2, 5, 9, 16])
+def test_a_dense_grid_takes_the_cube_sum_of_products(monkeypatch, n):
+    """Step k of Berkowitz's recurrence takes k dot products R M^j C and k - 1 products M^j C, k^2 calls each.
+
+    Over the steps, sum k^3 = (n(n - 1)/2)^2 calls of mul; computing M^k C too, which no entry
+    reads, would add sum k^2.
+    """
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return a * b
+
+    rng = random.Random(n)
+    t = Matrix([[rng.randint(1, 9) for _ in range(n)] for _ in range(n)])
+    monkeypatch.setattr(jordan, "mul", counting)
+    assert characteristic_polynomial(t) == faddeev_leverrier(t)
+    assert len(calls) == (n * (n - 1) // 2) ** 2
+
+
 def companion(*coeffs) -> Matrix:
     """Companion matrix of the monic polynomial x^n + coeffs[0] x^{n-1} + ... + coeffs[-1]."""
     n = len(coeffs)
