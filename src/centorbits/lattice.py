@@ -21,19 +21,20 @@ pointwise max and min are the least upper and greatest lower bounds. The
 dual label has heights s_k - H_k.
 
 Covers and enumeration are written in digits, against the bounds Delta
-computed once per eigenvalue: a cover H -> H + e_k moves one unit from
-delta_{k+1} to delta_k, so each label lists its own upper covers and no two
-labels are compared; heights are running sums of digits and sort alike.
-Enumeration is guarded by a size cap; :func:`orbit_count` has none.
+computed once per eigenvalue: a cover H -> H + e_k moves a unit from
+delta_{k+1} to delta_k, or adds 1 to the last digit (:func:`_raised`), so
+each label lists its own upper covers and no two labels are compared;
+heights are running sums of digits and sort alike. Enumeration is guarded
+by a size cap; :func:`orbit_count` has none.
 
-As the lattice is a product over eigenvalues, names, dimensions and covers
-split into per-eigenvalue parts: :func:`column_tables` holds one row per
-valid height tuple of each eigenvalue, with its digits, its share of the
-orbit dimension and the digits of its upper covers. :func:`node_text` and
-:func:`cover_text` write the text one name prefix (the rows of all but the
-last eigenvalue) at a time, with no :class:`OrbitLabel`; a cover swaps one
-eigenvalue's digits in the lower name. Every count reads the (Delta_k, M_k)
-pairs of :func:`column_steps`, M_k the number of blocks of size >= s_k.
+Every count reads the (Delta_k, M_k) pairs of :func:`column_steps`, M_k the
+number of blocks of size >= s_k. As the lattice is a product over
+eigenvalues, :func:`column_tables` holds one row per digit tuple of each
+eigenvalue, read from those pairs alone: its name, its share sum delta_k M_k
+(= sum m_k H_k) of the orbit dimension and its upper covers' names.
+:func:`node_text` and :func:`cover_text` write the text one name prefix (the
+rows of all but the last eigenvalue) at a time, with no :class:`OrbitLabel`;
+a cover swaps one eigenvalue's digits in the lower name.
 """
 
 from __future__ import annotations
@@ -164,33 +165,34 @@ def upper_covers(a: OrbitLabel) -> list:
     A step at a later eigenvalue gives the smaller label, so eigenvalues are
     walked from last to first, each through :func:`_raised`.
     """
+    deltas, limits = a.deltas, a.limits
     return [
-        OrbitLabel(a.heights[:g] + (upper,) + a.heights[g + 1:], a.sizes)
-        for g in reversed(range(len(a.heights)))
-        for upper in _raised(a.heights[g], a.limits[g])
+        OrbitLabel(a.heights[:g] + (tuple(itertools.accumulate(upper)),) + a.heights[g + 1:], a.sizes)
+        for g in reversed(range(len(deltas)))
+        for upper in _raised(deltas[g], limits[g])
     ]
 
 
-def _raised(group: tuple, bounds: tuple) -> list:
-    """One eigenvalue's height tuples one step above group, raised position last to first.
+def _raised(digits: tuple, bounds: tuple) -> list:
+    """One eigenvalue's digit tuples one step above digits, raised position last to first.
 
-    Raising H_k adds 1 to delta_k and takes 1 from delta_{k+1}, so it is
-    valid when delta_k < Delta_k and, unless k is last, delta_{k+1} > 0. A
-    step at an earlier position gives the larger label, hence the order.
+    Raising H_k adds 1 to delta_k and, unless k is last, takes 1 from delta_{k+1}, so it is
+    valid when delta_k < Delta_k and delta_{k+1} > 0. A step at an earlier position gives the
+    larger label, hence the order.
     """
-    digits = _steps(group) + (1,)  # the last position has no delta_{k+1} to take from
-    return [group[:k] + (group[k] + 1,) + group[k + 1:] for k in reversed(range(len(group)))
-            if digits[k] < bounds[k] and digits[k + 1]]
+    padded = digits + (1,)  # the last position takes from a delta_{k+1} that is dropped
+    return [(digits[:k] + (digits[k] + 1, padded[k + 1] - 1) + digits[k + 2:])[:len(digits)]
+            for k in reversed(range(len(digits))) if digits[k] < bounds[k] and padded[k + 1]]
 
 
-def column_digits(group: tuple, bounds: tuple) -> str:
-    """One eigenvalue's piece of a label name: the increments, comma-separated if a bound exceeds 9."""
-    return ("" if max(bounds) <= 9 else ",").join(map(str, _steps(group)))
+def _separator(bounds: tuple) -> str:
+    """What joins one eigenvalue's digits in a name: nothing, or a comma if a bound exceeds 9."""
+    return "" if max(bounds) <= 9 else ","
 
 
 def label_name(label: OrbitLabel) -> str:
     """Per-eigenvalue digit strings joined by '|'; commas when a bound exceeds 9."""
-    return "|".join(map(column_digits, label.heights, label.limits))
+    return "|".join(_separator(bounds).join(map(str, group)) for group, bounds in zip(label.deltas, label.limits))
 
 
 def orbit_count(jt: JordanType) -> int:
@@ -198,10 +200,9 @@ def orbit_count(jt: JordanType) -> int:
     return math.prod(step + 1 for column in column_steps(jt) for step, _ in column)
 
 
-def _column_heights(bounds: tuple) -> list:
-    """Every valid height tuple of one eigenvalue, in lexicographic order (of heights and of digits)."""
-    digit_tuples = itertools.product(*[range(bound + 1) for bound in bounds])
-    return [tuple(itertools.accumulate(digits)) for digits in digit_tuples]
+def _digit_rows(bounds: tuple):
+    """Every valid digit tuple of one eigenvalue, in lexicographic order (of digits and of heights)."""
+    return itertools.product(*[range(bound + 1) for bound in bounds])
 
 
 def _check_cap(jt: JordanType, cap: int):
@@ -214,7 +215,7 @@ def enumerate_labels(jt: JordanType) -> list:
     """All labels in lexicographic order of their flattened heights (equally, deltas)."""
     _check_cap(jt, DEFAULT_ENUMERATION_CAP)
     sizes = column_sizes(jt)
-    columns = [_column_heights(_steps(group)) for group in sizes]
+    columns = [[tuple(itertools.accumulate(digits)) for digits in _digit_rows(_steps(group))] for group in sizes]
     return [OrbitLabel(heights, sizes) for heights in itertools.product(*columns)]
 
 
@@ -229,21 +230,20 @@ def hasse_covers(jt: JordanType) -> list:
 
 
 def column_tables(jt: JordanType, cap: int) -> list:
-    """Per eigenvalue, a row (digits, sum m_k * H_k, upper covers' digits) per valid heights.
+    """Per eigenvalue, a row (name, share, upper covers' names) per digit tuple delta, from :func:`column_steps`.
 
-    Rows and covers are in lexicographic order; the cap is checked before any is built.
+    A name joins digits by :func:`_separator`; the share of the orbit dimension is sum delta_k * M_k =
+    sum m_k * H_k. Rows and covers are in lexicographic order; the cap is checked before any is built.
     """
     _check_cap(jt, cap)
     tables = []
-    for sizes, (_, blocks) in zip(column_sizes(jt), jt.eigen_blocks):
-        bounds = _steps(sizes)
+    for column in column_steps(jt):
+        bounds, tails = zip(*column)
+        join = _separator(bounds).join
         tables.append([
-            (
-                column_digits(group, bounds),
-                sum(mult * h for (_, mult), h in zip(blocks, group)),
-                [column_digits(upper, bounds) for upper in _raised(group, bounds)],
-            )
-            for group in _column_heights(bounds)
+            (join(map(str, digits)), sum(map(int.__mul__, digits, tails)),
+             [join(map(str, upper)) for upper in _raised(digits, bounds)])
+            for digits in _digit_rows(bounds)
         ])
     return tables
 
@@ -251,18 +251,29 @@ def column_tables(jt: JordanType, cap: int) -> list:
 _BLOCK = 512  # labels per block of written text; a longer table of the last eigenvalue is split
 
 
-def _prefixes(tables: list, name: str = "", dim: int = 0, swapped=()):
+def _prefixes(tables: list):
     """(prefix, dimension, swapped prefixes) per combination of rows, in label order.
 
     A prefix is the rows' digits, each followed by '|'; a swapped one has one row's
     digits replaced by an upper cover's, rows last to first as in :func:`upper_covers`.
+    The walk keeps a stack of (partial prefix, its next table's rows), not one frame per table.
     """
     if not tables:
-        yield name, dim, swapped
+        yield "", 0, ()
         return
-    for digits, share, uppers in tables[0]:
-        yield from _prefixes(tables[1:], name + digits + "|", dim + share,
-                             [name + upper + "|" for upper in uppers] + [other + digits + "|" for other in swapped])
+    stack = [(("", 0, ()), iter(tables[0]))]
+    while stack:
+        (name, dim, swapped), rows = stack[-1]
+        for digits, share, uppers in rows:
+            prefix = (name + digits + "|", dim + share,
+                      [name + upper + "|" for upper in uppers] + [other + digits + "|" for other in swapped])
+            if len(stack) == len(tables):
+                yield prefix
+            else:
+                stack.append((prefix, iter(tables[len(stack)])))
+                break
+        else:
+            stack.pop()
 
 
 def _blocks(tables: list, derive, piece, sep: str):

@@ -260,16 +260,26 @@ def test_no_write_grows_with_the_label_count(tmp_path, monkeypatch, fmt):
 def test_closed_stdout_ends_quietly(tmp_path):
     """`lattice ... | head -2`: the reader leaves early, and the writer ends without a traceback."""
     spec = write(tmp_path, "big.json", {"jordan": [{"eigenvalue": "0", "blocks": [[99, 1], [198, 1]]}]})
-    with subprocess.Popen(
-        [sys.executable, "-m", "centorbits", "lattice", spec, "--format", "json"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    ) as proc:
+    assert_quiet_after_two_lines([sys.executable, "-m", "centorbits", "lattice", spec, "--format", "json"])
+
+
+def assert_quiet_after_two_lines(argv):
+    """Read two lines of `lattice --format json` and close the pipe: no exit 1 and nothing on stderr."""
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert [proc.stdout.readline() for _ in range(2)] == [b"{\n", b'  "nodes": [\n']
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) != 1
     assert err == b""
+
+
+def test_a_deep_prefix_walk_ends_quietly(tmp_path):
+    """2^300 labels of 300 one-block eigenvalues under a recursion limit of 200: the prefix walk keeps a stack."""
+    # a walk with a frame per eigenvalue fails at the default limit from about 1000 eigenvalues,
+    # whose swapped prefixes alone hold over 1 GiB; the lower limit shows the same failure small
+    spec = write(tmp_path, "deep.json", {"jordan": [{"eigenvalue": str(i), "blocks": [[1, 1]]} for i in range(300)]})
+    run = "import sys; sys.setrecursionlimit(200); from centorbits.cli import main; sys.exit(main())"
+    assert_quiet_after_two_lines([sys.executable, "-c", run, "lattice", spec, "--format", "json", "--cap", str(10**400)])
 
 
 def test_classify_zero_vector(tmp_path, capsys):

@@ -125,11 +125,16 @@ def test_hasse_cover_examples():
         assert len(hasse_covers(JordanType.of({0: [(n, 1)]}))) == n
 
 
+# digits past 9, and a cover that moves a unit between positions: 0,1 -> 1,0
+WIDE_STEP = JordanType.of({0: [(1, 1), (12, 1)]})
+
+
 def test_hasse_covers_match_brute_force():
     def pair_order(pair):
         return pair[0].deltas, pair[1].deltas
 
-    for jt in (T135, JordanType.of({0: [(1, 2), (2, 1)], 1: [(2, 2)]})):
+    assert (lab(WIDE_STEP, (0, 1)), lab(WIDE_STEP, (1, 0))) in hasse_covers(WIDE_STEP)
+    for jt in [JordanType.of({0: [(1, 2), (2, 1)], 1: [(2, 2)]}), WIDE_STEP] + corpus_types():
         labels = enumerate_labels(jt)
         covers = hasse_covers(jt)
         assert covers == sorted(covers, key=pair_order)
