@@ -46,10 +46,8 @@ from .lattice import (
     DEFAULT_ENUMERATION_CAP,
     CapExceeded,
     column_steps,
-    column_tables,
-    cover_text,
     label_name,
-    node_text,
+    lattice_text,
     orbit_count,
 )
 from .linalg import Matrix, NotANumber, _echo, as_fraction
@@ -241,26 +239,9 @@ def _cap(args) -> int:
     return args.cap
 
 
-# Per format: (head, node pieces, separator, middle, cover pieces, tail), a
-# line being a + name + b + dimension or upper name + c, reproducing
-# json.dumps(indent=2) of {"nodes": [...], "covers": [...]} and the DOT lines.
-_LATTICE_TEXT = {
-    "json": ('{\n  "nodes": [\n', ('    [\n      "', '",\n      ', '\n    ]'), ",\n",
-             '\n  ],\n  "covers": [\n', ('    [\n      "', '",\n      "', '"\n    ]'), "\n  ]\n}\n"),
-    "dot": ("digraph orbit_lattice {\n  rankdir=BT;\n", ('  "', '" [dim=', '];'), "\n",
-            "\n", ('  "', '" -> "', '";'), "\n}\n"),
-}
-
-
 def cmd_lattice(args) -> int:
     cap = _cap(args)
-    tables = column_tables(spec_type(load_spec(args.spec)), cap)
-    head, node, sep, middle, cover, tail = _LATTICE_TEXT[args.format]
-    sys.stdout.write(head)
-    sys.stdout.writelines(node_text(tables, *node, sep))
-    sys.stdout.write(middle)
-    sys.stdout.writelines(cover_text(tables, *cover, sep))
-    sys.stdout.write(tail)
+    sys.stdout.writelines(lattice_text(spec_type(load_spec(args.spec)), args.format, cap))
     return 0
 
 

@@ -32,9 +32,11 @@ number of blocks of size >= s_k. As the lattice is a product over
 eigenvalues, :func:`column_tables` holds one row per digit tuple of each
 eigenvalue, read from those pairs alone: its name, its share sum delta_k M_k
 (= sum m_k H_k) of the orbit dimension and its upper covers' names.
-:func:`node_text` and :func:`cover_text` write the text one name prefix (the
-rows of all but the last eigenvalue) at a time, with no :class:`OrbitLabel`;
-a cover swaps one eigenvalue's digits in the lower name.
+:func:`lattice_text` writes the JSON or DOT text one name prefix (the rows of
+all but the last eigenvalue) at a time, with no :class:`OrbitLabel`; a cover
+swaps one eigenvalue's digits in the lower name. The text is streamed, but
+every table is held whole, so memory follows the largest table, not the
+label count.
 """
 
 from __future__ import annotations
@@ -205,15 +207,15 @@ def _digit_rows(bounds: tuple):
     return itertools.product(*[range(bound + 1) for bound in bounds])
 
 
-def _check_cap(jt: JordanType, cap: int):
-    total = orbit_count(jt)
+def _check_cap(steps: tuple, cap: int):  # steps: those of column_steps, counted as orbit_count does
+    total = math.prod(step + 1 for column in steps for step, _ in column)
     if total > cap:
         raise CapExceeded(total, cap)
 
 
 def enumerate_labels(jt: JordanType) -> list:
     """All labels in lexicographic order of their flattened heights (equally, deltas)."""
-    _check_cap(jt, DEFAULT_ENUMERATION_CAP)
+    _check_cap(column_steps(jt), DEFAULT_ENUMERATION_CAP)
     sizes = column_sizes(jt)
     columns = [[tuple(itertools.accumulate(digits)) for digits in _digit_rows(_steps(group))] for group in sizes]
     return [OrbitLabel(heights, sizes) for heights in itertools.product(*columns)]
@@ -235,9 +237,10 @@ def column_tables(jt: JordanType, cap: int) -> list:
     A name joins digits by :func:`_separator`; the share of the orbit dimension is sum delta_k * M_k =
     sum m_k * H_k. Rows and covers are in lexicographic order; the cap is checked before any is built.
     """
-    _check_cap(jt, cap)
+    steps = column_steps(jt)
+    _check_cap(steps, cap)
     tables = []
-    for column in column_steps(jt):
+    for column in steps:
         bounds, tails = zip(*column)
         join = _separator(bounds).join
         tables.append([
@@ -252,25 +255,25 @@ _BLOCK = 512  # labels per block of written text; a longer table of the last eig
 
 
 def _prefixes(tables: list):
-    """(prefix, dimension, swapped prefixes) per combination of rows, in label order.
+    """(prefix, dimension, levels) per combination of rows, in label order.
 
-    A prefix is the rows' digits, each followed by '|'; a swapped one has one row's
-    digits replaced by an upper cover's, rows last to first as in :func:`upper_covers`.
-    The walk keeps a stack of (partial prefix, its next table's rows), not one frame per table.
+    A prefix is the rows' digits, each followed by '|'. levels holds one (partial prefix before
+    the row, row) pair per table; the one list is rewritten in place from one prefix to the next.
+    The walk keeps a stack of (partial prefix, dimension, its table's rows), not one frame per table.
     """
     if not tables:
-        yield "", 0, ()
+        yield "", 0, []
         return
-    stack = [(("", 0, ()), iter(tables[0]))]
+    levels = []
+    stack = [("", 0, iter(tables[0]))]
     while stack:
-        (name, dim, swapped), rows = stack[-1]
-        for digits, share, uppers in rows:
-            prefix = (name + digits + "|", dim + share,
-                      [name + upper + "|" for upper in uppers] + [other + digits + "|" for other in swapped])
+        name, dim, rows = stack[-1]
+        for row in rows:
+            levels[len(stack) - 1:] = [(name, row)]
             if len(stack) == len(tables):
-                yield prefix
+                yield name + row[0] + "|", dim + row[1], levels
             else:
-                stack.append((prefix, iter(tables[len(stack)])))
+                stack.append((name + row[0] + "|", dim + row[1], iter(tables[len(stack)])))
                 break
         else:
             stack.pop()
@@ -280,7 +283,7 @@ def _blocks(tables: list, derive, piece, sep: str):
     """The piece(*prefix, run) texts, sep-joined in non-empty blocks of up to _BLOCK labels, each later one led by sep.
 
     Prefixes span all eigenvalues but the last; a run is derive of up to _BLOCK of the last one's rows,
-    kept if one run holds them all, else derived anew per prefix, so what is kept stays bounded.
+    kept if one run holds them all, else derived anew per prefix, so what is kept beside the whole tables stays bounded.
     """
     *earlier, last = tables
     kept = [derive(last)] if len(last) <= _BLOCK else None
@@ -294,26 +297,43 @@ def _blocks(tables: list, derive, piece, sep: str):
             lead = sep
 
 
-def node_text(tables: list, a: str, b: str, c: str, sep: str):
-    """a + name + b + orbit dimension + c of every label, in :func:`enumerate_labels` order, as :func:`_blocks`."""
-    def piece(prefix, dim, _, run):  # run: the rows' digits + b and their shares
+# Per format: (head, node pieces, separator, middle, cover pieces, tail), a
+# line being a + name + b + dimension or upper name + c, reproducing
+# json.dumps(indent=2) of {"nodes": [...], "covers": [...]} and the DOT lines.
+_TEXT = {
+    "json": ('{\n  "nodes": [\n', ('    [\n      "', '",\n      ', '\n    ]'), ",\n",
+             '\n  ],\n  "covers": [\n', ('    [\n      "', '",\n      "', '"\n    ]'), "\n  ]\n}\n"),
+    "dot": ("digraph orbit_lattice {\n  rankdir=BT;\n", ('  "', '" [dim=', '];'), "\n",
+            "\n", ('  "', '" -> "', '";'), "\n}\n"),
+}
+
+
+def lattice_text(jt: JordanType, fmt: str, cap: int):
+    """The fmt ("json" or "dot") text of every label and its orbit dimension in :func:`enumerate_labels` order,
+    then of every cover in :func:`hasse_covers` order, as :func:`_blocks`; the cap is checked before the first text."""
+    tables = column_tables(jt, cap)
+    head, (a, b, c), sep, middle, (x, y, z), tail = _TEXT[fmt]
+
+    def node(prefix, dim, _, run):  # run: the rows' digits + b and their shares
         return a + prefix + (c + sep + a + prefix).join(map(str.__add__, run[0], map(str, map(dim.__add__, run[1])))) + c
-    return _blocks(tables, lambda run: ([row[0] + b for row in run], [row[1] for row in run]), piece, sep)
 
-
-def cover_text(tables: list, a: str, b: str, c: str, sep: str):
-    """a + lower name + b + upper name + c of every cover, in :func:`hasse_covers` order, as :func:`_blocks`.
-
-    Per label, one join over its last row's upper digits, then one over the swapped prefixes.
-    """
-    def piece(prefix, _, swapped, run):
-        head = a + prefix
+    # per label, one join over its last row's upper digits, then one over the prefix's swapped prefixes:
+    # one earlier row's digits replaced by an upper cover's, last eigenvalue first as in upper_covers
+    def cover(prefix, _, levels, run):
+        swapped = [name + up + prefix[len(name) + len(row[0]):] for name, row in reversed(levels) for up in row[2]]
+        start = x + prefix
         lines = []
         for named, closed, uppers in run:
-            lead = head + named
+            lead = start + named
             if uppers:
                 lines.append(lead + prefix + (sep + lead + prefix).join(uppers))
             if swapped:
                 lines.append(lead + (closed + sep + lead).join(swapped) + closed)
         return sep.join(lines)
-    return _blocks(tables, lambda run: [(row[0] + b, row[0] + c, [up + c for up in row[2]]) for row in run], piece, sep)
+
+    yield head
+    yield from _blocks(tables, lambda run: ([row[0] + b for row in run], [row[1] for row in run]), node, sep)
+    yield middle
+    yield from _blocks(tables, lambda run: [(digits + y, digits + z, [up + z for up in ups]) for digits, _, ups in run],
+                       cover, sep)
+    yield tail

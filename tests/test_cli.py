@@ -274,12 +274,16 @@ def assert_quiet_after_two_lines(argv):
 
 
 def test_a_deep_prefix_walk_ends_quietly(tmp_path):
-    """2^300 labels of 300 one-block eigenvalues under a recursion limit of 200: the prefix walk keeps a stack."""
-    # a walk with a frame per eigenvalue fails at the default limit from about 1000 eigenvalues,
-    # whose swapped prefixes alone hold over 1 GiB; the lower limit shows the same failure small
-    spec = write(tmp_path, "deep.json", {"jordan": [{"eigenvalue": str(i), "blocks": [[1, 1]]} for i in range(300)]})
-    run = "import sys; sys.setrecursionlimit(200); from centorbits.cli import main; sys.exit(main())"
-    assert_quiet_after_two_lines([sys.executable, "-c", run, "lattice", spec, "--format", "json", "--cap", str(10**400)])
+    """One-block eigenvalues: 2^300 labels under a recursion limit of 200, 2^1200 in 512 MiB of address space."""
+    # a walk with a frame per eigenvalue fails at the default limit from about 1000 eigenvalues, and the
+    # lower limit shows the same failure small; a walk that keeps every level's swapped prefixes on its
+    # stack grows as the cube of the eigenvalue count and needed 1179 MiB at 1200 before the first node
+    for count, limit in ((300, "sys.setrecursionlimit(200)"),
+                         (1200, "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))")):
+        doc = {"jordan": [{"eigenvalue": str(i), "blocks": [[1, 1]]} for i in range(count)]}
+        run = f"import resource, sys; {limit}; from centorbits.cli import main; sys.exit(main())"
+        argv = [sys.executable, "-c", run, "lattice", write(tmp_path, f"deep{count}.json", doc), "--format", "json"]
+        assert_quiet_after_two_lines(argv + ["--cap", str(10**400)])
 
 
 def test_classify_zero_vector(tmp_path, capsys):
