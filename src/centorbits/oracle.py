@@ -21,15 +21,32 @@ is field-independent. Rational eigenvalues must stay representable and
 distinct mod p (eigenvalues_mod_p). A matrix input is checked through its
 Jordan type: its chain basis is not mapped into F_p.
 
-A matrix mod p is a tuple of row tuples with entries in [0, p), and a
-subspace is the tuple of rows of its reduced echelon basis (its echelon
-tuple), so equal subspaces are equal tuples.
+A matrix mod p is a tuple of row tuples with entries in [0, p). Inside the
+scan a vector of F_p^n is one int: n fields of w bits, coordinate 0 in the
+top field, so the order of the ints is the lexicographic order of the
+tuples. A subspace is the tuple of the packed rows of its reduced echelon
+basis, first pivot first (its echelon tuple), so equal subspaces are equal
+tuples and tuples sort as their row tuples do. The spans go back to row
+tuples only where they leave the module: cyclic_submodules, and the sorted
+list of invariant subspaces that invariant_subspaces_bruteforce returns and
+the mismatch text names.
+
+Arithmetic acts on all fields at once (SWAR, "SIMD within a register"). Let
+b = p.bit_length(), k = 3b, M = 2^k // p + 1 and w = k + b + 1, and let Q
+mask the low b bits of every field. For a packed s whose fields all lie
+below p^2, q = ((s * M) >> k) & Q holds each field's quotient by p, and
+s - p q holds each field mod p. The reduction is exact. With
+e = Mp - 2^k <= p, a field x < p^2 has xM / 2^k = x/p + xe / (p 2^k), and
+xe < p^3 <= 2^k puts the second term below 1/p, so the floor is x // p,
+which is below p and fits b bits. xM < 2^(k + b) does not spill into the
+field above, and the low k bits of a field's product, shifted down, land
+above bit b of the field below, where Q drops them. A row operation
+v + (p - x) row keeps every field at most (p - 1) + (p - 1)^2 < p^2, so one
+reduction follows each.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,118 +152,175 @@ def jordan_mod_p(jt: JordanType, p: int) -> tuple:
     return tuple(map(tuple, _jordan_rows(jt, eigenvalues_mod_p(jt, p), 1)))
 
 
+class _Packing:
+    """Vectors of F_p^n packed into ints, and their reduction mod p.
+
+    A vector is one int of n fields w bits wide, coordinate 0 in the top
+    field; the constants and why the reduction is exact are in the module
+    docstring.
+    """
+
+    def __init__(self, p: int, n: int):
+        b = p.bit_length()
+        self.p, self.n, self.k = p, n, 3 * b
+        self.w = self.k + b + 1
+        self.m = (1 << self.k) // p + 1
+        self.low = ((1 << b) - 1) * (((1 << self.w * n) - 1) // ((1 << self.w) - 1))
+        self.units = tuple(1 << self.w * i for i in reversed(range(n)))  # the rows of the identity
+
+    def reduce(self, s: int) -> int:
+        """s with every field x < p^2 replaced by x mod p."""
+        return s - self.p * (s * self.m >> self.k & self.low)
+
+    def unpack(self, x: int) -> tuple:
+        field = (1 << self.w) - 1
+        return tuple(x >> self.w * i & field for i in reversed(range(self.n)))
+
+
 def centralizer_mod_p(j: tuple, p: int) -> tuple:
     """A basis of the algebra {X : XJ = JX} over F_p, for any n x n matrix j = J mod p.
 
-    Unknown X[a][b] is number a*n + b; equation (i, k) is
-    sum_c X[i][c] J[c][k] - sum_r J[i][r] X[r][k] = 0. Each unknown left
+    Unknown X[a][b] is number a*n + b, coordinate a*n + b of a packed
+    equation; equation (i, k) is
+    sum_c X[i][c] J[c][k] - sum_r J[i][r] X[r][k] = 0. An unknown takes at
+    most two terms of one equation (X[i][k] takes J[k][k] and -J[i][i]), so
+    every field stays below 2p until the one reduction. Each unknown left
     free by the reduced equations gives one basis element.
     """
     n = len(j)
-    equations = [[0] * (n * n) for _ in range(n * n)]
+    f = _Packing(p, n * n)
+    unit = f.units
+    equations = [0] * (n * n)
     for r, row in enumerate(j):
         for c, a in enumerate(row):
-            if a:
+            if a % p:
                 for i in range(n):
-                    equations[i * n + c][i * n + r] += a
-                    equations[r * n + i][c * n + i] -= a
-    reduced = _echelon([[a % p for a in eq] for eq in equations], p)
-    pivots = {next(u for u, a in enumerate(row) if a): row for row in reduced}
+                    equations[i * n + c] += a % p * unit[i * n + r]
+                    equations[r * n + i] += -a % p * unit[c * n + i]
+    reduced = _echelon(map(f.reduce, equations), f)
+    pivots = {n * n - 1 - row.bit_length() // f.w: row for row in reduced}
+    field = (1 << f.w) - 1
     basis = []
     for free in range(n * n):
         if free not in pivots:
             x = [0] * (n * n)
             x[free] = 1
+            at = f.w * (n * n - 1 - free)
             for u, row in pivots.items():
-                x[u] = -row[free] % p
+                x[u] = -(row >> at & field) % p
             basis.append(tuple(tuple(x[a * n:(a + 1) * n]) for a in range(n)))
     return tuple(basis)
 
 
-def _lines(p: int, n: int):
-    """Every line of F_p^n once, as its vector whose first nonzero entry is 1."""
-    for lead in range(n):
-        head = (0,) * lead + (1,)
-        tail = n - lead - 1
-        # product materialises range(p) once a tail exists; the default line
-        # cap keeps p small then, but a raised --cap can admit a p whose range
-        # does not fit in memory, or past 2^63 no range length at all (the CLI
-        # reports the MemoryError or OverflowError, exit 3)
-        for rest in itertools.product(range(p), repeat=tail) if tail else ((),):
-            yield head + rest
+def _echelon(vectors, f: _Packing) -> tuple:
+    """Reduced row echelon basis of the span of packed vectors, first pivot first (an echelon tuple).
 
-
-@functools.cache
-def _identity(n: int) -> tuple:
-    return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
-
-
-def _echelon(vectors, p: int) -> tuple:
-    """Reduced row echelon basis of the span of vectors with entries in [0, p), as row tuples.
-
-    Each vector is reduced left to right by the rows found so far (keyed by
-    their leading column, zero to its left) until its first entry outside
-    those columns; the rows are fully reduced once, at the end. Vectors go
-    in ascending order, latest leading column first, so a vector whose
-    leading column is new needs no reduction at all.
+    Each vector is reduced by the rows found so far (keyed by the field of
+    their leading coordinate, zero above it) until its top nonzero field is
+    one no row leads. Vectors go in ascending order, latest leading
+    coordinate first, so a vector whose leading coordinate is new needs no
+    reduction at all. A row operation adds (p - x) times a row, which leads
+    with 1, to a vector whose field x sits there, then reduces every field at
+    once. At the end each row, latest lead first, is cleared at the leads
+    after its own by the rows already cleared.
     """
-    rows = {}
-    n = 0
+    p, w, k, m, low = f.p, f.w, f.k, f.m, f.low
+    rows = {}  # field of the leading coordinate, counted from the bottom -> row
     for v in sorted(vectors):
-        n = len(v)
-        for j in range(n):
-            x = v[j]
-            if x:
-                row = rows.get(j)
-                if row is None:
-                    break
-                v = [(a - x * b) % p for a, b in zip(v, row)]
+        while v:
+            top = v.bit_length() // w  # a field's value has at most b < w bits
+            row = rows.get(top)
+            if row is None:
+                break
+            s = v + (p - (v >> top * w)) * row
+            v = s - p * (s * m >> k & low)  # f.reduce(s), inlined in the two loops run per line
         else:
             continue
+        x = v >> top * w
         if x != 1:
-            inv = pow(x, -1, p)
-            v = [a * inv % p for a in v]
-        rows[j] = v
-        if len(rows) == n:
-            return _identity(n)
-    leads = sorted(rows)
-    for i, lead in enumerate(leads):
-        row = rows[lead]
-        for other in leads[:i]:
-            f = rows[other][lead]
-            if f:
-                rows[other] = [(a - f * b) % p for a, b in zip(rows[other], row)]
-    return tuple(tuple(rows[lead]) for lead in leads)
+            v = f.reduce(v * pow(x, -1, p))
+        rows[top] = v
+        if len(rows) == f.n:
+            return f.units
+    field = (1 << w) - 1
+    cleared = []
+    for lead in sorted(rows):
+        v = rows[lead]
+        for other, row in cleared:
+            y = v >> other * w & field
+            if y:
+                v = f.reduce(v + (p - y) * row)
+        cleared.append((lead, v))
+    return tuple(v for _, v in reversed(cleared))
+
+
+def _line_spans(algebra: tuple, f: _Packing):
+    """(v, echelon tuple of A v = span{X v : X in algebra}) for every line v of F_p^n, both packed.
+
+    v is the vector whose first nonzero entry is 1, in the order of
+    itertools.product. images[i] is X_i v. Each lead's tail is walked depth
+    first on a stack of digit iterators, one per coordinate: a digit step
+    adds column c of each X_i that has one to X_i v, and leaving the
+    coordinate at p - 1 adds it once more, back to 0. Memory stays O(n p)
+    however many lines there are.
+    """
+    n, p, k, m, low = f.n, f.p, f.k, f.m, f.low
+    unit = f.units
+    by_column = [[] for _ in range(n)]  # per coordinate c, (i, column c of X_i) where that column is not 0
+    for i, x in enumerate(algebra):
+        for c, column in enumerate(zip(*x)):
+            if col := sum(a % p * u for a, u in zip(column, unit)):
+                by_column[c].append((i, col))
+    # range(p) is held whole before the first line once a tail exists, as
+    # itertools.product would hold it: the default line cap keeps p small
+    # then, but a raised --cap can admit a p whose range does not fit in
+    # memory, or past 2^63 no range length at all (the CLI reports the
+    # MemoryError or OverflowError, exit 3)
+    digits = tuple(range(p)) if n > 1 else ()
+    images = [0] * len(algebra)
+
+    def add(c: int):  # coordinate c of v goes up by 1 mod p
+        for i, col in by_column[c]:
+            s = images[i] + col
+            images[i] = s - p * (s * m >> k & low)  # f.reduce(s), inlined
+
+    for lead in range(n):
+        images[:] = [0] * len(images)
+        add(lead)
+        v = unit[lead]
+        if lead == n - 1:
+            yield v, _echelon(set(images), f)
+            continue
+        stack = [iter(digits)]
+        while stack:
+            c = lead + len(stack)
+            for d in stack[-1]:
+                if d:
+                    v += unit[c]
+                    add(c)
+                if c < n - 1:
+                    stack.append(iter(digits))
+                    break
+                yield v, _echelon(set(images), f)
+            else:
+                stack.pop()
+                v -= (p - 1) * unit[c]
+                add(c)
 
 
 def cyclic_submodules(algebra: tuple, p: int):
     """Each line v of F_p^n with the echelon basis of A v = span{X v : X in algebra}, a basis of A.
 
-    No cap is applied here: callers pass check_scan first.
+    Both come as row tuples. No cap is applied here: callers pass check_scan
+    first.
     """
-    n = len(algebra[0])
-    # by_column[c] lists the nonzero entries X_k[r][c] = a as (k, r, a); the
-    # images X_k v are kept mod p and updated only where v changes from the
-    # previous line
-    by_column = [[] for _ in range(n)]
-    for k, x in enumerate(algebra):
-        for r, row in enumerate(x):
-            for c, a in enumerate(row):
-                if a:
-                    by_column[c].append((k, r, a))
-    images = [[0] * n for _ in algebra]
-    previous = (0,) * n
-    for v in _lines(p, n):
-        for c, (new, old) in enumerate(zip(v, previous)):
-            if new != old:
-                for k, r, a in by_column[c]:
-                    images[k][r] = (images[k][r] + a * (new - old)) % p
-        previous = v
-        yield v, _echelon(set(map(tuple, images)), p)
+    f = _Packing(p, len(algebra[0]))
+    for v, span in _line_spans(algebra, f):
+        yield f.unpack(v), tuple(map(f.unpack, span))
 
 
-def _sum_closure(generators, p: int) -> set:
-    """Every sum of a subset of the given subspaces, as echelon bases.
+def _sum_closure(generators, f: _Packing) -> set:
+    """Every sum of a subset of the given subspaces, as echelon tuples.
 
     Adding the generators one at a time keeps the found set closed under
     sums; a generator that is already such a sum adds nothing.
@@ -254,14 +328,20 @@ def _sum_closure(generators, p: int) -> set:
     found = {()}
     for c in sorted(generators, key=lambda s: (len(s), s)):
         if c not in found:
-            found |= {_echelon(w + c, p) for w in found}
+            found |= {_echelon(w + c, f) for w in found}
     return found
 
 
 def _invariant_subspaces(j: tuple, p: int) -> list:
-    """Every subspace invariant under the algebra commuting with j mod p, by dimension, then echelon tuple."""
-    cyclic = {span for _, span in cyclic_submodules(centralizer_mod_p(j, p), p)}
-    return sorted(_sum_closure(cyclic, p), key=lambda s: (len(s), s))
+    """Every subspace invariant under the algebra commuting with j mod p, as row tuples.
+
+    Sorted by dimension, then by the echelon tuple.
+    """
+    algebra = centralizer_mod_p(j, p)
+    f = _Packing(p, len(j))
+    cyclic = {span for _, span in _line_spans(algebra, f)}
+    closed = sorted(_sum_closure(cyclic, f), key=lambda s: (len(s), s))
+    return [tuple(map(f.unpack, s)) for s in closed]
 
 
 def invariant_subspaces_bruteforce(jt: JordanType, p: int) -> list:
@@ -294,6 +374,7 @@ def compare_with_prediction(jt: JordanType, p: int, cap: int = DEFAULT_LINE_CAP)
     check_scan(p, n, cap)
     j = jordan_mod_p(jt, p)
     labels = enumerate_labels(jt)
+    identity = [tuple(int(c == r) for c in range(n)) for r in range(n)]
     predicted = {}  # echelon tuple -> label, in label order
     for label in labels:
         positions = invariant_positions(jt, label)
@@ -303,7 +384,7 @@ def compare_with_prediction(jt: JordanType, p: int, cap: int = DEFAULT_LINE_CAP)
                 f"label {label.deltas}: coordinate count {len(positions)} "
                 f"differs from predicted dimension {dimension}",
             )
-        predicted.setdefault(tuple(_identity(n)[i] for i in positions), label)
+        predicted.setdefault(tuple(identity[i] for i in positions), label)
     brute = _invariant_subspaces(j, p)
     found = set(brute)
     mismatches = [

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -51,6 +52,70 @@ def all_subspaces(p: int, n: int):
                 for (r, c), v in zip(free_cells, values):
                     grid[r][c] = v
                 yield tuple(tuple(row) for row in grid)
+
+
+def reference_echelon(vectors, p: int) -> tuple:
+    """Reduced row echelon basis of the span of vectors with entries in [0, p), as row tuples.
+
+    The tuple elimination the oracle ran before it packed its vectors: each
+    vector is reduced left to right by the rows found so far until its first
+    entry outside their leading columns, and the rows are fully reduced once,
+    at the end.
+    """
+    rows = {}
+    n = 0
+    for v in sorted(vectors):
+        n = len(v)
+        for j in range(n):
+            x = v[j]
+            if x:
+                row = rows.get(j)
+                if row is None:
+                    break
+                v = [(a - x * b) % p for a, b in zip(v, row)]
+        else:
+            continue
+        if x != 1:
+            inv = pow(x, -1, p)
+            v = [a * inv % p for a in v]
+        rows[j] = v
+        if len(rows) == n:
+            return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    leads = sorted(rows)
+    for i, lead in enumerate(leads):
+        row = rows[lead]
+        for other in leads[:i]:
+            f = rows[other][lead]
+            if f:
+                rows[other] = [(a - f * b) % p for a, b in zip(rows[other], row)]
+    return tuple(tuple(rows[lead]) for lead in leads)
+
+
+def reference_centralizer(j: tuple, p: int) -> tuple:
+    """A basis of {X : XJ = JX} over F_p, solved on tuple rows by reference_echelon.
+
+    Unknown X[a][b] is number a*n + b; equation (i, k) is
+    sum_c X[i][c] J[c][k] - sum_r J[i][r] X[r][k] = 0.
+    """
+    n = len(j)
+    equations = [[0] * (n * n) for _ in range(n * n)]
+    for r, row in enumerate(j):
+        for c, a in enumerate(row):
+            if a:
+                for i in range(n):
+                    equations[i * n + c][i * n + r] += a
+                    equations[r * n + i][c * n + i] -= a
+    reduced = reference_echelon([[a % p for a in eq] for eq in equations], p)
+    pivots = {next(u for u, a in enumerate(row) if a): row for row in reduced}
+    basis = []
+    for free in range(n * n):
+        if free not in pivots:
+            x = [0] * (n * n)
+            x[free] = 1
+            for u, row in pivots.items():
+                x[u] = -row[free] % p
+            basis.append(tuple(tuple(x[a * n:(a + 1) * n]) for a in range(n)))
+    return tuple(basis)
 
 
 def _contains(sub: tuple, vec, p: int) -> bool:
@@ -202,10 +267,118 @@ def test_solved_algebra_commutes_and_has_the_centralizer_dimension(blocks, p):
     j = jordan_mod_p(jt, p)
     algebra = centralizer_mod_p(j, p)
     assert len(algebra) == centralizer_dimension(jt)
+    assert algebra == reference_centralizer(j, p)
     flat = [sum(x, ()) for x in algebra]
-    assert len(oracle._echelon(flat, p)) == len(algebra)
+    assert len(reference_echelon(flat, p)) == len(algebra)
     for x in algebra:
         assert _matmul(x, j, p) == _matmul(j, x, p)
+
+
+# -- the packed form: the reduction mod p, the echelon and the line walk ----
+
+ABOVE_2_63 = 2**63 + 29  # the least prime above 2^63
+LARGEST_CERTIFIED = 3317044064679887385961813  # the largest prime _require_prime accepts
+PACKED_PRIMES = (2, 3, 5, 8191, ABOVE_2_63)
+
+
+def pack(f, v) -> int:
+    """v as one int of f.w-bit fields, v[0] in the top field."""
+    return sum(a << f.w * i for i, a in enumerate(reversed(v)))
+
+
+def _small_primes(bound: int) -> list:
+    return [q for q in range(2, bound) if all(q % d for d in range(2, int(q**0.5) + 1))]
+
+
+def _assert_reduces(p: int, values, n: int):
+    """values, n fields below p^2 at a time side by side, reduce to themselves mod p."""
+    f = oracle._Packing(p, n)
+    values = list(values)
+    for i in range(0, len(values), n):
+        fields = values[i:i + n]
+        fields += [p * p - 1] * (n - len(fields))
+        assert f.unpack(f.reduce(pack(f, fields))) == tuple(x % p for x in fields), (p, fields)
+
+
+def test_the_reduction_is_exact_for_every_field_below_p_squared():
+    rng = random.Random(256)
+    primes = _small_primes(256)
+    assert (primes[0], primes[-1], len(primes)) == (2, 251, 54)
+    for p in primes:
+        values = list(range(p * p))
+        rng.shuffle(values)  # every x once, between random neighbours
+        _assert_reduces(p, values, 64)
+
+
+@pytest.mark.parametrize("p", (2**61 - 1, 10**17 + 3, LARGEST_CERTIFIED))
+def test_the_reduction_is_exact_for_a_large_prime(p):
+    _require_prime(p)
+    edges = (0, 1, p - 1, p, p + 1, 2 * p - 1, 2 * p,
+             (p - 1) ** 2, p - 1 + (p - 1) ** 2, p * p - p, p * p - 1)
+    _assert_reduces(p, itertools.chain.from_iterable(itertools.product(edges, repeat=3)), 3)
+    rng = random.Random(p)
+    _assert_reduces(p, (rng.randrange(p * p) for _ in range(3000)), 3)
+
+
+def random_vectors(rng: random.Random, p: int, n: int) -> list:
+    """A few vectors of F_p^n: some dense, some mostly zero, and combinations of them.
+
+    The combinations make most spans fall short of F_p^n, so rows are cleared.
+    """
+    vectors = [
+        tuple(rng.randrange(p) if rng.random() < density else 0 for _ in range(n))
+        for density in (1.0, 0.3) for _ in range(rng.randint(0, (n + 1) // 2))
+    ]
+    vectors += [
+        tuple(sum(rng.randrange(p) * v[i] for v in vectors) % p for i in range(n))
+        for _ in range(rng.randint(0, 3))
+    ]
+    return vectors
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_the_packed_echelon_is_the_tuple_echelon(p):
+    rng = random.Random(p)
+    for n in range(1, 14):
+        f = oracle._Packing(p, n)
+        for _ in range(25):
+            vectors = random_vectors(rng, p, n)
+            packed = oracle._echelon({pack(f, v) for v in vectors}, f)
+            assert tuple(map(f.unpack, packed)) == reference_echelon(set(vectors), p)
+            assert packed == tuple(sorted(packed, reverse=True))  # first pivot first is the larger int
+
+
+def _random_grid(rng: random.Random, p: int, n: int, density: float) -> tuple:
+    return tuple(tuple(rng.randrange(p) if rng.random() < density else 0 for _ in range(n)) for _ in range(n))
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_the_algebra_of_a_dense_grid_is_the_tuple_solve(p):
+    rng = random.Random(p + 1)
+    for n in range(1, 7):
+        for density in (1.0, 0.3):
+            j = _random_grid(rng, p, n, density)
+            assert centralizer_mod_p(j, p) == reference_centralizer(j, p)
+    scalar = tuple(tuple(7 * int(r == c) % p for c in range(4)) for r in range(4))
+    assert centralizer_mod_p(scalar, p) == reference_centralizer(scalar, p)
+    assert len(centralizer_mod_p(scalar, p)) == 16
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 6), (3, 4), (5, 3)])
+def test_the_walk_yields_every_line_once_in_product_order(p, n):
+    rng = random.Random(10 * p + n)
+    algebra = centralizer_mod_p(_random_grid(rng, p, n, 0.4), p)
+    found = list(cyclic_submodules(algebra, p))
+    lines = [
+        (0,) * lead + (1,) + rest
+        for lead in range(n) for rest in itertools.product(range(p), repeat=n - lead - 1)
+    ]
+    assert [v for v, _ in found] == lines
+    assert len(found) == (p**n - 1) // (p - 1)
+    assert all(next(a for a in v if a) == 1 for v, _ in found)
+    for v, span in found:
+        images = {tuple(sum(a * b for a, b in zip(row, v)) % p for row in x) for x in algebra}
+        assert span == reference_echelon(images, p)
 
 
 @pytest.mark.parametrize(
