@@ -50,7 +50,7 @@ from .lattice import (
     lattice_text,
     orbit_count,
 )
-from .linalg import Matrix, NotANumber, _echo, as_fraction
+from .linalg import Matrix, NotANumber, _echo, as_ratio
 
 DEFAULT_SEED = 0
 
@@ -69,7 +69,7 @@ def _entry(value, field: str) -> tuple:
     if type(value) is int:  # a JSON int, not a bool, is its own numerator over 1
         return value, 1
     try:
-        return as_fraction(value).as_integer_ratio()
+        return as_ratio(value)
     except (TypeError, NotANumber):
         raise SpecError(f"{field}: expected an integer or a 'p/q' string, got {_echo(value)}") from None
     except ValueError as exc:

@@ -49,21 +49,21 @@ is that of R N, R the nonzero rows left by the reduction for N^{k-1}, and
 the reduced form depends only on the row space. The type is read off the
 ranks alone: with d_k = dim ker N^k, the number of blocks of size exactly i
 is 2 d_i - d_{i-1} - d_{i+1}. Only `jordan_basis` builds kernel bases from
-the reductions, one per power, and N as a Matrix. N is written on the
-integer grid of T = A/d: N = (A - rI) / d, r = lambda d the integer root of c.
+the reductions, one per power. N is written on the integer grid of T = A/d:
+N = (A - rI) / d, r = lambda d the integer root of c.
 
 Chain construction walks block sizes from largest to smallest. At size s the
 vectors already forced into ker N^s are a basis of ker N^{s-1} together with
 the depth s - 1 tails N^{j-s} w of the chains of sizes j > s found earlier,
-read off those chains. The forced vectors and then the kernel basis of N^s,
-in its deterministic order, are the columns of one integer row reduction;
-the chain generators are the kernel columns among its pivot columns, since
-a column is a pivot exactly when it lies outside the span of the columns
-before it. Each chain (v, Nv, ..., N^{s-1}v) is built once by repeated
-products with N as soon as v is found. The count of generators must match
-the block multiplicities, and the result is verified outright: the
-assembled change of basis P must satisfy T P == P J, checked against
-`jordan_matrix`, and computing P^-1 certifies that P is invertible, so
+read off those chains. The forced vectors and then the kernel basis of N^s
+are the columns of one integer row reduction over the d_s free coordinates
+of ker N^s, which fix a vector of ker N^s; the chain generators are the
+kernel columns among its pivot columns, since a column is a pivot exactly
+when it lies outside the span of the columns before it. Each chain (v, Nv,
+..., N^{s-1}v) is built once, as integer columns, as soon as v is found.
+The count of generators must match the block multiplicities, and the result
+is verified outright: P, assembled once, must satisfy T P == P J, checked
+against `jordan_matrix`, and computing P^-1 certifies that P is invertible, so
 P^-1 T P == J. P is the only record of the chains: the chain at
 ``chain_slots(jt)[i]`` is the run of P's columns from its offset.
 """
@@ -76,7 +76,8 @@ from math import isqrt, lcm
 from operator import mul
 from typing import NamedTuple, Union
 
-from .linalg import Matrix, NotANumber, ShapeError, _echo, _integer_rref, _kernel_vectors, _primitive, as_fraction
+from .linalg import (Matrix, NotANumber, ShapeError, _echo, _integer_rref, _kernel_vectors, _lowest_terms, _primitive,
+                     as_ratio)
 
 Eigenvalue = Union[Fraction, str]
 
@@ -104,7 +105,7 @@ def _normalize_eigenvalue(eig) -> Eigenvalue:
     """A rational when eig is one or a string that reads as one, else a symbolic label."""
     if isinstance(eig, str):
         try:
-            return as_fraction(eig)
+            return Fraction(*as_ratio(eig))
         except NotANumber:
             label = eig.strip()
         if not label:
@@ -517,29 +518,31 @@ class JordanBasis:
 
 
 def jordan_basis(t: Matrix) -> JordanBasis:
-    data = {}
-    columns = []
+    """P and P^-1 from the (integers, denominator) columns of :func:`_kernel_vectors`; P is assembled once."""
+    n, data, columns = t.rows, {}, []
     for eig, blocks, grid, reductions in _kernel_chains(t):
         data[eig] = blocks
-        nilpotent = Matrix._reduced(grid, t._den)
-        kernels = [[]] + [_kernel_vectors(rows, pivots, t.rows) for rows, pivots in reductions]
-        mult = dict(blocks)
+        kernels = [[]] + [_kernel_vectors(rows, pivots, n) for rows, pivots in reductions]
         chains = []  # [v, Nv, ..., N^{s-1} v] per chain, smallest size first
         for size in range(len(kernels) - 1, 0, -1):
             forced = kernels[size - 1] + [c[len(c) - size] for c in chains]
+            # every column lies in ker N^size, where the free coordinates fix a vector;
             # a column scaled by its denominator is a pivot column exactly when it was one
-            _, pivots = _integer_rref(zip(*[[x for (x,) in c._grid] for c in forced + kernels[size]]))
+            free = sorted(set(range(n)) - set(reductions[size - 1][1]))
+            _, pivots = _integer_rref([[values[i] for values, _ in forced + kernels[size]] for i in free])
             tops = [kernels[size][c - len(forced)] for c in pivots if c >= len(forced)]
-            if len(tops) != mult.get(size, 0):
+            if len(tops) != dict(blocks).get(size, 0):
                 raise RuntimeError("Jordan chain construction failed; this is a bug")
             found = [[top] for top in tops]
             for chain in found:
                 for _ in range(size - 1):
-                    chain.append(nilpotent @ chain[-1])
+                    values, den = chain[-1]
+                    chain.append(_lowest_terms([sum(map(mul, row, values)) for row in grid], t._den * den))
             chains = found + chains
         columns += [vec for chain in chains for vec in chain]
     jt = JordanType.of(data)
-    p = Matrix.from_columns(columns)
+    den = lcm(*(d for _, d in columns))
+    p = Matrix._reduced(list(zip(*[[x * (den // d) for x in values] for values, d in columns])), den)
     p_inv = p.inverse()
     if t @ p != p @ jordan_matrix(jt):
         raise RuntimeError("Jordan basis reconstruction check failed; this is a bug")

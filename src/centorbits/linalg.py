@@ -4,13 +4,13 @@ A matrix is stored as a grid of Python integers over one positive common
 denominator, kept in lowest terms: the gcd of the denominator and every
 entry is 1. That form is unique, so equality and hashing compare integers,
 and all results are exact: no rounding, no overflow, no precision loss
-anywhere in this module. Vectors are represented as n x 1 matrices to keep a
-single arithmetic path. Only reading an entry (``m[i, j]``, ``row``) or
-printing builds ``fractions.Fraction`` values.
+anywhere in this module. Vectors are n x 1 matrices, and inside the package
+also (integers, denominator) columns in lowest terms. Only reading an entry
+(``m[i, j]``, ``row``) or printing builds ``fractions.Fraction`` values.
 
 Every operation runs on the integers. A product is the integer product of
-the grids over the product of the denominators; sums, stacked columns and
-scalings rescale to the lcm of the denominators. Elimination,
+the grids over the product of the denominators (by a column, one dot product
+per row); sums rescale to the lcm of the denominators. Elimination,
 :func:`_integer_rref`, runs fraction-free on integer rows: the target row
 is multiplied by the pivot before the pivot row is subtracted, and each
 updated row is divided by its content (the gcd of its entries) to keep the
@@ -58,7 +58,8 @@ class TooManyDigits(ValueError):
 # The one number grammar: a sign, digits with an optional '/digits' or
 # '.digits' part, whitespace around the whole. It is fractions.Fraction's on
 # Python 3.10 less the exponent, and every later version reads it alike.
-_NUMBER = re.compile(r"\s*[-+]?(?=\.?\d)\d*(/\d+|\.\d*)?\s*")
+# Its groups are the sign, the integer digits, the denominator and the decimals.
+_NUMBER = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?\s*")
 # A decimal mantissa with at least one digit, then an exponent: the strings
 # Fraction would read by computing 10**exponent, however large
 _EXPONENT_FORM = re.compile(r"\s*[-+]?(\d[\d_]*(\.[\d_]*)?|\.\d[\d_]*)[eE][-+]?\d[\d_]*\s*")
@@ -74,8 +75,8 @@ def _echo(value) -> str:
     return repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
 
 
-def as_fraction(value: Scalar) -> Fraction:
-    """Coerce ``value`` to an exact rational.
+def as_ratio(value: Scalar) -> tuple:
+    """``value`` as (numerator, denominator), in lowest terms with denominator > 0.
 
     Accepts Fraction, int, and strings in one grammar that every supported
     Python reads alike: a sign, then digits with an optional ``/digits`` or
@@ -92,19 +93,21 @@ def as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, (bool, float)):
         raise TypeError(f"inexact or boolean entry {value!r}; use int, Fraction or a 'p/q' string")
     if isinstance(value, (Fraction, int)):
-        return Fraction(value)
+        return value.as_integer_ratio()
     if not isinstance(value, str):
         raise TypeError(f"cannot interpret {_echo(value)} as a rational number")
-    if _NUMBER.fullmatch(value):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {_echo(value)}") from None
-        except ValueError:  # the grammar leaves only the digit limit to fail on
-            raise TooManyDigits(
-                f"{_echo(value)} has an integer of more than {sys.get_int_max_str_digits()} digits, "
-                "the limit on integer strings"
-            ) from None
+    if number := _NUMBER.fullmatch(value):
+        sign, digits, den, decimals = number.groups("")
+        try:  # the grammar leaves only the digit limit to fail on
+            scale = 10 ** len(decimals)
+            num, den = int(digits or "0") * scale + int(decimals or "0"), int(den or scale)
+        except ValueError:
+            raise TooManyDigits(f"{_echo(value)} has an integer of more than {sys.get_int_max_str_digits()} "
+                                "digits, the limit on integer strings") from None
+        if not den:
+            raise ValueError(f"zero denominator in {_echo(value)}")
+        g = gcd(num, den)
+        return (-num if sign == "-" else num) // g, den // g
     if _EXPONENT_FORM.fullmatch(value):
         raise RefusedForm(f"exponent notation {_echo(value)} is not accepted; write an integer or 'p/q'")
     if _VERSION_FORM.fullmatch(value):
@@ -134,7 +137,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "_grid", "_den")
 
     def __init__(self, rows_data: Iterable[Sequence[Scalar]]):
-        data = [[(x if type(x) in (int, Fraction) else as_fraction(x)).as_integer_ratio() for x in row]
+        data = [[x.as_integer_ratio() if type(x) in (int, Fraction) else as_ratio(x) for x in row]
                 for row in rows_data]
         if not data or not data[0]:
             raise ShapeError("a matrix needs at least one row and one column")
@@ -173,14 +176,11 @@ class Matrix:
         return cls([[v] for v in values])
 
     @classmethod
-    def from_columns(cls, columns: Sequence["Matrix"]) -> "Matrix":
-        if not columns:
-            raise ShapeError("from_columns needs at least one column")
-        height = columns[0].rows
-        if any(c.rows != height or c.cols != 1 for c in columns):
-            raise ShapeError("from_columns expects n x 1 matrices of equal height")
-        den = lcm(*(c._den for c in columns))
-        return cls._reduced(list(zip(*[[x * (den // c._den) for (x,) in c._grid] for c in columns])), den)
+    def _column(cls, values: Sequence[int], den: int) -> "Matrix":
+        """The n x 1 matrix values / den, for integers already in lowest terms over den > 0."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._grid, m._den = len(values), 1, tuple([(x,) for x in values]), den
+        return m
 
     # -- element access ------------------------------------------------
 
@@ -229,22 +229,21 @@ class Matrix:
         return self._combine(other, -1)
 
     def scaled(self, c: Scalar) -> "Matrix":
-        c = as_fraction(c)
-        num = c.numerator
-        return Matrix._reduced([[num * x for x in row] for row in self._grid], self._den * c.denominator)
+        num, den = as_ratio(c)
+        return Matrix._reduced([[num * x for x in row] for row in self._grid], self._den * den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product, in lowest terms; by a column, one integer dot product per row and one gcd."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
-            raise ShapeError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
+            raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        den = self._den * other._den
+        if other.cols == 1:
+            values = [x for (x,) in other._grid]
+            return Matrix._column(*_lowest_terms([sum(map(mul, row, values)) for row in self._grid], den))
         cols = list(zip(*other._grid))
-        return Matrix._reduced(
-            [[sum(map(mul, row, col)) for col in cols] for row in self._grid],
-            self._den * other._den,
-        )
+        return Matrix._reduced([[sum(map(mul, row, col)) for col in cols] for row in self._grid], den)
 
     # -- elimination ---------------------------------------------------
 
@@ -260,15 +259,11 @@ class Matrix:
         return len(_integer_rref(self._grid)[1])
 
     def kernel_basis(self) -> list:
-        """Basis of the right kernel as n x 1 matrices.
+        """Basis of the right kernel as n x 1 matrices, one per free column in increasing order.
 
-        One vector per free column, free columns in increasing order, so the
-        result is reproducible: rank + len(kernel) == cols always holds.
-        The vector of a free column has 1 there and, at each pivot column,
-        minus the reduced form's entry in the free column, written over the
-        lcm of the pivots.
-        """
-        return _kernel_vectors(*_integer_rref(self._grid), self.cols)
+        The vector of a free column has 1 there and, at each pivot column, minus the reduced form's
+        entry in the free column, written over the lcm of the pivots: rank + len(kernel) == cols."""
+        return [Matrix._column(*vec) for vec in _kernel_vectors(*_integer_rref(self._grid), self.cols)]
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
@@ -316,15 +311,21 @@ def _integer_rref(rows: Iterable[Sequence[int]]) -> tuple[list, tuple]:
     return m, tuple(pivots)
 
 
+def _lowest_terms(values: list, den: int) -> tuple:
+    """The column values / den, for den > 0, as (integers, denominator) in lowest terms."""
+    g = gcd(den, *values)
+    return ([x // g for x in values], den // g) if g > 1 else (values, den)
+
+
 def _kernel_vectors(m: list, pivots: tuple, cols: int) -> list:
-    """The kernel basis read off the integer rows and pivots :func:`_integer_rref` returns."""
+    """:meth:`Matrix.kernel_basis` from :func:`_integer_rref`'s rows and pivots, as columns in lowest terms."""
     den = lcm(*(m[r][pc] for r, pc in enumerate(pivots)))
     scales = [den // m[r][pc] for r, pc in enumerate(pivots)]
     basis = []
     for free in sorted(set(range(cols)) - set(pivots)):
-        coords = [[0] for _ in range(cols)]
-        coords[free] = [den]
+        values = [0] * cols
+        values[free] = den
         for r, pc in enumerate(pivots):
-            coords[pc] = [-m[r][free] * scales[r]]
-        basis.append(Matrix._reduced(coords, den))
+            values[pc] = -m[r][free] * scales[r]
+        basis.append(_lowest_terms(values, den))
     return basis

@@ -666,15 +666,15 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["orbit_count"] == 18
 
 
-def test_int_entries_are_read_without_as_fraction(capsys, monkeypatch):
-    read = cli.as_fraction
+def test_int_entries_are_read_without_as_ratio(capsys, monkeypatch):
+    read = cli.as_ratio
 
     def strings_only(value):
         if type(value) is int:
-            raise AssertionError(f"as_fraction called on the int {value}")
+            raise AssertionError(f"as_ratio called on the int {value}")
         return read(value)
 
-    monkeypatch.setattr(cli, "as_fraction", strings_only)
+    monkeypatch.setattr(cli, "as_ratio", strings_only)
     doc = {"matrix": [[2, 1, 0], [0, 2, 0], [0, 0, -3]]}
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
     code, out, _ = run_cli(capsys, "analyze", "-")
@@ -877,6 +877,49 @@ def test_each_single_fault_has_one_pinned_error_line(tmp_path, capsys, where, fa
         argv, field = ["analyze"], "jordan[1].eigenvalue"
     code, out, err = run_cli(capsys, argv[0], write(tmp_path, "fault.json", doc), *argv[1:])
     assert (code, out, err) == (2, "", f"error: {field}: {message}\n")
+
+
+# Entry strings with the (numerator, denominator) or the error an entry m[0][0] gave
+# when each string was read twice, by the grammar and then by Fraction(str)
+_NOT_A_NUMBER = "expected an integer or a 'p/q' string, got "
+_TOO_LONG = "... (4303 characters) has an integer of more than 4300 digits, the limit on integer strings"
+ENTRY_READINGS = [
+    ("1/2", (1, 2)), ("2/4", (1, 2)), ("-6/4", (-3, 2)), ("+3", (3, 1)), (" 7 ", (7, 1)), ("0", (0, 1)),
+    ("-0", (0, 1)), ("0/5", (0, 1)), ("-0/7", (0, 1)), ("1.5", (3, 2)), ("-.25", (-1, 4)), ("3.", (3, 1)),
+    (".5", (1, 2)), ("1.50", (3, 2)), ("007/014", (1, 2)), ("\t-12/8\n", (-3, 2)), ("\u0661\u0662/\u0663", (4, 1)),
+    ("10/1", (10, 1)), ("123456789012345678901234567890/6", (20576131502057613150205761315, 1)),
+    ("-0.000", (0, 1)), ("+.125", (1, 8)), ("9" * 4300, (int("9" * 4300), 1)),
+    ("1/" + "3" * 4300, (1, int("3" * 4300))), ("0." + "5" * 4299, (int("1" * 4299), 2 ** 4299 * 5 ** 4298)),
+    ("1/0", "zero denominator in '1/0'"), ("0/0", "zero denominator in '0/0'"),
+    ("-5/00", "zero denominator in '-5/00'"), (" 3/0 ", "zero denominator in ' 3/0 '"),
+    ("1e5", "exponent notation '1e5' is not accepted; write an integer or 'p/q'"),
+    ("1.5E-3", "exponent notation '1.5E-3' is not accepted; write an integer or 'p/q'"),
+    (".5e1", "exponent notation '.5e1' is not accepted; write an integer or 'p/q'"),
+    ("1_000", f"'1_000' {_VERSION_FORM}"), ("2 / 3", f"'2 / 3' {_VERSION_FORM}"),
+    ("2/ 3", f"'2/ 3' {_VERSION_FORM}"),
+    *((text, f"{_NOT_A_NUMBER}{text!r}") for text in
+      ("x", "", " ", "1/2/3", "--1", "+-1", "1/-2", "1/2.5", ".", "-", "/2", "1/", "nan", "inf", "0x10", "1 2",
+       "\u00bd")),
+    ("1" * 4301, "'11111111111111111111'... (4301 characters) has an integer of more than 4300 digits, "
+                 "the limit on integer strings"),
+    ("1/" + "1" * 4301, "'1/111111111111111111'" + _TOO_LONG),
+    ("0." + "1" * 4301, "'0.111111111111111111'" + _TOO_LONG),
+    ("1" * 4301 + "/0", "'11111111111111111111'" + _TOO_LONG),  # the digits fail before the zero
+]
+
+
+@pytest.mark.parametrize("text, reading", ENTRY_READINGS, ids=range(len(ENTRY_READINGS)))
+def test_entry_strings_are_read_once_with_the_same_ratio_or_error(tmp_path, capsys, text, reading):
+    assert sys.get_int_max_str_digits() == 4300
+    if isinstance(reading, tuple):
+        assert cli._entry(text, "m[0][0]") == reading
+        assert Fraction(*reading) == Fraction(text)
+        return
+    with pytest.raises(cli.SpecError) as err:
+        cli._entry(text, "m[0][0]")
+    assert str(err.value) == f"m[0][0]: {reading}"
+    code, out, err = run_cli(capsys, "analyze", write(tmp_path, "entry.json", {"matrix": [[text]]}))
+    assert (code, out, err) == (2, "", f"error: matrix[0][0]: {reading}\n")
 
 
 def test_underscore_in_a_label_keeps_it_a_label(tmp_path, capsys):

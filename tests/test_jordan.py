@@ -424,7 +424,9 @@ def test_each_kernel_is_the_kernel_basis_of_the_power():
             nilpotent = Matrix._reduced(grid, t._den)
             for k, (rows, pivots) in enumerate(reductions, 1):
                 kernel = jordan._kernel_vectors(rows, pivots, t.rows)
-                assert kernel == power(nilpotent, k).kernel_basis(), (jt, eig, k)
+                # (integers, denominator) columns, in lowest terms as a Matrix stores them
+                expected = [([x for (x,) in v._grid], v._den) for v in power(nilpotent, k).kernel_basis()]
+                assert kernel == expected, (jt, eig, k)
 
 
 def test_n_is_written_over_the_denominator_of_t():
@@ -454,42 +456,94 @@ def test_each_reduction_after_the_first_has_the_rank_of_the_last_power(monkeypat
     assert rows == expected
 
 
-def test_jordan_type_builds_no_kernel_basis_and_no_matrix(monkeypatch):
-    jt = JordanType.of({0: [(1, 1), (3, 1)], Fraction(1, 2): [(2, 2)]})
-    t = random_conjugate(jordan_matrix(jt), 5)
+def count_builds(monkeypatch) -> tuple:
+    """Patch jordan's kernel reader and every Matrix constructor to record calls: (kernels, matrices)."""
     kernels, matrices = [], []
-    kernel_vectors, reduced = jordan._kernel_vectors, Matrix._reduced
+    kernel_vectors, init, reduced, column = jordan._kernel_vectors, Matrix.__init__, Matrix._reduced, Matrix._column
 
     def counting_kernels(*args):
         kernels.append(args)
         return kernel_vectors(*args)
 
-    def counting_matrices(cls, *args):
-        matrices.append(args)
-        return reduced(*args)
+    def counting_init(self, *args):
+        init(self, *args)
+        matrices.append(self)
+
+    def counting(build):
+        def built(cls, *args):
+            matrices.append(build(*args))
+            return matrices[-1]
+        return classmethod(built)
 
     monkeypatch.setattr(jordan, "_kernel_vectors", counting_kernels)
-    monkeypatch.setattr(Matrix, "_reduced", classmethod(counting_matrices))
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    monkeypatch.setattr(Matrix, "_reduced", counting(reduced))
+    monkeypatch.setattr(Matrix, "_column", counting(column))
+    return kernels, matrices
+
+
+def test_jordan_type_builds_no_kernel_basis_and_no_matrix(monkeypatch):
+    jt = JordanType.of({0: [(1, 1), (3, 1)], Fraction(1, 2): [(2, 2)]})
+    t = random_conjugate(jordan_matrix(jt), 5)
+    kernels, matrices = count_builds(monkeypatch)
     assert jordan_type(t) == jt
     assert kernels == [] and matrices == []
-    # the basis reads one kernel per power it reduces: 3 for 0, 2 for 1/2
-    assert jordan_basis(t).jordan_type == jt
-    assert len(kernels) == 5
 
 
 def test_jordan_basis_stacks_columns_once_for_p(monkeypatch):
     jt = JordanType.of({0: [(1, 2), (3, 1)], Fraction(1, 2): [(2, 2)]})
     t = random_conjugate(jordan_matrix(jt), 3)
-    calls, stack = [], Matrix.from_columns
-
-    def counting(cls, columns):
-        calls.append(len(columns))
-        return stack(columns)
-
-    monkeypatch.setattr(Matrix, "from_columns", classmethod(counting))
+    kernels, matrices = count_builds(monkeypatch)
     basis = jordan_basis(t)
     assert basis.jordan_type == jt
-    assert calls == [t.rows]
+    # one kernel per power reduced: 3 for 0, 2 for 1/2
+    assert len(kernels) == 5
+    # kernel and chain vectors are integer columns: every Matrix built is n x n, and P is built once
+    assert all((m.rows, m.cols) == (t.rows, t.rows) for m in matrices)
+    assert [m for m in matrices if m == basis.transform] == [basis.transform]
+    assert any(m is basis.transform for m in matrices)
+
+
+def reference_transform(t: Matrix) -> Matrix:
+    """P with each size's tops chosen by a reduction over all n coordinates, chains as n x 1 matrices."""
+    n, columns = t.rows, []
+    for _, blocks, grid, reductions in jordan._kernel_chains(t):
+        nilpotent = Matrix._reduced(grid, t._den)
+        kernels = [[]] + [[Matrix._column(*v) for v in jordan._kernel_vectors(rows, pivots, n)]
+                          for rows, pivots in reductions]
+        chains = []
+        for size in range(len(kernels) - 1, 0, -1):
+            forced = kernels[size - 1] + [c[len(c) - size] for c in chains]
+            candidates = forced + kernels[size]
+            _, pivots = jordan._integer_rref([[c._grid[i][0] for c in candidates] for i in range(n)])
+            found = [[candidates[c]] for c in pivots if c >= len(forced)]
+            assert len(found) == dict(blocks).get(size, 0)
+            for chain in found:
+                for _ in range(size - 1):
+                    chain.append(nilpotent @ chain[-1])
+            chains = found + chains
+        columns += [vec for chain in chains for vec in chain]
+    return Matrix([[c[i, 0] for c in columns] for i in range(n)])
+
+
+# planted types with repeated block sizes and fractional eigenvalues, n = 13-21
+TOP_SELECTION_TYPES = [
+    JordanType.of({Fraction(1, 2): [(2, 3), (3, 2)], -1: [(1, 2), (4, 1)]}),
+    JordanType.of({Fraction(-3, 4): [(1, 3), (2, 2)], Fraction(5, 3): [(3, 2)], 0: [(2, 2)]}),
+    JordanType.of({Fraction(2, 7): [(1, 1), (2, 2), (4, 2)]}),
+    JordanType.of({0: [(1, 4), (3, 3)], Fraction(1, 3): [(2, 4)]}),
+    JordanType.of({Fraction(-1, 2): [(1, 2), (2, 2), (3, 2)], Fraction(7, 5): [(1, 3)]}),
+]
+
+
+@pytest.mark.parametrize("jt", TOP_SELECTION_TYPES, ids=lambda jt: f"n{jt.dimension}")
+def test_tops_chosen_in_the_free_coordinates_give_the_reference_basis(jt):
+    for seed in range(3):
+        t = random_conjugate(jordan_matrix(jt), 100 * jt.dimension + seed)
+        basis = jordan_basis(t)
+        p = reference_transform(t)
+        assert basis.transform == p, (jt, seed)
+        assert basis.inverse_transform == p.inverse(), (jt, seed)
 
 
 def test_the_basis_carries_the_plan_of_its_type():
