@@ -64,8 +64,11 @@ when it lies outside the span of the columns before it. Each chain (v, Nv,
 The count of generators must match the block multiplicities, and the result
 is verified outright: P, assembled once, must satisfy T P == P J, checked
 against `jordan_matrix`, and computing P^-1 certifies that P is invertible, so
-P^-1 T P == J. P is the only record of the chains: the chain at
-``chain_slots(jt)[i]`` is the run of P's columns from its offset.
+P^-1 T P == J. P^-1 comes from Q, the integer columns before they are put
+over one denominator: P = Q diag(1/d_j), so P^-1 is Q^-1 with row j times
+d_j, and the elimination runs on Q's short integers, not on P's over the
+lcm. P is the only record of the chains: the chain at ``chain_slots(jt)[i]``
+is the run of P's columns from its offset.
 """
 
 from __future__ import annotations
@@ -85,11 +88,20 @@ class NonSplittingCharPoly(ValueError):
     """The characteristic polynomial has an irrational or complex root."""
 
 
+def _count_text(count) -> str:
+    """count as str() writes it; an int of more digits than str() writes (sys.get_int_max_str_digits())
+    as "at least 2^k", 2^k its highest power of two, read off its bit length."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"at least 2^{count.bit_length() - 1}"
+
+
 class CapExceeded(RuntimeError):
     """An enumeration would produce more elements than the configured cap."""
 
     def __init__(self, count: int, cap: int, what: str = "lattice elements"):
-        super().__init__(f"refusing to enumerate {count} {what} (cap {cap})")
+        super().__init__(f"refusing to enumerate {_count_text(count)} {what} (cap {_count_text(cap)})")
         self.count = count
         self.cap = cap
 
@@ -518,7 +530,8 @@ class JordanBasis:
 
 
 def jordan_basis(t: Matrix) -> JordanBasis:
-    """P and P^-1 from the (integers, denominator) columns of :func:`_kernel_vectors`; P is assembled once."""
+    """P and P^-1 from the (integers, denominator) columns of :func:`_kernel_vectors`; P is assembled once,
+    and P^-1 is read off the inverse of the integer columns, which has denominator 1."""
     n, data, columns = t.rows, {}, []
     for eig, blocks, grid, reductions in _kernel_chains(t):
         data[eig] = blocks
@@ -543,7 +556,9 @@ def jordan_basis(t: Matrix) -> JordanBasis:
     jt = JordanType.of(data)
     den = lcm(*(d for _, d in columns))
     p = Matrix._reduced(list(zip(*[[x * (den // d) for x in values] for values, d in columns])), den)
-    p_inv = p.inverse()
+    # P = Q diag(1/d_j) for Q the integer columns, so P^-1 is Q^-1 with row j times d_j
+    q_inv = Matrix._reduced(list(zip(*[values for values, _ in columns])), 1).inverse()
+    p_inv = Matrix._reduced([[d * x for x in row] for row, (_, d) in zip(q_inv._grid, columns)], q_inv._den)
     if t @ p != p @ jordan_matrix(jt):
         raise RuntimeError("Jordan basis reconstruction check failed; this is a bug")
     return JordanBasis(t, jt, p, p_inv, chain_plan(jt))

@@ -33,10 +33,11 @@ eigenvalues, :func:`column_tables` holds one row per digit tuple of each
 eigenvalue, read from those pairs alone: its name, its share sum delta_k M_k
 (= sum m_k H_k) of the orbit dimension and its upper covers' names.
 :func:`lattice_text` writes the JSON or DOT text one name prefix (the rows of
-all but the last eigenvalue) at a time, with no :class:`OrbitLabel`; a cover
-swaps one eigenvalue's digits in the lower name. The text is streamed, but
-every table is held whole, so memory follows the largest table, not the
-label count.
+all but the last eigenvalue) at a time, with no :class:`OrbitLabel`. The
+prefixes are the itertools.product of the earlier tables, which is label
+order, and a cover swaps one eigenvalue's digits in the lower name. The text
+is streamed, but every table is held whole, so memory follows the largest
+table (and the length of one prefix), not the label count.
 """
 
 from __future__ import annotations
@@ -255,28 +256,19 @@ _BLOCK = 512  # labels per block of written text; a longer table of the last eig
 
 
 def _prefixes(tables: list):
-    """(prefix, dimension, levels) per combination of rows, in label order.
+    """(prefix, dimension, levels) per combination of rows, one row per table, in label order.
 
-    A prefix is the rows' digits, each followed by '|'. levels holds one (partial prefix before
-    the row, row) pair per table; the one list is rewritten in place from one prefix to the next.
-    The walk keeps a stack of (partial prefix, dimension, its table's rows), not one frame per table.
+    The combinations are those of itertools.product, which yields one empty combination for no
+    tables. A prefix is the rows' digits, each followed by '|'; levels holds one (partial prefix
+    before the row, row) pair per table, built anew for each combination.
     """
-    if not tables:
-        yield "", 0, []
-        return
-    levels = []
-    stack = [("", 0, iter(tables[0]))]
-    while stack:
-        name, dim, rows = stack[-1]
+    for rows in itertools.product(*tables):
+        name, dim, levels = "", 0, []
         for row in rows:
-            levels[len(stack) - 1:] = [(name, row)]
-            if len(stack) == len(tables):
-                yield name + row[0] + "|", dim + row[1], levels
-            else:
-                stack.append((name + row[0] + "|", dim + row[1], iter(tables[len(stack)])))
-                break
-        else:
-            stack.pop()
+            levels.append((name, row))
+            name += row[0] + "|"
+            dim += row[1]
+        yield name, dim, levels
 
 
 def _blocks(tables: list, derive, piece, sep: str):

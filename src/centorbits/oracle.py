@@ -47,11 +47,12 @@ reduction follows each.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .classify import invariant_positions, orbit_dimension
-from .jordan import JordanType, _jordan_rows
+from .jordan import JordanType, _count_text, _jordan_rows
 from .lattice import CapExceeded, enumerate_labels
 
 DEFAULT_LINE_CAP = 8191
@@ -102,15 +103,17 @@ def subspace_count(n: int, p: int) -> int:
 def check_scan(p: int, n: int, cap: int):
     """The gate before every scan: certify p, then refuse more than cap lines of F_p^n.
 
-    F_p^n has at least 2^(n-1) lines, so a large n goes uncounted.
+    F_p^n has at least 2^(n-1) lines, so a large n goes uncounted; an n of
+    more digits than str() writes is named as _count_text names it.
     """
     _require_prime(p)
-    what = f"lines of F_{p}^{n}"
     if n > cap.bit_length():
-        raise CapExceeded(f"at least 2^{n - 1}", cap, what=what)
+        if not (dimension := _count_text(n)).isdigit():
+            raise CapExceeded("at least 2^(n - 1)", cap, what=f"lines of F_{p}^n, n {dimension}")
+        raise CapExceeded(f"at least 2^{n - 1}", cap, what=f"lines of F_{p}^{n}")
     count = (p**n - 1) // (p - 1)
     if count > cap:
-        raise CapExceeded(count, cap, what=what)
+        raise CapExceeded(count, cap, what=f"lines of F_{p}^{n}")
 
 
 def eigenvalues_mod_p(jt: JordanType, p: int) -> dict:
@@ -257,12 +260,13 @@ def _echelon(vectors, f: _Packing) -> tuple:
 def _line_spans(algebra: tuple, f: _Packing):
     """(v, echelon tuple of A v = span{X v : X in algebra}) for every line v of F_p^n, both packed.
 
-    v is the vector whose first nonzero entry is 1, in the order of
-    itertools.product. images[i] is X_i v. Each lead's tail is walked depth
-    first on a stack of digit iterators, one per coordinate: a digit step
-    adds column c of each X_i that has one to X_i v, and leaving the
-    coordinate at p - 1 adds it once more, back to 0. Memory stays O(n p)
-    however many lines there are.
+    v is the vector whose first nonzero entry is 1, its tail after the lead
+    walked by itertools.product(range(p), repeat=...), so in the order of
+    the product. images[i] is X_i v. One step of the product changes only a
+    suffix of the tail, and raises each coordinate c in it by 1 mod p; the
+    walk finds that suffix by comparing the tail with the one before from
+    the end, and adds column c of each X_i that has one to X_i v. Memory
+    stays O(n + p) however many lines there are.
     """
     n, p, k, m, low = f.n, f.p, f.k, f.m, f.low
     unit = f.units
@@ -271,41 +275,27 @@ def _line_spans(algebra: tuple, f: _Packing):
         for c, column in enumerate(zip(*x)):
             if col := sum(a % p * u for a, u in zip(column, unit)):
                 by_column[c].append((i, col))
-    # range(p) is held whole before the first line once a tail exists, as
-    # itertools.product would hold it: the default line cap keeps p small
-    # then, but a raised --cap can admit a p whose range does not fit in
-    # memory, or past 2^63 no range length at all (the CLI reports the
-    # MemoryError or OverflowError, exit 3)
-    digits = tuple(range(p)) if n > 1 else ()
-    images = [0] * len(algebra)
-
-    def add(c: int):  # coordinate c of v goes up by 1 mod p
-        for i, col in by_column[c]:
-            s = images[i] + col
-            images[i] = s - p * (s * m >> k & low)  # f.reduce(s), inlined
-
     for lead in range(n):
-        images[:] = [0] * len(images)
-        add(lead)
-        v = unit[lead]
-        if lead == n - 1:
-            yield v, _echelon(set(images), f)
-            continue
-        stack = [iter(digits)]
-        while stack:
-            c = lead + len(stack)
-            for d in stack[-1]:
-                if d:
-                    v += unit[c]
-                    add(c)
-                if c < n - 1:
-                    stack.append(iter(digits))
+        v, images = unit[lead], [0] * len(algebra)
+        for i, col in by_column[lead]:
+            images[i] = col
+        units, columns = unit[lead + 1:], by_column[lead + 1:]  # position j of the tail is coordinate lead + 1 + j
+        backwards = range(n - 2 - lead, -1, -1)
+        before = (0,) * (n - 1 - lead)
+        # once a tail exists, product holds range(p) whole before the first line: the default line
+        # cap keeps p small then, but a raised --cap can admit a p whose range does not fit in memory,
+        # or past 2^63 has no length at all (the CLI reports the MemoryError or OverflowError, exit 3)
+        for tail in itertools.product(range(p), repeat=n - 1 - lead):
+            for j in backwards:
+                d = tail[j]
+                if d == before[j]:
                     break
-                yield v, _echelon(set(images), f)
-            else:
-                stack.pop()
-                v -= (p - 1) * unit[c]
-                add(c)
+                v += units[j] if d else (1 - p) * units[j]
+                for i, col in columns[j]:
+                    s = images[i] + col
+                    images[i] = s - p * (s * m >> k & low)  # f.reduce(s), inlined
+            before = tail
+            yield v, _echelon(set(images), f)
 
 
 def cyclic_submodules(algebra: tuple, p: int):

@@ -470,6 +470,24 @@ def test_huge_type_hits_a_cap_at_once(tmp_path, capsys, argv, blocks):
     assert err.startswith("error: refusing to enumerate") and err.count("\n") == 1
 
 
+NINES = 10**4300 - 1  # 4300 digits, the most Python reads or writes an int in by default
+NINES_DOC = {"jordan": [{"eigenvalue": "0", "blocks": [[NINES, NINES]]}]}
+
+
+@pytest.mark.parametrize("argv, doc, refusal", [
+    (["lattice"], {"jordan": [{"eigenvalue": f"e{i}", "blocks": [[1, 1]]} for i in range(15000)]},
+     "at least 2^15000 lattice elements (cap 1000000)"),
+    (["analyze"], NINES_DOC, "at least 2^28568 generating-function degrees (cap 1000000)"),
+    (["lattice"], NINES_DOC, "at least 2^14284 lattice elements (cap 1000000)"),
+    (["verify", "--prime", "2"], NINES_DOC, "at least 2^(n - 1) lines of F_2^n, n at least 2^28568 (cap 8191)"),
+], ids=["symbolic-15000", "analyze-nines", "lattice-nines", "verify-nines"])
+def test_a_count_too_long_to_write_is_still_one_refusal(capsys, monkeypatch, argv, doc, refusal):
+    # the counts have more digits than str() writes (sys.get_int_max_str_digits()), so the refusal
+    # names a power of two read off their bit length
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert run_cli(capsys, argv[0], "-", *argv[1:]) == (3, "", f"error: refusing to enumerate {refusal}\n")
+
+
 def test_large_prime_eigenvalues_end_at_once(tmp_path, capsys):
     spec = write(tmp_path, "primes.json", {"matrix": [["100000007", "0"], ["0", "100000037"]]})
     start = time.perf_counter()

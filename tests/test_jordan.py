@@ -26,6 +26,7 @@ from centorbits.linalg import Matrix
 
 from conftest import RATIONALS, corpus_types, power, rational_corpus_types, transform_column
 from test_cli import primorial_below
+from test_golden import EXACT_SEEDS, planted_matrix
 from test_golden import MATRICES as GOLDEN_MATRICES
 
 
@@ -546,6 +547,44 @@ def test_tops_chosen_in_the_free_coordinates_give_the_reference_basis(jt):
         assert basis.inverse_transform == p.inverse(), (jt, seed)
 
 
+def triangular_grid(rng: random.Random, n: int, bits: int) -> Matrix:
+    """Upper triangular with getrandbits(bits) entries on and above the diagonal, so n integer eigenvalues."""
+    return Matrix([[rng.getrandbits(bits) if j >= i else 0 for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [4, 7, 10])
+def test_p_inverse_from_the_integer_columns_is_the_inverse_of_p(n):
+    # p.inverse() is the reference: it row-reduces P over the lcm of its column denominators
+    rng = random.Random(n)
+    for _ in range(3):
+        basis = jordan_basis(triangular_grid(rng, n, 250))
+        assert basis.transform._den > 1
+        assert basis.inverse_transform == basis.transform.inverse()
+
+
+def test_p_inverse_of_the_planted_goldens_is_the_inverse_of_p():
+    for seed in EXACT_SEEDS:
+        basis = jordan_basis(planted_matrix(seed))
+        assert basis.inverse_transform == basis.transform.inverse(), seed
+
+
+def test_jordan_basis_inverts_only_integer_columns(monkeypatch):
+    jt = JordanType.of({0: [(1, 2), (3, 1)], Fraction(1, 2): [(2, 2)]})
+    t = random_conjugate(jordan_matrix(jt), 3)
+    inverted, inverse = [], Matrix.inverse
+
+    def recording(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", recording)
+    basis = jordan_basis(t)
+    # the chain columns carry denominators, so P is over one; Q, the integer columns, is not
+    assert basis.transform._den > 1
+    assert [m._den for m in inverted] == [1]
+    assert basis.inverse_transform @ basis.transform == Matrix.identity(t.rows)
+
+
 def test_the_basis_carries_the_plan_of_its_type():
     jt = JordanType.of({0: [(1, 2), (3, 1)], Fraction(1, 2): [(2, 2)]})
     basis = jordan_basis(random_conjugate(jordan_matrix(jt), 3))
@@ -675,6 +714,16 @@ def test_every_entry_point_refuses_an_over_cap_grid_at_once(entry_point):
     assert str(refusal.value) == f"refusing to enumerate {bits} bits in an integer of the grid of a 32-row matrix (cap 256)"
     with pytest.raises(CapExceeded, match=re.escape("refusing to enumerate 129 matrix rows (cap 128)")):
         entry_point(Matrix.identity(129))
+
+
+def test_a_count_past_the_digit_limit_is_written_as_a_power_of_two():
+    # str() writes at most sys.get_int_max_str_digits() digits (4300 by default); 2^16609 <= 10^5000 < 2^16610
+    refusal = CapExceeded(10**5000, 1)
+    assert str(refusal) == "refusing to enumerate at least 2^16609 lattice elements (cap 1)"
+    assert (refusal.count, refusal.cap) == (10**5000, 1)
+    assert str(CapExceeded(7, 2**20000, what="rows")) == "refusing to enumerate 7 rows (cap at least 2^20000)"
+    nines = 10**4300 - 1
+    assert str(CapExceeded(nines, 1)) == f"refusing to enumerate {'9' * 4300} lattice elements (cap 1)"
 
 
 def test_entries_at_the_grid_cap_give_a_longer_eigenvalue():
