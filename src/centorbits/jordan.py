@@ -79,22 +79,13 @@ from math import isqrt, lcm
 from operator import mul
 from typing import NamedTuple, Union
 
-from .linalg import (Matrix, NotANumber, ShapeError, _echo, _integer_rref, _kernel_vectors, _lowest_terms, _primitive,
-                     as_ratio)
+from .linalg import (Matrix, NotANumber, ShapeError, _count_text, _echo, _integer_rref, _kernel_vectors, _lowest_terms,
+                     _primitive, as_ratio)
 
 Eigenvalue = Union[Fraction, str]
 
 class NonSplittingCharPoly(ValueError):
     """The characteristic polynomial has an irrational or complex root."""
-
-
-def _count_text(count) -> str:
-    """count as str() writes it; an int of more digits than str() writes (sys.get_int_max_str_digits())
-    as "at least 2^k", 2^k its highest power of two, read off its bit length."""
-    try:
-        return str(count)
-    except ValueError:
-        return f"at least 2^{count.bit_length() - 1}"
 
 
 class CapExceeded(RuntimeError):

@@ -47,6 +47,7 @@ import math
 from dataclasses import dataclass
 
 from .jordan import CapExceeded, JordanType
+from .linalg import _echo
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
@@ -95,7 +96,9 @@ class OrbitLabel:
                 raise ValueError(f"delta group {_steps(group)} does not match bounds {_steps(sizes)}")
             h0 = s0 = 0
             for h, s in zip(group, sizes):
-                if not isinstance(h, int) or not 0 <= h - h0 <= s - s0:
+                if type(h) is not int:  # a bool is no height
+                    raise TypeError(f"height {_echo(h)} must be an int")
+                if not 0 <= h - h0 <= s - s0:
                     raise ValueError(f"delta {h - h0} outside 0..{s - s0}")
                 h0, s0 = h, s
 

@@ -68,6 +68,22 @@ _EXPONENT_FORM = re.compile(r"\s*[-+]?(\d[\d_]*(\.[\d_]*)?|\.\d[\d_]*)[eE][-+]?\
 _VERSION_FORM = re.compile(r"\s*[-+]?(?=\.?\d)(\d+(_\d+)*)?(\s*/\s*\d+(_\d+)*|\.(\d+(_\d+)*)?)?\s*")
 
 
+def _count_text(count) -> str:
+    """count as str() writes it; an int of more digits than str() writes (sys.get_int_max_str_digits())
+    as "at least 2^k", 2^k its highest power of two, read off its bit length."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"at least 2^{count.bit_length() - 1}"
+
+
+def _entry_text(x: int, den: int) -> str:
+    """str(Fraction(x, den)), but a numerator or denominator str() refuses is written by _count_text, after the sign."""
+    q = Fraction(x, den)
+    text = ("-" if q < 0 else "") + _count_text(abs(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{_count_text(q.denominator)}"
+
+
 def _echo(value) -> str:
     """A bounded repr for an error line: a long string shows a prefix and its length."""
     if not isinstance(value, str):
@@ -200,7 +216,7 @@ class Matrix:
         return hash((self._den, self._grid))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(Fraction(x, self._den)) for x in row) for row in self._grid)
+        body = "; ".join(" ".join(_entry_text(x, self._den) for x in row) for row in self._grid)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def is_square(self) -> bool:
@@ -255,16 +271,6 @@ class Matrix:
         reduced += [[0] * self.cols for _ in range(self.rows - len(pivots))]
         return Matrix._reduced(reduced, den), pivots
 
-    def rank(self) -> int:
-        return len(_integer_rref(self._grid)[1])
-
-    def kernel_basis(self) -> list:
-        """Basis of the right kernel as n x 1 matrices, one per free column in increasing order.
-
-        The vector of a free column has 1 there and, at each pivot column, minus the reduced form's
-        entry in the free column, written over the lcm of the pivots: rank + len(kernel) == cols."""
-        return [Matrix._column(*vec) for vec in _kernel_vectors(*_integer_rref(self._grid), self.cols)]
-
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise ShapeError(f"only square matrices invert, got {self.rows}x{self.cols}")
@@ -318,7 +324,10 @@ def _lowest_terms(values: list, den: int) -> tuple:
 
 
 def _kernel_vectors(m: list, pivots: tuple, cols: int) -> list:
-    """:meth:`Matrix.kernel_basis` from :func:`_integer_rref`'s rows and pivots, as columns in lowest terms."""
+    """A right kernel basis from :func:`_integer_rref`'s rows and pivots, as (integers, denominator) columns.
+
+    The vector of each free column, in increasing order, has 1 there and, at each pivot column, minus the reduced
+    form's entry in the free column, over the lcm of the pivots, then in lowest terms: rank + len(kernel) == cols."""
     den = lcm(*(m[r][pc] for r, pc in enumerate(pivots)))
     scales = [den // m[r][pc] for r, pc in enumerate(pivots)]
     basis = []

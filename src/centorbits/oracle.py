@@ -8,8 +8,8 @@ stages that pass their results on as data: the gate check_scan certifies p
 and caps the lines of F_p^n from n alone, and every stage after it trusts
 p; jordan_mod_p writes J mod p in chain coordinates; centralizer_mod_p,
 which takes any n x n matrix mod p, solves XJ = JX as n^2 linear equations
-mod p for a basis of A; cyclic_submodules spans A v for every line v; and a
-sum closure ends the scan. Every invariant W is the sum of the submodules
+mod p for a basis of A; _line_spans spans A v for every line v; and a sum
+closure ends the scan. Every invariant W is the sum of the submodules
 A w over w in W, and A (cw) = A w for c != 0, so these spans, closed under
 sums, are exactly the invariant subspaces. The scan visits the
 (p^n - 1)/(p - 1) lines, not every subspace.
@@ -21,15 +21,15 @@ is field-independent. Rational eigenvalues must stay representable and
 distinct mod p (eigenvalues_mod_p). A matrix input is checked through its
 Jordan type: its chain basis is not mapped into F_p.
 
-A matrix mod p is a tuple of row tuples with entries in [0, p). Inside the
-scan a vector of F_p^n is one int: n fields of w bits, coordinate 0 in the
-top field, so the order of the ints is the lexicographic order of the
-tuples. A subspace is the tuple of the packed rows of its reduced echelon
-basis, first pivot first (its echelon tuple), so equal subspaces are equal
-tuples and tuples sort as their row tuples do. The spans go back to row
-tuples only where they leave the module: cyclic_submodules, and the sorted
-list of invariant subspaces that invariant_subspaces_bruteforce returns and
-the mismatch text names.
+J mod p is a tuple of row tuples with entries in [0, p). From the solve on
+a vector of F_p^n is one int: n fields of w bits, coordinate 0 in the top
+field, so the order of the ints is the lexicographic order of the tuples.
+An element of the algebra is the tuple of its packed columns. A subspace
+is the tuple of the packed rows of its reduced echelon basis, first pivot
+first (its echelon tuple), so equal subspaces are equal tuples and tuples
+sort as their row tuples do. Row tuples come back only at the two exits:
+the sorted list invariant_subspaces_bruteforce returns, and the subspace a
+mismatch text names.
 
 Arithmetic acts on all fields at once (SWAR, "SIMD within a register"). Let
 b = p.bit_length(), k = 3b, M = 2^k // p + 1 and w = k + b + 1, and let Q
@@ -50,10 +50,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .classify import invariant_positions, orbit_dimension
-from .jordan import JordanType, _count_text, _jordan_rows
+from .jordan import JordanType, _jordan_rows
 from .lattice import CapExceeded, enumerate_labels
+from .linalg import _count_text
 
 DEFAULT_LINE_CAP = 8191
 
@@ -183,8 +185,9 @@ class _Packing:
 def centralizer_mod_p(j: tuple, p: int) -> tuple:
     """A basis of the algebra {X : XJ = JX} over F_p, for any n x n matrix j = J mod p.
 
-    Unknown X[a][b] is number a*n + b, coordinate a*n + b of a packed
-    equation; equation (i, k) is
+    Each basis element X is the tuple of its n columns, column b packed as
+    the vector (X[0][b], ..., X[n-1][b]) of F_p^n. Unknown X[a][b] is number
+    a*n + b, coordinate a*n + b of a packed equation; equation (i, k) is
     sum_c X[i][c] J[c][k] - sum_r J[i][r] X[r][k] = 0. An unknown takes at
     most two terms of one equation (X[i][k] takes J[k][k] and -J[i][i]), so
     every field stays below 2p until the one reduction. Each unknown left
@@ -203,6 +206,7 @@ def centralizer_mod_p(j: tuple, p: int) -> tuple:
     reduced = _echelon(map(f.reduce, equations), f)
     pivots = {n * n - 1 - row.bit_length() // f.w: row for row in reduced}
     field = (1 << f.w) - 1
+    column_units = unit[-n:]  # packed as vectors of F_p^n: the fields are as wide
     basis = []
     for free in range(n * n):
         if free not in pivots:
@@ -211,7 +215,7 @@ def centralizer_mod_p(j: tuple, p: int) -> tuple:
             at = f.w * (n * n - 1 - free)
             for u, row in pivots.items():
                 x[u] = -(row >> at & field) % p
-            basis.append(tuple(tuple(x[a * n:(a + 1) * n]) for a in range(n)))
+            basis.append(tuple(sum(map(mul, x[b::n], column_units)) for b in range(n)))
     return tuple(basis)
 
 
@@ -260,6 +264,8 @@ def _echelon(vectors, f: _Packing) -> tuple:
 def _line_spans(algebra: tuple, f: _Packing):
     """(v, echelon tuple of A v = span{X v : X in algebra}) for every line v of F_p^n, both packed.
 
+    algebra is as centralizer_mod_p returns it; callers pass check_scan first.
+
     v is the vector whose first nonzero entry is 1, its tail after the lead
     walked by itertools.product(range(p), repeat=...), so in the order of
     the product. images[i] is X_i v. One step of the product changes only a
@@ -272,8 +278,8 @@ def _line_spans(algebra: tuple, f: _Packing):
     unit = f.units
     by_column = [[] for _ in range(n)]  # per coordinate c, (i, column c of X_i) where that column is not 0
     for i, x in enumerate(algebra):
-        for c, column in enumerate(zip(*x)):
-            if col := sum(a % p * u for a, u in zip(column, unit)):
+        for c, col in enumerate(x):
+            if col:
                 by_column[c].append((i, col))
     for lead in range(n):
         v, images = unit[lead], [0] * len(algebra)
@@ -298,17 +304,6 @@ def _line_spans(algebra: tuple, f: _Packing):
             yield v, _echelon(set(images), f)
 
 
-def cyclic_submodules(algebra: tuple, p: int):
-    """Each line v of F_p^n with the echelon basis of A v = span{X v : X in algebra}, a basis of A.
-
-    Both come as row tuples. No cap is applied here: callers pass check_scan
-    first.
-    """
-    f = _Packing(p, len(algebra[0]))
-    for v, span in _line_spans(algebra, f):
-        yield f.unpack(v), tuple(map(f.unpack, span))
-
-
 def _sum_closure(generators, f: _Packing) -> set:
     """Every sum of a subset of the given subspaces, as echelon tuples.
 
@@ -322,16 +317,13 @@ def _sum_closure(generators, f: _Packing) -> set:
     return found
 
 
-def _invariant_subspaces(j: tuple, p: int) -> list:
-    """Every subspace invariant under the algebra commuting with j mod p, as row tuples.
+def _invariant_subspaces(j: tuple, f: _Packing) -> list:
+    """Every subspace of F_p^n invariant under the algebra commuting with j mod p, as echelon tuples.
 
-    Sorted by dimension, then by the echelon tuple.
+    Sorted by dimension, then by the echelon tuple (the order of its row tuples).
     """
-    algebra = centralizer_mod_p(j, p)
-    f = _Packing(p, len(j))
-    cyclic = {span for _, span in _line_spans(algebra, f)}
-    closed = sorted(_sum_closure(cyclic, f), key=lambda s: (len(s), s))
-    return [tuple(map(f.unpack, s)) for s in closed]
+    cyclic = {span for _, span in _line_spans(centralizer_mod_p(j, f.p), f)}
+    return sorted(_sum_closure(cyclic, f), key=lambda s: (len(s), s))
 
 
 def invariant_subspaces_bruteforce(jt: JordanType, p: int) -> list:
@@ -341,7 +333,8 @@ def invariant_subspaces_bruteforce(jt: JordanType, p: int) -> list:
     Result is sorted by dimension, then by the echelon tuple lexicographically.
     """
     check_scan(p, jt.dimension, DEFAULT_LINE_CAP)
-    return _invariant_subspaces(jordan_mod_p(jt, p), p)
+    f = _Packing(p, jt.dimension)
+    return [tuple(map(f.unpack, s)) for s in _invariant_subspaces(jordan_mod_p(jt, p), f)]
 
 
 @dataclass(frozen=True)
@@ -364,7 +357,7 @@ def compare_with_prediction(jt: JordanType, p: int, cap: int = DEFAULT_LINE_CAP)
     check_scan(p, n, cap)
     j = jordan_mod_p(jt, p)
     labels = enumerate_labels(jt)
-    identity = [tuple(int(c == r) for c in range(n)) for r in range(n)]
+    f = _Packing(p, n)
     predicted = {}  # echelon tuple -> label, in label order
     for label in labels:
         positions = invariant_positions(jt, label)
@@ -374,17 +367,15 @@ def compare_with_prediction(jt: JordanType, p: int, cap: int = DEFAULT_LINE_CAP)
                 f"label {label.deltas}: coordinate count {len(positions)} "
                 f"differs from predicted dimension {dimension}",
             )
-        predicted.setdefault(tuple(identity[i] for i in positions), label)
-    brute = _invariant_subspaces(j, p)
+        predicted.setdefault(tuple(f.units[i] for i in positions), label)
+    brute = _invariant_subspaces(j, f)
     found = set(brute)
-    mismatches = [
-        f"predicted subspace for label {label.deltas} (dimension {len(sub)}) is not invariant"
-        for sub, label in predicted.items() if sub not in found
-    ] + [
-        f"invariant subspace of dimension {len(sub)} with basis {sub} was not predicted"
-        for sub in brute if sub not in predicted
-    ]
-    if len(predicted) < len(labels):
-        mismatches.insert(0, "two predicted labels map to the same subspace")
-    mismatch = mismatches[0] if mismatches else None
+    mismatches = itertools.chain(
+        ["two predicted labels map to the same subspace"] if len(predicted) < len(labels) else [],
+        (f"predicted subspace for label {label.deltas} (dimension {len(sub)}) is not invariant"
+         for sub, label in predicted.items() if sub not in found),
+        (f"invariant subspace of dimension {len(sub)} with basis {tuple(map(f.unpack, sub))} was not predicted"
+         for sub in brute if sub not in predicted),
+    )
+    mismatch = next(mismatches, None)
     return OracleVerdict(mismatch is None, p, n, len(labels), len(brute), mismatch)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from centorbits import JordanType, Matrix
 from centorbits.centralizer import shift_operator_rows
+from centorbits.linalg import _integer_rref, _kernel_vectors
 
 
 # Rational entries for property tests: zeros, small integers and fractions
@@ -27,6 +28,16 @@ def j23_matrix() -> Matrix:
             [0, 0, 0, 1, 0],
         ]
     )
+
+
+def rank(m: Matrix) -> int:
+    """The number of pivots of m's reduced row echelon form."""
+    return len(m.rref()[1])
+
+
+def kernel_basis(m: Matrix) -> list:
+    """Basis of m's right kernel as n x 1 matrices, one per free column in increasing order."""
+    return [Matrix._column(*v) for v in _kernel_vectors(*_integer_rref(m._grid), m.cols)]
 
 
 def power(m: Matrix, k: int) -> Matrix:

@@ -20,7 +20,7 @@ from centorbits.lattice import dual, enumerate_labels, hasse_covers, label_for, 
 from centorbits.linalg import Matrix
 from centorbits.oracle import compare_with_prediction
 
-from conftest import corpus_types, j23_matrix, operator_matrix, rational_corpus_types
+from conftest import corpus_types, j23_matrix, operator_matrix, rank, rational_corpus_types
 
 T135 = JordanType.of({0: [(1, 1), (3, 1), (5, 1)]})
 
@@ -224,7 +224,7 @@ def test_criterion_09_round_trip_and_span():
                 images.append(
                     [sum(rows[i][j] * rep[j, 0] for j in range(n)) for i in range(n)]
                 )
-            span_dim = Matrix(images).rank() if images else 0
+            span_dim = rank(Matrix(images)) if images else 0
             if span_dim != orbit_dimension(jt, label):
                 ok = False
     report(9, "representatives round-trip and span the predicted closure", ok)

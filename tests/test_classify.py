@@ -17,7 +17,7 @@ from centorbits.jordan import JordanType, chain_slots, jordan_basis, jordan_matr
 from centorbits.lattice import bottom, enumerate_labels, label_for, leq, top
 from centorbits.linalg import Matrix, ShapeError
 
-from conftest import rational_corpus_types, transform_column
+from conftest import rank, rational_corpus_types, transform_column
 from test_jordan import random_conjugate
 
 T23 = JordanType.of({0: [(2, 1), (3, 1)]})
@@ -64,11 +64,11 @@ def test_shifted_generator_closure(j23):
     assert report.label == label_for(T23, [(1, 1)])
     assert report.orbit_dimension == 3
     span = chain_span_oracle(T23, Matrix.column([0, 0, 0, 1, 0]))
-    assert span.rank() == 3
+    assert rank(span) == 3
     expected = Matrix([[0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
     assert set(invariant_positions(T23, report.label)) == {1, 3, 4}
     stacked = Matrix(rows_of(span) + rows_of(expected))
-    assert stacked.rank() == 3
+    assert rank(stacked) == 3
 
 
 def test_classify_against_span_oracle_exhaustively():
@@ -79,15 +79,15 @@ def test_classify_against_span_oracle_exhaustively():
             coords = Matrix.column([rng.randint(-2, 2) for _ in range(n)])
             report = classify_chain_coordinates(jt, coords)
             span = chain_span_oracle(jt, coords)
-            assert span.rank() == report.orbit_dimension
+            assert rank(span) == report.orbit_dimension
             positions = invariant_positions(jt, report.label)
             unit_rows = Matrix.identity(n)
             predicted_rows = [list(unit_rows.row(p)) for p in positions]
             if predicted_rows:
                 stacked = Matrix(rows_of(span) + predicted_rows)
-                assert stacked.rank() == len(positions)
+                assert rank(stacked) == len(positions)
             else:
-                assert span.rank() == 0
+                assert rank(span) == 0
 
 
 def test_round_trip_on_every_corpus_label(corpus):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,3 +218,10 @@ def test_lattice_laws_random(triple):
 def test_label_needs_one_group_per_eigenvalue():
     with pytest.raises(ValueError, match="deltas and limits must have one group per eigenvalue"):
         OrbitLabel(((0,),), ((1,), (1,)))
+
+
+@pytest.mark.parametrize("height", ["1", 1.0, True], ids=repr)
+def test_a_height_that_is_no_int_is_refused_by_type(height):
+    # a str has no difference to check, and 1.0 and True compare as ints: each is refused by its type
+    with pytest.raises(TypeError, match=re.escape(f"height {height!r} must be an int")):
+        OrbitLabel(((height,),), ((1,),))

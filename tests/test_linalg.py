@@ -11,7 +11,7 @@ from centorbits.cli import parse_operator_spec
 from centorbits.jordan import _normalize_eigenvalue
 from centorbits.linalg import Matrix, NotANumber, RefusedForm, ShapeError, as_ratio
 
-from conftest import RATIONALS
+from conftest import RATIONALS, kernel_basis, rank
 
 
 def small_matrices(max_dim=4):
@@ -56,22 +56,31 @@ def test_inverse_pair_multiplies_to_identity():
     assert a @ b == Matrix.identity(2)
 
 
+def test_an_entry_past_the_digit_limit_prints_as_a_power_of_two():
+    # str() writes at most sys.get_int_max_str_digits() digits (4300 by default); 2^16609 <= 10^5000 < 2^16610
+    big = 10**5000
+    assert str(Matrix([[big]])) == "Matrix(1x1: at least 2^16609)"
+    wide = Matrix([[-big, Fraction(1, 3)], [Fraction(-7, big), 2]])
+    assert str(wide) == "Matrix(2x2: -at least 2^16609 1/3; -7/at least 2^16609 2)"
+    assert str(Matrix([[Fraction(-1, 2), 0, 10**4299]])) == f"Matrix(1x3: -1/2 0 1{'0' * 4299})"
+
+
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"2x3 by 2x2"):
         Matrix([[0, 0, 0]] * 2) @ Matrix([[0, 0]] * 2)
 
 
 def test_rank_examples(j23):
-    assert Matrix([[0] * 3] * 3).rank() == 0
-    assert Matrix.identity(4).rank() == 4
+    assert rank(Matrix([[0] * 3] * 3)) == 0
+    assert rank(Matrix.identity(4)) == 4
     # one 1 per subdiagonal step of the two blocks
-    assert j23.rank() == 3
+    assert rank(j23) == 3
 
 
 def test_kernel_examples():
-    assert Matrix.identity(3).kernel_basis() == []
-    assert Matrix([[0, 0], [0, 0]]).kernel_basis() == [Matrix.column([1, 0]), Matrix.column([0, 1])]
-    assert Matrix([[0, 1], [0, 0]]).kernel_basis() == [Matrix.column([1, 0])]
+    assert kernel_basis(Matrix.identity(3)) == []
+    assert kernel_basis(Matrix([[0, 0], [0, 0]])) == [Matrix.column([1, 0]), Matrix.column([0, 1])]
+    assert kernel_basis(Matrix([[0, 1], [0, 0]])) == [Matrix.column([1, 0])]
 
 
 def test_inverse_round_trip():
@@ -94,13 +103,13 @@ def test_rref_pivots_deterministic():
 @given(small_matrices())
 @settings(deadline=None)
 def test_rank_nullity(m):
-    assert m.rank() + len(m.kernel_basis()) == m.cols
+    assert rank(m) + len(kernel_basis(m)) == m.cols
 
 
 @given(small_matrices())
 @settings(deadline=None)
 def test_kernel_vectors_are_killed(m):
-    for v in m.kernel_basis():
+    for v in kernel_basis(m):
         assert m @ v == Matrix.column([0] * m.rows)
 
 
@@ -110,7 +119,7 @@ def test_rank_of_product_bounded(n, data):
     ints = st.integers(-5, 5)
     a = Matrix([[data.draw(ints) for _ in range(n)] for _ in range(n)])
     b = Matrix([[data.draw(ints) for _ in range(n)] for _ in range(n)])
-    assert (a @ b).rank() <= min(a.rank(), b.rank())
+    assert rank(a @ b) <= min(rank(a), rank(b))
 
 
 big_rationals = st.fractions(
@@ -173,14 +182,14 @@ def rows_of(m: Matrix) -> list:
 def test_rref_rank_and_kernel_match_fraction_gauss_jordan(m):
     reduced, pivots = reference_rref(rows_of(m))
     assert m.rref() == (Matrix(reduced), pivots)
-    assert m.rank() == len(pivots)
+    assert rank(m) == len(pivots)
     kernel = []
     for free in (j for j in range(m.cols) if j not in pivots):
         coords = [Fraction(int(j == free)) for j in range(m.cols)]
         for r, pc in enumerate(pivots):
             coords[pc] = -reduced[r][free]
         kernel.append(Matrix.column(coords))
-    assert m.kernel_basis() == kernel
+    assert kernel_basis(m) == kernel
 
 
 @given(rational_matrices(square=True))
@@ -248,14 +257,14 @@ def assert_canonical(m: Matrix):
 @given(rational_matrices(), rational_matrices(), RATIONALS, st.data())
 @settings(deadline=None)
 def test_every_operation_returns_the_canonical_form(a, b, c, data):
-    results = [a, b, a.scaled(c), Matrix.identity(a.rows), a.rref()[0], *a.kernel_basis()]
+    results = [a, b, a.scaled(c), Matrix.identity(a.rows), a.rref()[0], *kernel_basis(a)]
     results.append(Matrix.column(rows_of(a)[0]))
     results.append(a @ Matrix.column([data.draw(RATIONALS) for _ in range(a.cols)]))
     same_shape = Matrix([[data.draw(RATIONALS) for _ in range(a.cols)] for _ in range(a.rows)])
     results += [a + same_shape, a - same_shape, a - a]
     width = data.draw(st.integers(1, 3))
     results.append(a @ Matrix([[data.draw(RATIONALS) for _ in range(width)] for _ in range(a.cols)]))
-    if a.is_square() and a.rank() == a.rows:
+    if a.is_square() and rank(a) == a.rows:
         results.append(a.inverse())
     for m in results:
         assert_canonical(m)

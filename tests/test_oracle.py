@@ -17,7 +17,6 @@ from centorbits.oracle import (
     _require_prime,
     centralizer_mod_p,
     compare_with_prediction,
-    cyclic_submodules,
     eigenvalues_mod_p,
     gaussian_binomial,
     invariant_subspaces_bruteforce,
@@ -210,7 +209,11 @@ def test_line_scan_matches_the_subspace_walk(jt, p, monkeypatch):
 
     scanned = verdicts()
     assert scanned[0].passed and not scanned[1].passed and not scanned[2].passed
-    monkeypatch.setattr(oracle, "_invariant_subspaces", lambda j, p: walk)
+
+    def packed_walk(j, f):
+        return [tuple(pack(f, row) for row in s) for s in walk]
+
+    monkeypatch.setattr(oracle, "_invariant_subspaces", packed_walk)
     assert verdicts() == scanned
 
 
@@ -265,7 +268,7 @@ def _matmul(a, b, p):
 def test_solved_algebra_commutes_and_has_the_centralizer_dimension(blocks, p):
     jt = JordanType.of(blocks)
     j = jordan_mod_p(jt, p)
-    algebra = centralizer_mod_p(j, p)
+    algebra = unpacked(centralizer_mod_p(j, p), p)
     assert len(algebra) == centralizer_dimension(jt)
     assert algebra == reference_centralizer(j, p)
     flat = [sum(x, ()) for x in algebra]
@@ -284,6 +287,18 @@ PACKED_PRIMES = (2, 3, 5, 8191, ABOVE_2_63)
 def pack(f, v) -> int:
     """v as one int of f.w-bit fields, v[0] in the top field."""
     return sum(a << f.w * i for i, a in enumerate(reversed(v)))
+
+
+def unpacked(algebra: tuple, p: int) -> tuple:
+    """The elements of an algebra centralizer_mod_p returns, from packed columns to row tuples."""
+    return tuple(tuple(zip(*map(oracle._Packing(p, len(x)).unpack, x))) for x in algebra)
+
+
+def line_spans(algebra: tuple, p: int):
+    """Each line v of F_p^n with the echelon basis of A v, both as row tuples."""
+    f = oracle._Packing(p, len(algebra[0]))
+    for v, span in oracle._line_spans(algebra, f):
+        yield f.unpack(v), tuple(map(f.unpack, span))
 
 
 def _small_primes(bound: int) -> list:
@@ -358,9 +373,9 @@ def test_the_algebra_of_a_dense_grid_is_the_tuple_solve(p):
     for n in range(1, 7):
         for density in (1.0, 0.3):
             j = _random_grid(rng, p, n, density)
-            assert centralizer_mod_p(j, p) == reference_centralizer(j, p)
+            assert unpacked(centralizer_mod_p(j, p), p) == reference_centralizer(j, p)
     scalar = tuple(tuple(7 * int(r == c) % p for c in range(4)) for r in range(4))
-    assert centralizer_mod_p(scalar, p) == reference_centralizer(scalar, p)
+    assert unpacked(centralizer_mod_p(scalar, p), p) == reference_centralizer(scalar, p)
     assert len(centralizer_mod_p(scalar, p)) == 16
 
 
@@ -368,7 +383,8 @@ def test_the_algebra_of_a_dense_grid_is_the_tuple_solve(p):
 def test_the_walk_yields_every_line_once_in_product_order(p, n):
     rng = random.Random(10 * p + n)
     algebra = centralizer_mod_p(_random_grid(rng, p, n, 0.4), p)
-    found = list(cyclic_submodules(algebra, p))
+    found = list(line_spans(algebra, p))
+    algebra = unpacked(algebra, p)
     lines = [
         (0,) * lead + (1,) + rest
         for lead in range(n) for rest in itertools.product(range(p), repeat=n - lead - 1)
@@ -397,7 +413,7 @@ def test_classify_names_the_cyclic_submodule_of_every_line(blocks, p):
     """For every line v, the label classify gives v's 0..p-1 representative spans A v."""
     jt = JordanType.of(blocks)
     n = jt.dimension
-    for v, span in cyclic_submodules(centralizer_mod_p(jordan_mod_p(jt, p), p), p):
+    for v, span in line_spans(centralizer_mod_p(jordan_mod_p(jt, p), p), p):
         label = classify_chain_coordinates(jt, Matrix.column(list(v))).label
         units = tuple(tuple(int(c == i) for c in range(n)) for i in invariant_positions(jt, label))
         assert units == span
@@ -512,8 +528,8 @@ def test_the_algebra_is_solved_for_any_matrix_mod_p():
     # J = [[0, 1], [0, 0]] is a nilpotent block written upper triangular, outside chain coordinates
     j = ((0, 1), (0, 0))
     algebra = centralizer_mod_p(j, 3)
-    assert sorted(algebra) == [((0, 1), (0, 0)), ((1, 0), (0, 1))]
-    spans = {span for _, span in cyclic_submodules(algebra, 3)}
+    assert sorted(unpacked(algebra, 3)) == [((0, 1), (0, 0)), ((1, 0), (0, 1))]
+    spans = {span for _, span in line_spans(algebra, 3)}
     assert spans == {((1, 0),), ((1, 0), (0, 1))}
 
 
