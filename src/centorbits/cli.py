@@ -35,7 +35,6 @@ from .centralizer import centralizer_basis, centralizer_dimension, sample_invert
 from .classify import classify_vector, comparability, same_solution_class
 from .counting import gen_function
 from .jordan import (
-    MATRIX_DIMENSION_CAP,
     JordanType,
     _normalize_eigenvalue,
     grid_bits,

@@ -25,9 +25,9 @@ c(x) = det(xI - dT), monic with integer coefficients, in O(n^4) integer
 operations; a step whose new row left of the diagonal, or new column
 above it, is zero multiplies by x - a_kk alone, so a triangular grid takes
 no product. Its roots are d times the eigenvalues, and by Gauss's lemma
-each rational root is an integer root of the square-free part g of c,
-itself monic up to sign. g is c when gcd(c, c') = 1 modulo one large
-prime, else it comes from a primitive remainder sequence. The roots are
+each rational root is an integer root of the square-free part g of c, which
+is monic: c / gcd(c, c'), the gcd taken modulo a large prime or a power of
+one and accepted once it divides c and c' exactly. The roots are
 found without factoring any coefficient: g is taken modulo the smallest
 prime p at which the same gcd test finds it square-free, one not dividing
 disc(g), so the input bounds the walk. The roots mod p, found by evaluation,
@@ -73,14 +73,15 @@ is the run of P's columns from its offset.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import NamedTuple, Union
 
 from .linalg import (Matrix, NotANumber, ShapeError, _count_text, _echo, _integer_rref, _kernel_vectors, _lowest_terms,
-                     _primitive, as_ratio)
+                     as_ratio)
 
 Eigenvalue = Union[Fraction, str]
 
@@ -232,10 +233,8 @@ def chain_slots(jt: JordanType) -> tuple:
 # operations: at n = 128 with 5-bit entries, analyze takes about 13 s and
 # classify about 14 s. Long blocks cost more, each power of T - lambda
 # taking one more reduction: three eigenvalues with one block of 20 each
-# (n = 60) take about 2.6 s for analyze, blocks of 30 (n = 90) about 13.5 s.
-# So does one repeated root beside many simple ones, through the remainder
-# sequence for the square-free part: 1 (32 times) and 64 distinct integers
-# on the diagonal (n = 96) take about 8.4 s (README, the caps list).
+# (n = 60) take about 2.6 s for analyze, blocks of 30 (n = 90) about 13.5 s
+# (README, the caps list).
 MATRIX_DIMENSION_CAP = 128
 # Largest n^5 b^2 accepted for a matrix of n rows whose integer grid (the
 # entries over their common denominator, and that denominator) holds integers
@@ -296,74 +295,80 @@ def _derivative(poly: list) -> list:
     return [c * (len(poly) - 1 - k) for k, c in enumerate(poly[:-1])]
 
 
-def _pseudo_remainder(a: list, b: list) -> list:
-    """A multiple of a mod b by a nonzero constant, leading zeros stripped (highest first)."""
-    lead = b[0]
-    while len(a) >= len(b):
-        c = a[0]
-        a = [lead * x for x in a[1:]]
-        for k in range(len(b) - 1):
-            a[k] -= c * b[k + 1]
-        while a and a[0] == 0:
-            a.pop(0)
-    return a
+# Miller-Rabin with these witnesses is exact below _WITNESS_BOUND (the least
+# strong pseudoprime to all of them is 3317044064679887385961981).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-def _square_free_part(f: list) -> list:
-    """f / gcd(f, f') as a primitive integer polynomial, by a primitive remainder sequence.
-
-    Coefficients are listed highest first; the gcd and the result are fixed up
-    to sign only, which changes no root.
-    """
-    a, b = _primitive(f), _primitive(_derivative(f))
-    common = [1]
-    while len(b) > 1:
-        r = _pseudo_remainder(a, b)
-        if not r:
-            common = b
-            break
-        a, b = b, _primitive(r)
-    # common is primitive and divides f, so by Gauss's lemma the quotient is integral
-    quotient, rest = [], list(f)
-    while len(rest) >= len(common):
-        q = rest[0] // common[0]
-        quotient.append(q)
-        rest = [x - q * y for x, y in zip(rest[1:], common[1:] + [0] * len(rest))]
-    return _primitive(quotient)
+def _is_prime(p: int) -> bool:
+    """Whether p is prime, by Miller-Rabin to every base in _WITNESSES: exact below _WITNESS_BOUND."""
+    if p <= _WITNESSES[-1]:  # the witnesses are the primes up to 41
+        return p in _WITNESSES
+    r = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^r, d odd
+    d = (p - 1) >> r
+    return all(pow(a, d, p) == 1 or p - 1 in (pow(a, d << i, p) for i in range(r)) for a in _WITNESSES)
 
 
-# gcd(c, c') = 1 mod this prime proves a monic c square-free without the
-# remainder sequence over the integers. A prime this large seldom divides the
-# discriminant of a square-free c, and then the sequence runs anyway; below
-# 2^30, residues are one-digit Python ints.
-SQUARE_FREE_PRIME = 1_073_741_789
-
-
-def _square_free_mod(f: list, p: int) -> bool:
-    """Whether gcd(f, f') is constant mod p, which proves the monic f square-free.
-
-    A repeated factor h^2 over Z, h monic and not constant, stays one mod p.
-    """
-    a, b = [x % p for x in f], [x % p for x in _derivative(f)]
-    # f' mod p loses its leading terms where p divides their exponents
+def _gcd_mod(f: list, m: int):
+    """The monic gcd of f and f' mod m by Euclid's algorithm, or None if a leading coefficient is no unit."""
+    a, b = [x % m for x in f], [x % m for x in _derivative(f)]
+    # f' mod m loses its leading terms where m divides their exponents
     while b and not b[0]:
         b.pop(0)
     while b:
-        inv = pow(b[0], -1, p)
+        if gcd(b[0], m) > 1:  # never for a prime m
+            return None
+        inv = pow(b[0], -1, m)
         while len(a) >= len(b):
-            q = a[0] * inv % p
-            a = [(x - q * y) % p for x, y in zip(a[1:], b[1:] + [0] * len(a))]
-            while a and a[0] == 0:
+            q = a[0] * inv % m
+            a = [(x - q * y) % m for x, y in zip(a[1:], b[1:])] + a[len(b):]
+            while a and not a[0]:
                 a.pop(0)
         a, b = b, a
-    return len(a) == 1 and not b
+    inv = pow(a[0], -1, m)  # f is monic, and every later a was a b
+    return [x * inv % m for x in a]
 
 
-def _next_prime(p: int) -> int:
-    p += 1
-    while any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-        p += 1
-    return p
+def _monic_quotient(f: list, h: list):
+    """f / h over Z for a monic h, highest first, or None when h does not divide f."""
+    k, rest = max(len(f) - len(h) + 1, 0), list(f)
+    for i in range(k):
+        for j, y in enumerate(h[1:], i + 1):
+            rest[j] -= rest[i] * y
+    return None if any(rest[k:]) else rest[:k]
+
+
+# The first modulus of the square-free part: a gcd of 1 mod this prime proves
+# c square-free at once. Below 2^30, residues are one-digit Python ints.
+SQUARE_FREE_PRIME = 1_073_741_789
+
+
+def _square_free_part(f: list) -> list:
+    """f / G, G = gcd(f, f') over Z, for a monic integer f; coefficients highest first.
+
+    For the primes q from SQUARE_FREE_PRIME on, m is q and then q^k, the first
+    power past twice Mignotte's bound 2^deg ||f||_2 on a factor's coefficients.
+    h, the gcd mod m in symmetric residues, is accepted once it divides f and
+    f' over Z, and then h = G: G is monic, as f is, and divides every
+    combination of f and f' mod m, so deg h >= deg G; and h | f, h | f' give
+    h | G. Unless q divides a numerator or denominator of a leading
+    coefficient of Euclid over Q, Euclid mod q^k follows it, h = G mod q^k,
+    and the residues read G back. So only finitely many q fail, and the input
+    bounds the walk, as it bounds that of :func:`_root_candidates`.
+    """
+    bound = (isqrt(sum(x * x for x in f)) + 1) << len(f)
+    # SQUARE_FREE_PRIME is prime: Miller-Rabin on it would cost more than the gcd
+    for q in itertools.chain([SQUARE_FREE_PRIME], filter(_is_prime, itertools.count(SQUARE_FREE_PRIME + 1))):
+        power = next(x for x in itertools.accumulate(itertools.repeat(q), mul) if x > bound)
+        for m in dict.fromkeys((q, power)):
+            h = _gcd_mod(f, m)
+            if h is None:
+                break
+            h = [x - m if 2 * x > m else x for x in h]
+            part = _monic_quotient(f, h)
+            if part is not None and _monic_quotient(_derivative(f), h) is not None:
+                return part
 
 
 def _eval_mod(poly: list, x: int, m: int) -> int:
@@ -374,7 +379,7 @@ def _eval_mod(poly: list, x: int, m: int) -> int:
 
 
 def _root_candidates(g: list) -> list:
-    """Every integer root of g, square-free and monic up to sign, and maybe more.
+    """Every integer root of g, square-free and monic, and maybe more.
 
     At the smallest prime p at which g is square-free, one not dividing
     disc(g), each integer root r of g is a simple root mod p, which Newton's
@@ -382,9 +387,7 @@ def _root_candidates(g: list) -> list:
     |r| < 2^bits by Fujiwara's bound; the symmetric residue of that lift is r.
     g'(x)^-1 is inverted once mod p and lifted alongside the root.
     """
-    p = 2
-    while not _square_free_mod(g, p):
-        p = _next_prime(p)
+    p = next(p for p in filter(_is_prime, itertools.count(2)) if len(_gcd_mod(g, p)) == 1)
     g_mod_p, derivative = [c % p for c in g], _derivative(g)
     roots = [x for x in range(p) if _eval_mod(g_mod_p, x, p) == 0]
     # Fujiwara: |r| <= 2 max |g_i|^(1/i) over the coefficients g_i, i places
@@ -415,8 +418,7 @@ def _integer_roots(c: list) -> list:
     integer root has been divided out.
     """
     work, roots = list(c), []
-    square_free = work if _square_free_mod(work, SQUARE_FREE_PRIME) else _square_free_part(work)
-    for cand in _root_candidates(square_free):
+    for cand in _root_candidates(_square_free_part(work)):
         mult = 0
         while len(work) > 1:
             quotient = [work[0]]

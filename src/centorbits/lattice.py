@@ -79,25 +79,35 @@ class OrbitLabel:
     """One orbit, named by its per-eigenvalue column heights.
 
     ``heights`` and ``sizes`` are parallel tuples of tuples, one group per
-    eigenvalue in canonical order: ``sizes`` holds the distinct block sizes,
-    so the label is self-validating. ``deltas`` (the increments of the
-    heights, the printed digits) and ``limits`` (their bounds, the increments
-    of the sizes) are derived.
+    eigenvalue in canonical order: ``sizes`` holds the distinct block sizes
+    (at least one), so the label is self-validating. ``deltas`` (the
+    increments of the heights, the printed digits) and ``limits`` (their
+    bounds, the increments of the sizes) are derived.
     """
 
     heights: tuple
     sizes: tuple
 
     def __post_init__(self):
-        if len(self.heights) != len(self.sizes):
-            raise ValueError("deltas and limits must have one group per eigenvalue")
+        if type(self.heights) is not tuple or type(self.sizes) is not tuple:
+            raise TypeError(f"heights {_echo(self.heights)} and sizes {_echo(self.sizes)} must be tuples")
+        if not self.sizes or len(self.heights) != len(self.sizes):
+            raise ValueError("deltas and limits must have one group per eigenvalue, and at least one group")
         for group, sizes in zip(self.heights, self.sizes):
+            if type(group) is not tuple or type(sizes) is not tuple:
+                raise TypeError(f"height group {_echo(group)} and size group {_echo(sizes)} must be tuples")
+            if not sizes:
+                raise ValueError("an eigenvalue needs at least one block size")
             if len(group) != len(sizes):
                 raise ValueError(f"delta group {_steps(group)} does not match bounds {_steps(sizes)}")
             h0 = s0 = 0
             for h, s in zip(group, sizes):
                 if type(h) is not int:  # a bool is no height
                     raise TypeError(f"height {_echo(h)} must be an int")
+                if type(s) is not int:  # nor a size
+                    raise TypeError(f"size {_echo(s)} must be an int")
+                if s <= s0:
+                    raise ValueError(f"sizes {_echo(sizes)} must be >= 1 and strictly increase")
                 if not 0 <= h - h0 <= s - s0:
                     raise ValueError(f"delta {h - h0} outside 0..{s - s0}")
                 h0, s0 = h, s

@@ -53,40 +53,19 @@ from fractions import Fraction
 from operator import mul
 
 from .classify import invariant_positions, orbit_dimension
-from .jordan import JordanType, _jordan_rows
+from .jordan import JordanType, _WITNESS_BOUND, _is_prime, _jordan_rows
 from .lattice import CapExceeded, enumerate_labels
-from .linalg import _count_text
+from .linalg import _count_text, _echo
 
 DEFAULT_LINE_CAP = 8191
-
-
-# Miller-Rabin with these witnesses is exact below _WITNESS_BOUND (the least
-# strong pseudoprime to all of them is 3317044064679887385961981).
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def _require_prime(p: int):
     """Reject p unless it is certainly prime (deterministic Miller-Rabin)."""
     if p >= _WITNESS_BOUND:
         raise ValueError(f"{p} is too large to certify as prime")
-    if p < 2:
+    if not _is_prime(p):
         raise ValueError(f"{p} is not a prime")
-    d, r = p - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in _WITNESSES:
-        if a >= p:
-            break
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            raise ValueError(f"{p} is not a prime")
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -106,8 +85,11 @@ def check_scan(p: int, n: int, cap: int):
     """The gate before every scan: certify p, then refuse more than cap lines of F_p^n.
 
     F_p^n has at least 2^(n-1) lines, so a large n goes uncounted; an n of
-    more digits than str() writes is named as _count_text names it.
+    more digits than str() writes is named as _count_text names it. A p or
+    cap that is not an int (a bool is none) is refused before any arithmetic.
     """
+    if type(p) is not int or type(cap) is not int:
+        raise TypeError(f"prime {_echo(p)} and line cap {_echo(cap)} must be ints")
     _require_prime(p)
     if n > cap.bit_length():
         if not (dimension := _count_text(n)).isdigit():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from centorbits import JordanType, cli, lattice, oracle
+from centorbits import JordanType, cli, jordan, lattice, oracle
 from centorbits.classify import orbit_dimension
 from centorbits.lattice import (
     DEFAULT_ENUMERATION_CAP,
@@ -510,7 +510,7 @@ def test_dense_rational_matrix_without_rational_roots_ends_at_once(tmp_path, cap
 
 
 def test_dense_square_free_char_poly_skips_the_remainder_sequence(tmp_path, capsys):
-    # c = det(xI - dT) is square-free modulo a large prime, so no remainder sequence runs
+    # c = det(xI - dT) is square-free modulo SQUARE_FREE_PRIME, so its square-free part is one gcd mod that prime
     rng = random.Random(40)
     doc = {"matrix": [[f"{rng.randint(-9, 9)}/{rng.randint(1, 30)}" for _ in range(40)]
                       for _ in range(40)]}
@@ -520,6 +520,19 @@ def test_dense_square_free_char_poly_skips_the_remainder_sequence(tmp_path, caps
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "irrational or complex root (residual factor of degree 40)" in err
+
+
+def test_one_repeated_root_beside_many_wide_simple_ones(tmp_path, capsys):
+    # n = 64 at the grid cap: the square-free part comes from a gcd mod SQUARE_FREE_PRIME, not over Z
+    rng = random.Random(1)
+    values = [1] * 16 + [rng.randrange(2, 2**45) for _ in range(48)]
+    doc = {"matrix": [[str(values[i]) if i == j else "0" for j in range(64)] for i in range(64)]}
+    spec = write(tmp_path, "diag64.json", doc)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "analyze", spec)
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    assert json.loads(out)["jordan_type"][0] == {"eigenvalue": "1", "blocks": [[1, 16]]}
 
 
 @pytest.mark.parametrize("prime, code, message", [
@@ -640,7 +653,7 @@ def test_over_long_integers_get_a_short_error_line(tmp_path, capsys, where):
 
 
 def test_matrix_over_the_dimension_cap_is_refused_at_once(tmp_path, capsys):
-    n = cli.MATRIX_DIMENSION_CAP + 1
+    n = jordan.MATRIX_DIMENSION_CAP + 1
     spec = write(tmp_path, "big.json", {"matrix": [[0] * n] * n})
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "classify", spec, "--vector=" + ",".join("1" * n))

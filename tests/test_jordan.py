@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import random
 import re
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +24,7 @@ from centorbits.jordan import (
     jordan_type,
     rational_eigenvalues,
 )
-from centorbits.linalg import Matrix
+from centorbits.linalg import Matrix, _primitive
 
 from conftest import RATIONALS, corpus_types, power, rank, rational_corpus_types, transform_column
 from test_cli import primorial_below
@@ -170,25 +172,113 @@ def poly_product(factors) -> list:
     return c
 
 
+def pseudo_remainder(a: list, b: list) -> list:
+    """A multiple of a mod b by a nonzero constant, leading zeros stripped (highest first)."""
+    lead = b[0]
+    while len(a) >= len(b):
+        c = a[0]
+        a = [lead * x for x in a[1:]]
+        for k in range(len(b) - 1):
+            a[k] -= c * b[k + 1]
+        while a and a[0] == 0:
+            a.pop(0)
+    return a
+
+
+def remainder_sequence_part(f: list) -> list:
+    """f / gcd(f, f') as a primitive integer polynomial, up to sign, by a primitive remainder sequence over Z:
+    the reference for jordan._square_free_part."""
+    a, b = _primitive(f), _primitive(jordan._derivative(f))
+    common = [1]
+    while len(b) > 1:
+        r = pseudo_remainder(a, b)
+        if not r:
+            common = b
+            break
+        a, b = b, _primitive(r)
+    # common is primitive and divides f, so by Gauss's lemma the quotient is integral
+    quotient, rest = [], list(f)
+    while len(rest) >= len(common):
+        q = rest[0] // common[0]
+        quotient.append(q)
+        rest = [x - q * y for x, y in zip(rest[1:], common[1:] + [0] * len(rest))]
+    return _primitive(quotient)
+
+
+def random_product(rng, bound, shift=0, degrees=(1, 3)):
+    """(c, squared): a product of 1-4 random monic factors with coefficients in [-bound, bound], some
+    squared. With a shift, each linear factor x + a becomes x + (a shift - 1), so every root of one is
+    1 modulo each prime dividing shift."""
+    factors, squared = [], False
+    for _ in range(rng.randint(1, 4)):
+        factor = [1] + [rng.randint(-bound, bound) for _ in range(rng.randint(*degrees))]
+        if len(factor) == 2 and shift:
+            factor[1] = factor[1] * shift - 1
+        exponent = rng.choice((1, 1, 2))
+        squared |= exponent == 2
+        factors += [factor] * exponent
+    return poly_product(factors), squared
+
+
 def test_square_free_test_mod_p_agrees_with_the_remainder_sequence():
     # products of random monic factors, some squared; a square must never pass
     for seed in range(40):
-        rng = random.Random(seed)
-        factors, squared = [], False
-        for _ in range(rng.randint(1, 4)):
-            factor = [1] + [rng.randint(-50, 50) for _ in range(rng.randint(1, 3))]
-            exponent = rng.choice((1, 1, 2))
-            squared |= exponent == 2
-            factors += [factor] * exponent
-        c = poly_product(factors)
-        passed = jordan._square_free_mod(c, jordan.SQUARE_FREE_PRIME)
-        assert passed == (jordan._square_free_part(c) == c)
+        c, squared = random_product(random.Random(seed), 50)
+        passed = len(jordan._gcd_mod(c, jordan.SQUARE_FREE_PRIME)) == 1
+        assert passed == (remainder_sequence_part(c) == c)
         assert not (passed and squared)
     # x^3 - 2 is square-free, but (x + 1)^3 mod 3, where 3 also divides the degree
-    assert jordan._square_free_mod([1, 0, 0, -2], 5)
-    assert not jordan._square_free_mod([1, 0, 0, -2], 3)
+    assert len(jordan._gcd_mod([1, 0, 0, -2], 5)) == 1
+    assert jordan._gcd_mod([1, 0, 0, -2], 3) == [1, 0, 0, 1]
     # x^2 - 3x + 2 is x^2 + x mod 2, square-free although its derivative drops a degree
-    assert jordan._square_free_mod([1, -3, 2], 2)
+    assert len(jordan._gcd_mod([1, -3, 2], 2)) == 1
+
+
+def test_gcd_mod_a_prime_power_refuses_a_leading_coefficient_that_is_no_unit():
+    # f' = 3x^2 - 3, and 3 is no unit mod 9
+    assert jordan._gcd_mod([1, 0, -3, 0], 9) is None
+    assert jordan._gcd_mod([1, 0, -3, 0], 25) == [1]
+
+
+def test_square_free_part_equals_the_remainder_sequence():
+    # coefficients up to 10^30; the part is monic, the reference primitive up to sign
+    for seed in range(60):
+        c, _ = random_product(random.Random(seed), 10**30)
+        part = jordan._square_free_part(c)
+        assert part[0] == 1
+        assert part in (reference := remainder_sequence_part(c), [-x for x in reference])
+
+
+def test_square_free_part_walks_past_primes_where_roots_coincide(monkeypatch):
+    # the linear factors' roots agree modulo SQUARE_FREE_PRIME and the next two primes
+    primes = list(itertools.islice(filter(jordan._is_prime, itertools.count(jordan.SQUARE_FREE_PRIME)), 4))
+    shift = primes[0] * primes[1] * primes[2]
+    moduli, gcd_mod = [], jordan._gcd_mod
+    monkeypatch.setattr(jordan, "_gcd_mod", lambda f, m: moduli.append(m) or gcd_mod(f, m))
+    for seed in range(40):
+        c, _ = random_product(random.Random(seed), 10**6, shift, degrees=(1, 1))
+        c = poly_product([c, [1, -1], [1, -1 - shift]])  # two roots that always coincide
+        moduli.clear()
+        reference = remainder_sequence_part(c)
+        assert jordan._square_free_part(c) in (reference, [-x for x in reference])
+        assert [m for m in moduli if m in primes] == primes
+        assert all(m % primes[-1] == 0 for m in moduli[moduli.index(primes[-1]):])
+
+
+def test_a_gcd_mod_q_that_divides_f_but_not_f_prime_is_refused():
+    # 1 and 1 + q coincide mod q, where x - 1 divides f exactly but not f', and f is square-free
+    q = jordan.SQUARE_FREE_PRIME
+    f = poly_product([[1, -1], [1, -1 - q]])
+    assert jordan._square_free_part(f) == f
+    assert sorted(jordan._integer_roots(f)) == [(1, 1), (1 + q, 1)]
+
+
+def test_is_prime_agrees_with_trial_division():
+    sieve = [False, False] + [True] * (10**5 - 2)
+    for p in range(2, isqrt(10**5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(sieve[p * p::p])
+    assert [jordan._is_prime(p) for p in range(10**5)] == sieve
 
 
 def test_roots_merged_by_every_prime_below_9000():
@@ -225,9 +315,7 @@ def test_one_inversion_per_root_mod_p(monkeypatch):
         return pow(base, exp, mod)
 
     monkeypatch.setattr(jordan, "pow", counting, raising=False)
-    p = 2
-    while not jordan._square_free_mod(g, p):
-        p = jordan._next_prime(p)
+    p = next(p for p in filter(jordan._is_prime, itertools.count(2)) if len(jordan._gcd_mod(g, p)) == 1)
     walk = len(moduli)  # the inversions of the square-free tests on the way to p
     assert sorted(jordan._root_candidates(g)) == [m, 2 * m, 3 * m]
     assert moduli[2 * walk:] == [p] * 3

@@ -220,6 +220,23 @@ def test_label_needs_one_group_per_eigenvalue():
         OrbitLabel(((0,),), ((1,), (1,)))
 
 
+@pytest.mark.parametrize("heights, sizes, error, message", [
+    ([[1, 2]], [[2, 3]], TypeError, "heights [[1, 2]] and sizes [[2, 3]] must be tuples"),
+    (([1, 2],), ((2, 3),), TypeError, "height group [1, 2] and size group (2, 3) must be tuples"),
+    (((1, 2),), ([2, 3],), TypeError, "height group (1, 2) and size group [2, 3] must be tuples"),
+    (((0,),), ((0,),), ValueError, "sizes (0,) must be >= 1 and strictly increase"),
+    (((1, 1),), ((2, 2),), ValueError, "sizes (2, 2) must be >= 1 and strictly increase"),
+    (((1,),), ((1.5,),), TypeError, "size 1.5 must be an int"),
+    (((1,),), ((True,),), TypeError, "size True must be an int"),
+    ((), (), ValueError, "deltas and limits must have one group per eigenvalue, and at least one group"),
+    (((),), ((),), ValueError, "an eigenvalue needs at least one block size"),
+], ids=["lists", "list-heights", "list-sizes", "size-0", "repeated-size", "float-size", "bool-size",
+        "no-eigenvalue", "no-size"])
+def test_a_label_no_jordan_type_can_have_is_refused(heights, sizes, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        OrbitLabel(heights, sizes)
+
+
 @pytest.mark.parametrize("height", ["1", 1.0, True], ids=repr)
 def test_a_height_that_is_no_int_is_refused_by_type(height):
     # a str has no difference to check, and 1.0 and True compare as ints: each is refused by its type

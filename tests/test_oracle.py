@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -573,6 +574,21 @@ def test_default_cap_bounds_lines():
         oracle.check_scan(2, 14, oracle.DEFAULT_LINE_CAP)
     with pytest.raises(CapExceeded, match=r"9841 lines of F_3\^9"):
         oracle.check_scan(3, 9, oracle.DEFAULT_LINE_CAP)
+
+
+@pytest.mark.parametrize("p, cap, message", [
+    (2.0, oracle.DEFAULT_LINE_CAP, "prime 2.0 and line cap 8191 must be ints"),
+    (True, oracle.DEFAULT_LINE_CAP, "prime True and line cap 8191 must be ints"),
+    (3, 100.0, "prime 3 and line cap 100.0 must be ints"),
+    (3, None, "prime 3 and line cap None must be ints"),
+], ids=["float-p", "bool-p", "float-cap", "none-cap"])
+def test_scan_gate_refuses_a_prime_or_cap_that_is_no_int(p, cap, message):
+    jt = JordanType.of({0: [(2, 1)]})
+    with pytest.raises(TypeError, match=re.escape(message)):
+        compare_with_prediction(jt, p, cap)
+    if cap is oracle.DEFAULT_LINE_CAP:
+        with pytest.raises(TypeError, match=re.escape(message)):
+            invariant_subspaces_bruteforce(jt, p)
 
 
 def test_symbolic_eigenvalues_take_spare_residues():
