@@ -19,15 +19,18 @@ k; its dimension is sum_k m_k * H_k with m_k the number of blocks of size
 s_k. Tests validate the two-pass rule against that span directly.
 
 Classification is one scan over the chains of a :class:`ChainPlan`, smallest
-size first within each eigenvalue, that reads each coordinate only while it
-can still matter: a column starts at the height of the one before (the
-left-to-right pass), each chain is read in shift order only over the shifts
-that would raise the column, and stops at its first nonzero coordinate. A
-vector in the original coordinates is never transformed whole: coordinate i
-of P^-1 v is the integer dot product of row i of P^-1's grid with v's grid,
-taken when the scan reaches it, so one classification costs at most one dot
-product per coordinate scanned. The right-to-left pass and the sum m_k * H_k
-follow per eigenvalue.
+size first within each eigenvalue, over one integer z whose bit fields of a
+fixed width W stand for the chain coordinates: field i is zero exactly when
+coordinate i is. A column starts at the height h of the one before (the
+left-to-right pass), and only a nonzero at a shift j < size - h raises it, so
+each chain is read with one shift and one mask, y = (z >> W offset) &
+(2^(W (size - h)) - 1), and its lowest set bit gives j = bit // W and the new
+height size - j. Chain coordinates given directly are read as one-bit fields.
+A vector in the original coordinates is never decoded: P^-1 v is one packed
+product, :func:`linalg._apply`, memoized per P^-1 as its columns packed at a
+width that keeps every biased dot product in its own field, and z is that
+product XOR its bias, zero in field i exactly when coordinate i of P^-1 v
+is. The right-to-left pass and the sum m_k * H_k follow per eigenvalue.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from operator import mul
 
 from .jordan import ChainPlan, JordanBasis, JordanType, _check_vector, chain_plan
 from .lattice import OrbitLabel, column_sizes, leq, top
-from .linalg import Matrix
+from .linalg import Matrix, _apply
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,8 @@ def _validate_label(jt: JordanType, label: OrbitLabel):
         raise ValueError(f"label bounds {label.limits} do not belong to this type ({top(jt).limits})")
 
 
-def _scan(plan: ChainPlan, coordinate) -> OrbitReport:
-    """The one pass over the chains; ``coordinate(i)`` is an integer, zero exactly when coordinate i is."""
+def _scan(plan: ChainPlan, z: int, width: int) -> OrbitReport:
+    """The one pass over the chains; field i of ``z`` (``width`` bits) is zero exactly when coordinate i is."""
     heights, dimension = [], 0
     for sizes, mults, offsets in zip(*plan):
         column, h = [], 0
@@ -72,30 +75,30 @@ def _scan(plan: ChainPlan, coordinate) -> OrbitReport:
             # h starts at the height of the column before: the left-to-right pass
             for offset in chains:
                 # only a nonzero at shift j < size - h raises the column, to size - j
-                for i in range(offset, offset + size - h):
-                    if coordinate(i):
-                        h = size - (i - offset)
-                        break
+                y = (z >> width * offset) & ((1 << width * (size - h)) - 1)
+                if y:
+                    h = size - ((y & -y).bit_length() - 1) // width
             column.append(h)
         for k in range(len(column) - 2, -1, -1):
             column[k] = max(column[k], column[k + 1] - (sizes[k + 1] - sizes[k]))
         heights.append(tuple(column))
         dimension += sum(map(mul, mults, column))
-    return OrbitReport(OrbitLabel(tuple(heights), plan.sizes), dimension)
+    return OrbitReport(OrbitLabel._scanned(tuple(heights), plan.sizes), dimension)
 
 
 def classify_chain_coordinates(jt: JordanType, coords: Matrix) -> OrbitReport:
     """Classify a vector given directly in chain coordinates."""
     _check_vector(jt.dimension, coords)
-    # x / den is zero exactly when the integer x is
-    return _scan(chain_plan(jt), [x for (x,) in coords._grid].__getitem__)
+    # x / den is zero exactly when the integer x is: bit i of the one-bit fields
+    return _scan(chain_plan(jt), sum(1 << i for i, (x,) in enumerate(coords._grid) if x), 1)
 
 
 def classify_vector(basis: JordanBasis, v: Matrix) -> OrbitReport:
-    """Classify a vector given in the original coordinates of the matrix, reading P^-1 v row by row."""
+    """Classify a vector given in the original coordinates of the matrix, from the packed product P^-1 v."""
     _check_vector(basis.dimension, v)
-    rows, grid = basis.inverse_transform._grid, [x for (x,) in v._grid]
-    return _scan(basis.plan, lambda i: sum(map(mul, rows[i], grid)))
+    fields, width, bias = _apply(basis.inverse_transform, [x for (x,) in v._grid])
+    # a field of fields ^ bias is zero exactly when its dot product is
+    return _scan(basis.plan, fields ^ bias, width)
 
 
 def representative(jt: JordanType, label: OrbitLabel) -> Matrix:

@@ -112,6 +112,15 @@ class OrbitLabel:
                     raise ValueError(f"delta {h - h0} outside 0..{s - s0}")
                 h0, s0 = h, s
 
+    @classmethod
+    def _scanned(cls, heights: tuple, sizes: tuple) -> "OrbitLabel":
+        """The label of heights that are valid for sizes by construction, as a classification scan builds
+        them: the checks of ``__post_init__`` are skipped."""
+        label = object.__new__(cls)
+        object.__setattr__(label, "heights", heights)
+        object.__setattr__(label, "sizes", sizes)
+        return label
+
     @property
     def deltas(self) -> tuple:
         return tuple(_steps(group) for group in self.heights)

@@ -9,8 +9,9 @@ also (integers, denominator) columns in lowest terms. Only reading an entry
 (``m[i, j]``, ``row``) or printing builds ``fractions.Fraction`` values.
 
 Every operation runs on the integers. A product is the integer product of
-the grids over the product of the denominators (by a column, one dot product
-per row); sums rescale to the lcm of the denominators. Elimination,
+the grids over the product of the denominators; by a column it is one packed
+product, :func:`_apply`, whose bit fields are the dot products of the rows.
+Sums rescale to the lcm of the denominators. Elimination,
 :func:`_integer_rref`, runs fraction-free on integer rows: the target row
 is multiplied by the pivot before the pivot row is subtracted, and each
 updated row is divided by its content (the gcd of its entries) to keep the
@@ -32,6 +33,7 @@ import re
 import reprlib
 import sys
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -147,10 +149,11 @@ class Matrix:
     row tuples and ``_den`` one positive denominator, in lowest terms (the
     gcd of ``_den`` and every entry is 1). That form is unique, so ``==`` and
     ``hash`` compare integers. ``m[i, j]`` and ``row(i)`` read entries back
-    as ``Fraction``s.
+    as ``Fraction``s. ``_packed`` memoizes the columns packed for
+    :func:`_apply`; it takes no part in ``==``, ``hash`` or ``repr``.
     """
 
-    __slots__ = ("rows", "cols", "_grid", "_den")
+    __slots__ = ("rows", "cols", "_grid", "_den", "_packed")
 
     def __init__(self, rows_data: Iterable[Sequence[Scalar]]):
         data = [[x.as_integer_ratio() if type(x) in (int, Fraction) else as_ratio(x) for x in row]
@@ -167,6 +170,7 @@ class Matrix:
         self.cols = len(data[0])
         self._grid = tuple([tuple([x * (den // d) for x, d in row]) for row in data])
         self._den = den
+        self._packed = None
 
     @classmethod
     def _reduced(cls, grid: Sequence[Sequence[int]], den: int) -> "Matrix":
@@ -180,6 +184,7 @@ class Matrix:
         m.rows, m.cols = len(grid), len(grid[0])
         m._grid = tuple([tuple([x // g for x in row]) for row in grid]) if g > 1 else tuple(map(tuple, grid))
         m._den = den // g
+        m._packed = None
         return m
 
     @classmethod
@@ -195,7 +200,7 @@ class Matrix:
     def _column(cls, values: Sequence[int], den: int) -> "Matrix":
         """The n x 1 matrix values / den, for integers already in lowest terms over den > 0."""
         m = object.__new__(cls)
-        m.rows, m.cols, m._grid, m._den = len(values), 1, tuple([(x,) for x in values]), den
+        m.rows, m.cols, m._grid, m._den, m._packed = len(values), 1, tuple([(x,) for x in values]), den, None
         return m
 
     # -- element access ------------------------------------------------
@@ -249,15 +254,17 @@ class Matrix:
         return Matrix._reduced([[num * x for x in row] for row in self._grid], self._den * den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """The product, in lowest terms; by a column, one integer dot product per row and one gcd."""
+        """The product, in lowest terms; by a column, the fields of one :func:`_apply` and one gcd."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         den = self._den * other._den
         if other.cols == 1:
-            values = [x for (x,) in other._grid]
-            return Matrix._column(*_lowest_terms([sum(map(mul, row, values)) for row in self._grid], den))
+            fields, width, _ = _apply(self, [x for (x,) in other._grid])
+            mask, half = (1 << width) - 1, 1 << (width - 1)
+            values = [((fields >> s) & mask) - half for s in range(0, width * self.rows, width)]
+            return Matrix._column(*_lowest_terms(values, den))
         cols = list(zip(*other._grid))
         return Matrix._reduced([[sum(map(mul, row, col)) for col in cols] for row in self._grid], den)
 
@@ -315,6 +322,39 @@ def _integer_rref(rows: Iterable[Sequence[int]]) -> tuple[list, tuple]:
         if pr == height:
             break
     return m, tuple(pivots)
+
+
+def _apply(m: Matrix, values: Sequence[int]) -> tuple:
+    """The integer product of m's grid by the column ``values``, packed: (x + bias, width, bias).
+
+    Field i of x + bias, bits [width * i, width * (i + 1)), holds row i's dot
+    product d_i plus 2^(width - 1); bias has that one bit set in every field.
+    With a the bit length of m's largest |entry| and v that of the largest
+    |value|, |d_i| <= cols (2^a - 1)(2^v - 1) < 2^(a + v + cols.bit_length()),
+    so a width of a + v + cols.bit_length() + 1 bits keeps every biased field
+    in [1, 2^width): no field borrows from or carries into the next. Column j
+    packed is sum_i entry(i, j) 2^(width i), so x = sum_j values[j] * column j,
+    one small-by-big multiply per column. The packing is memoized in
+    ``m._packed`` at a width rounded up to a multiple of 32; a wider call packs
+    anew and replaces it, and the memo is read once and never changed in place,
+    so threads sharing m each use a packing wide enough for their own call.
+    """
+    memo = m._packed
+    a = memo[0] if memo else max(map(abs, chain.from_iterable(m._grid))).bit_length()
+    need = a + max(map(abs, values)).bit_length() + m.cols.bit_length() + 1
+    if memo is None or memo[1] < need:
+        width = -(-need // 32) * 32
+        columns = []
+        for column in zip(*m._grid):
+            packed = 0
+            for x in reversed(column):  # Horner, last row first
+                packed = (packed << width) + x
+            columns.append(packed)
+        bias = ((1 << width * m.rows) - 1) // ((1 << width) - 1) << (width - 1)
+        # threads may race to store; each call uses its own local, so a lost race costs a later repack
+        memo = m._packed = (a, width, tuple(columns), bias)
+    _, width, columns, bias = memo
+    return sum(map(mul, values, columns)) + bias, width, bias
 
 
 def _lowest_terms(values: list, den: int) -> tuple:

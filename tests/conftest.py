@@ -54,6 +54,11 @@ def operator_matrix(basis, op) -> Matrix:
     return basis.transform @ chain_form @ basis.inverse_transform
 
 
+def plain_product(m: Matrix, v: Matrix) -> Matrix:
+    """m @ v for an n x 1 v from one Fraction dot product per row, apart from Matrix.__matmul__ and its packing."""
+    return Matrix.column([sum((m[i, j] * v[j, 0] for j in range(m.cols)), Fraction(0)) for i in range(m.rows)])
+
+
 def transform_column(basis, j: int) -> Matrix:
     """Column j of the chain basis P as an n x 1 matrix: a chain's vectors start at its slot offset."""
     return Matrix.column([basis.transform[i, j] for i in range(basis.dimension)])

@@ -1,10 +1,14 @@
 import random
+import sys
+import threading
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from centorbits.centralizer import centralizer_basis, sample_invertible, shift_operator_rows, shift_tags
 from centorbits.classify import (
+    OrbitReport,
     classify_chain_coordinates,
     classify_vector,
     comparability,
@@ -13,11 +17,11 @@ from centorbits.classify import (
     representative,
     same_solution_class,
 )
-from centorbits.jordan import JordanType, chain_slots, jordan_basis, jordan_matrix
-from centorbits.lattice import bottom, enumerate_labels, label_for, leq, top
+from centorbits.jordan import JordanType, chain_plan, chain_slots, jordan_basis, jordan_matrix
+from centorbits.lattice import OrbitLabel, bottom, enumerate_labels, label_for, leq, top
 from centorbits.linalg import Matrix, ShapeError
 
-from conftest import rank, rational_corpus_types, transform_column
+from conftest import plain_product, rank, rational_corpus_types, transform_column
 from test_jordan import random_conjugate
 
 T23 = JordanType.of({0: [(2, 1), (3, 1)]})
@@ -36,6 +40,36 @@ def chain_span_oracle(jt, coords):
 
 def rows_of(m):
     return [list(m.row(i)) for i in range(m.rows)]
+
+
+def reference_scan(plan, coordinate) -> OrbitReport:
+    """The lazy scan: ``coordinate(i)`` is an integer, zero exactly when chain coordinate i is, read one
+    coordinate at a time in shift order; the label goes through OrbitLabel's checks."""
+    heights, dimension = [], 0
+    for sizes, mults, offsets in zip(*plan):
+        column, h = [], 0
+        for size, chains in zip(sizes, offsets):
+            for offset in chains:
+                for i in range(offset, offset + size - h):
+                    if coordinate(i):
+                        h = size - (i - offset)
+                        break
+            column.append(h)
+        for k in range(len(column) - 2, -1, -1):
+            column[k] = max(column[k], column[k + 1] - (sizes[k + 1] - sizes[k]))
+        heights.append(tuple(column))
+        dimension += sum(map(mul, mults, column))
+    return OrbitReport(OrbitLabel(tuple(heights), plan.sizes), dimension)
+
+
+def leading_zero_coordinates(jt, rng) -> list:
+    """Chain coordinates whose first k shifts on each chain are zero, k random (a whole chain zero when
+    k = size), the rest nonzero integers of 1 to 150 bits."""
+    coords = [0] * jt.dimension
+    for slot in chain_slots(jt):
+        for shift in range(rng.randint(0, slot.size), slot.size):
+            coords[slot.offset + shift] = rng.choice([-1, 1]) * rng.randint(1, 2 ** rng.randint(1, 150))
+    return coords
 
 
 def test_zero_vector_is_bottom(j23):
@@ -248,7 +282,7 @@ def test_classify_vector_reads_the_chain_coordinates_of_p_inverse_v():
         units = [sample_invertible(cb, s) for s in range(3)]
         for v in vectors:
             for w in [v] + [u @ v for u in units]:
-                expected = classify_chain_coordinates(jt, basis.inverse_transform @ w)
+                expected = classify_chain_coordinates(jt, plain_product(basis.inverse_transform, w))
                 assert classify_vector(basis, w) == expected, (jt, w)
                 assert classify_vector(basis, w).label == classify_vector(basis, v).label
 
@@ -266,3 +300,64 @@ def test_classify_vector_takes_no_matrix_product(monkeypatch):
     assert [classify_vector(basis, v) for v in vectors] == expected
     assert same_solution_class(basis, *vectors) == (False, *expected)
 
+
+
+def test_the_packed_scan_is_the_lazy_scan_on_chains_with_leading_zeros(corpus):
+    # one-bit fields from chain coordinates; fields of 32 bits and wider from P^-1 v
+    types = corpus + [JordanType.of({3: [(1, 2), (2, 1)], Fraction(-1, 2): [(1, 1), (3, 1)]})]
+    for seed, jt in enumerate(types):
+        rng = random.Random(100 + seed)
+        rational = all(isinstance(eig, Fraction) for eig, _ in jt.eigen_blocks)
+        basis = jordan_basis(random_conjugate(jordan_matrix(jt), seed)) if rational else None
+        for _ in range(30):
+            coords = leading_zero_coordinates(jt, rng)
+            expected = reference_scan(chain_plan(jt), coords.__getitem__)
+            assert classify_chain_coordinates(jt, Matrix.column(coords)) == expected, (jt, coords)
+            if basis is not None:
+                v = plain_product(basis.transform, Matrix.column(coords))
+                assert classify_vector(basis, v) == expected, (jt, coords)
+
+
+def test_scan_built_labels_equal_and_hash_like_checked_labels():
+    for seed, jt in enumerate(rational_corpus_types(max_dim=9)):
+        rng = random.Random(seed)
+        basis = jordan_basis(random_conjugate(jordan_matrix(jt), seed))
+        for _ in range(20):
+            coords = leading_zero_coordinates(jt, rng)
+            for label in (classify_vector(basis, plain_product(basis.transform, Matrix.column(coords))).label,
+                          classify_chain_coordinates(jt, Matrix.column(coords)).label):
+                checked = OrbitLabel(label.heights, label.sizes)
+                assert label == checked and hash(label) == hash(checked)
+                assert type(label.heights) is tuple and all(type(group) is tuple for group in label.heights)
+
+
+def test_threads_sharing_a_fresh_basis_get_the_serial_answers():
+    jt = JordanType.of({0: [(1, 1), (3, 1)], 2: [(2, 2)], -1: [(1, 1), (4, 1)]})
+    t = random_conjugate(jordan_matrix(jt), 21)
+    rng = random.Random(21)
+    # entries of 1 to 400 bits: packings of P^-1 from 32 bits to several hundred
+    vectors = [Matrix.column([rng.randint(-2 ** bits, 2 ** bits) for _ in range(jt.dimension)])
+               for bits in (1, 400, 3, 40, 200, 70, 2, 300, 130)]
+    serial = [classify_vector(jordan_basis(t), v) for v in vectors]
+    shared = jordan_basis(t)
+    assert shared.inverse_transform._packed is None
+    start = threading.Barrier(8)
+    results = [None] * 8
+
+    def classify_all(k):
+        start.wait(timeout=30)
+        order = list(range(k, len(vectors))) + list(range(k))
+        results[k] = {i: classify_vector(shared, vectors[i]) for _ in range(3) for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=classify_all, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result == dict(enumerate(serial)) for result in results)

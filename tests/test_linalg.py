@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -11,7 +13,7 @@ from centorbits.cli import parse_operator_spec
 from centorbits.jordan import _normalize_eigenvalue
 from centorbits.linalg import Matrix, NotANumber, RefusedForm, ShapeError, as_ratio
 
-from conftest import RATIONALS, kernel_basis, rank
+from conftest import RATIONALS, kernel_basis, plain_product, rank
 
 
 def small_matrices(max_dim=4):
@@ -242,6 +244,74 @@ def test_a_column_product_matches_fraction_sums_in_lowest_terms():
         assert_canonical(product)
         cancelled += product._den < left._den * column._den
     assert cancelled > 100
+
+
+# (n, a, v): a sum of n products of a-bit entries by v-bit values. The field width is a + v +
+# n.bit_length() + 1 rounded up to a multiple of 32. At (3, 15, 15) and (127, 12, 13) that sum is 33
+# and n (2^a - 1)(2^v - 1) passes 2^31, so a width without the + 1 would round to 32 and overflow.
+WIDTH_CASES = [(1, 1, 1), (1, 15, 15), (1, 31, 31), (2, 3, 4), (3, 15, 15), (7, 9, 13), (127, 12, 12),
+               (127, 12, 13), (128, 1, 1), (128, 12, 11), (128, 40, 70), (5, 64, 200)]
+
+
+@pytest.mark.parametrize("n, a, v", WIDTH_CASES)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_column_product_holds_fields_at_the_width_bound(n, a, v, sign):
+    top, value = 2 ** a - 1, 2 ** v - 1
+    # rows and vector of one sign reach +-n(2^a - 1)(2^v - 1); an alternating row sums near zero
+    m = Matrix([[top] * n, [-top] * n, [top * (-1) ** j for j in range(n)], [j % 3 - 1 for j in range(n)]])
+    column = Matrix.column([sign * value] * n)
+    product = m @ column
+    assert product == plain_product(m, column)
+    assert product[0, 0] == sign * n * top * value == -product[1, 0]
+
+
+@pytest.mark.parametrize("n", [1, 128])
+def test_zero_matrices_and_zero_vectors_multiply_to_zero(n):
+    rng = random.Random(n)
+    zero_m, zero_v = Matrix([[0] * n] * 3), Matrix.column([0] * n)
+    m = Matrix([[rng.randint(-2 ** 40, 2 ** 40) for _ in range(n)] for _ in range(3)])
+    v = Matrix.column([Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(n)])
+    for left, right in ((zero_m, v), (m, zero_v), (zero_m, zero_v)):
+        assert left @ right == plain_product(left, right) == Matrix.column([0] * 3)
+    assert m @ v == plain_product(m, v)
+
+
+def test_the_packing_memo_only_widens():
+    rng = random.Random(34)
+    m = Matrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(6)] for _ in range(5)])
+    narrow = Matrix.column([rng.randint(-9, 9) for _ in range(6)])
+    wide = Matrix.column([rng.randint(-2 ** 300, 2 ** 300) for _ in range(6)])
+    widths = []
+    for v in (narrow, wide, narrow):
+        assert m @ v == plain_product(m, v)
+        widths.append(m._packed[1])
+    assert widths[0] == 32 and widths[1] > 300 and widths[2] == widths[1]
+
+
+def test_the_packing_memo_changes_no_equality_hash_repr_or_copy():
+    m, twin = Matrix([["1/2", -3, 7], [4, "5/7", 0]]), Matrix([["1/2", -3, 7], [4, "5/7", 0]])
+    before = hash(m), repr(m)
+    v = Matrix.column([1, -2 ** 100, "3/4"])
+    product = m @ v
+    assert m._packed is not None and twin._packed is None
+    assert m == twin and (hash(m), repr(m)) == (hash(twin), repr(twin)) == before
+    for copied in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert copied == m and (hash(copied), repr(copied)) == before
+        assert copied @ v == product == plain_product(m, v)
+
+
+WIDE_ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-2 ** 140, 2 ** 140)).flatmap(
+    lambda x: st.integers(1, 6).map(lambda d: Fraction(x, d)))
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+@settings(deadline=None)
+def test_column_products_of_any_width_match_plain_dot_products(r, k, data):
+    m = Matrix([[data.draw(WIDE_ENTRIES) for _ in range(k)] for _ in range(r)])
+    # several vectors through one matrix: a packing memoized at one width serves the next call or is widened
+    for _ in range(3):
+        v = Matrix.column([data.draw(WIDE_ENTRIES) for _ in range(k)])
+        assert m @ v == plain_product(m, v)
 
 
 # -- the stored form: one integer grid over one denominator in lowest terms --
