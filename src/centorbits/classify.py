@@ -18,7 +18,7 @@ coordinate subspace holding the top H_k positions of every chain in column
 k; its dimension is sum_k m_k * H_k with m_k the number of blocks of size
 s_k. Tests validate the two-pass rule against that span directly.
 
-Classification is one scan over the chains of a :class:`ChainPlan`, smallest
+Classification is one scan over the chains of :attr:`JordanType.plan`, smallest
 size first within each eigenvalue, over one integer z whose bit fields of a
 fixed width W stand for the chain coordinates: field i is zero exactly when
 coordinate i is. A column starts at the height h of the one before (the
@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .jordan import ChainPlan, JordanBasis, JordanType, _check_vector, chain_plan
+from .jordan import ChainPlan, JordanBasis, JordanType, _check_vector
 from .lattice import OrbitLabel, column_sizes, leq, top
 from .linalg import Matrix, _apply
 
@@ -66,6 +66,12 @@ def _validate_label(jt: JordanType, label: OrbitLabel):
         raise ValueError(f"label bounds {label.limits} do not belong to this type ({top(jt).limits})")
 
 
+def _columns(jt: JordanType, label: OrbitLabel) -> list:
+    """(H_k, s_k, the offsets of the chains of size s_k) per column of a label of jt, in offset order."""
+    _validate_label(jt, label)
+    return [column for row in zip(label.heights, jt.plan.sizes, jt.plan.offsets) for column in zip(*row)]
+
+
 def _scan(plan: ChainPlan, z: int, width: int) -> OrbitReport:
     """The one pass over the chains; field i of ``z`` (``width`` bits) is zero exactly when coordinate i is."""
     heights, dimension = [], 0
@@ -90,7 +96,7 @@ def classify_chain_coordinates(jt: JordanType, coords: Matrix) -> OrbitReport:
     """Classify a vector given directly in chain coordinates."""
     _check_vector(jt.dimension, coords)
     # x / den is zero exactly when the integer x is: bit i of the one-bit fields
-    return _scan(chain_plan(jt), sum(1 << i for i, (x,) in enumerate(coords._grid) if x), 1)
+    return _scan(jt.plan, sum(1 << i for i, (x,) in enumerate(coords._grid) if x), 1)
 
 
 def classify_vector(basis: JordanBasis, v: Matrix) -> OrbitReport:
@@ -98,7 +104,7 @@ def classify_vector(basis: JordanBasis, v: Matrix) -> OrbitReport:
     _check_vector(basis.dimension, v)
     fields, width, bias = _apply(basis.inverse_transform, [x for (x,) in v._grid])
     # a field of fields ^ bias is zero exactly when its dot product is
-    return _scan(basis.plan, fields ^ bias, width)
+    return _scan(basis.jordan_type.plan, fields ^ bias, width)
 
 
 def representative(jt: JordanType, label: OrbitLabel) -> Matrix:
@@ -108,28 +114,23 @@ def representative(jt: JordanType, label: OrbitLabel) -> Matrix:
     first chain of that column; classify_chain_coordinates round-trips to the
     label exactly.
     """
-    _validate_label(jt, label)
+    columns = _columns(jt, label)
     coords = [0] * jt.dimension
-    plan = chain_plan(jt)
-    for heights, sizes, columns in zip(label.heights, plan.sizes, plan.offsets):
-        for h, size, chains in zip(heights, sizes, columns):
-            if h:
-                coords[chains[0] + size - h] = 1
+    for h, size, chains in columns:
+        if h:
+            coords[chains[0] + size - h] = 1
     return Matrix.column(coords)
 
 
 def invariant_positions(jt: JordanType, label: OrbitLabel) -> tuple:
     """Chain coordinates spanning the orbit closure: the top H_k shifts of every chain.
 
-    One walk over the chains of :func:`chain_plan`, in offset order: positions ascend.
+    One walk over the chains of :attr:`JordanType.plan`, in offset order: positions ascend.
     """
-    _validate_label(jt, label)
-    plan = chain_plan(jt)
     positions = []
-    for heights, sizes, columns in zip(label.heights, plan.sizes, plan.offsets):
-        for h, size, chains in zip(heights, sizes, columns):
-            for offset in chains:
-                positions.extend(range(offset + size - h, offset + size))
+    for h, size, chains in _columns(jt, label):
+        for offset in chains:
+            positions.extend(range(offset + size - h, offset + size))
     return tuple(positions)
 
 

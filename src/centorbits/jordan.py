@@ -76,6 +76,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import NamedTuple, Union
@@ -138,6 +139,10 @@ class JordanType:
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise ValueError("eigenvalues must be distinct and canonically ordered")
         for eig, blocks in self.eigen_blocks:
+            if not isinstance(eig, (Fraction, str)):
+                raise TypeError(f"eigenvalue {_echo(eig)} must be a Fraction or a symbolic label; use JordanType.of")
+            if isinstance(eig, str) and _normalize_eigenvalue(eig) != eig:
+                raise ValueError(f"eigenvalue {_echo(eig)} is not in canonical form; use JordanType.of")
             if not blocks:
                 raise ValueError(f"eigenvalue {eig!r} has no blocks")
             for size, mult in blocks:
@@ -145,6 +150,24 @@ class JordanType:
             sizes = [size for size, _ in blocks]
             if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
                 raise ValueError(f"block sizes for eigenvalue {eig!r} must strictly increase")
+
+    # read only to walk chain coordinates, after a shape or cap check: a type
+    # past every cap can have offsets too many to build
+    @cached_property
+    def plan(self) -> ChainPlan:
+        """The one chain layout, built on first read and kept outside ``==``, ``hash`` and ``repr``."""
+        sizes, mults, offsets = [], [], []
+        offset = 0
+        for _, blocks in self.eigen_blocks:
+            size_row, mult_row = zip(*blocks)
+            sizes.append(size_row)
+            mults.append(mult_row)
+            columns = []
+            for size, mult in blocks:
+                columns.append(tuple(range(offset, offset + size * mult, size)))
+                offset += size * mult
+            offsets.append(tuple(columns))
+        return ChainPlan(tuple(sizes), tuple(mults), tuple(offsets))
 
     @classmethod
     def of(cls, blocks_by_eigenvalue) -> "JordanType":
@@ -190,7 +213,7 @@ class ChainSlot(NamedTuple):
 
 
 class ChainPlan(NamedTuple):
-    """The chains of a type grouped for a scan, one entry per eigenvalue in canonical order.
+    """A type's chains grouped for a scan, one entry per eigenvalue in canonical order (:attr:`JordanType.plan`).
 
     ``sizes`` holds each eigenvalue's distinct block sizes (so ``sizes`` is
     ``lattice.column_sizes(jt)``), ``mults`` their multiplicities, and
@@ -202,27 +225,10 @@ class ChainPlan(NamedTuple):
     offsets: tuple
 
 
-def chain_plan(jt: JordanType) -> ChainPlan:
-    """The chains of a type in canonical order, grouped by eigenvalue and size."""
-    sizes, mults, offsets = [], [], []
-    offset = 0
-    for _, blocks in jt.eigen_blocks:
-        size_row, mult_row = zip(*blocks)
-        sizes.append(size_row)
-        mults.append(mult_row)
-        columns = []
-        for size, mult in blocks:
-            columns.append(tuple(range(offset, offset + size * mult, size)))
-            offset += size * mult
-        offsets.append(tuple(columns))
-    return ChainPlan(tuple(sizes), tuple(mults), tuple(offsets))
-
-
 def chain_slots(jt: JordanType) -> tuple:
-    """Chains of a type in canonical order, with their coordinate offsets, read off :func:`chain_plan`."""
-    plan = chain_plan(jt)
+    """Chains of a type in canonical order, with their coordinate offsets, read off :attr:`JordanType.plan`."""
     return tuple(ChainSlot(eig, size, index, offset)
-                 for (eig, _), sizes, columns in zip(jt.eigen_blocks, plan.sizes, plan.offsets)
+                 for (eig, _), sizes, columns in zip(jt.eigen_blocks, jt.plan.sizes, jt.plan.offsets)
                  for size, chains in zip(sizes, columns) for index, offset in enumerate(chains, 1))
 
 
@@ -513,9 +519,8 @@ class JordanBasis:
 
     matrix: Matrix
     jordan_type: JordanType
-    transform: Matrix          # P, each chain's columns from its chain_slots offset
+    transform: Matrix          # P, each chain's columns from its offset in jordan_type.plan
     inverse_transform: Matrix  # P^-1
-    plan: ChainPlan            # chain_plan(jordan_type), built once for classification
 
     @property
     def dimension(self) -> int:
@@ -554,10 +559,12 @@ def jordan_basis(t: Matrix) -> JordanBasis:
     p_inv = Matrix._reduced([[d * x for x in row] for row, (_, d) in zip(q_inv._grid, columns)], q_inv._den)
     if t @ p != p @ jordan_matrix(jt):
         raise RuntimeError("Jordan basis reconstruction check failed; this is a bug")
-    return JordanBasis(t, jt, p, p_inv, chain_plan(jt))
+    return JordanBasis(t, jt, p, p_inv)
 
 
 def _check_vector(n: int, v: Matrix):
     """Refuse anything but an n x 1 matrix."""
+    if not isinstance(v, Matrix):
+        raise TypeError(f"vector must be an n x 1 Matrix with n = {n}, got {_echo(v)}")
     if v.rows != n or v.cols != 1:
         raise ShapeError(f"vector must be {n}x1, got {v.rows}x{v.cols}")

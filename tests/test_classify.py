@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -17,12 +18,13 @@ from centorbits.classify import (
     representative,
     same_solution_class,
 )
-from centorbits.jordan import JordanType, chain_plan, chain_slots, jordan_basis, jordan_matrix
+from centorbits.jordan import JordanType, chain_slots, jordan_basis, jordan_matrix
 from centorbits.lattice import OrbitLabel, bottom, enumerate_labels, label_for, leq, top
 from centorbits.linalg import Matrix, ShapeError
+from centorbits.oracle import compare_with_prediction
 
 from conftest import plain_product, rank, rational_corpus_types, transform_column
-from test_jordan import random_conjugate
+from test_jordan import random_conjugate, reference_plan
 
 T23 = JordanType.of({0: [(2, 1), (3, 1)]})
 
@@ -255,6 +257,36 @@ def test_classify_vector_dimension_mismatch(j23):
             assert str(refusal.value) == f"vector must be 5x1, got {shape}"
 
 
+def test_a_vector_that_is_no_matrix_is_refused(j23):
+    basis = jordan_basis(j23)
+    calls = (classify_vector, lambda b, w: same_solution_class(b, Matrix.column([0] * 5), w),
+             lambda b, w: classify_chain_coordinates(b.jordan_type, w))
+    for call in calls:
+        for v in ([1, 2, 3, 4, 5], (1,) * 5, "1,2,3,4,5"):
+            with pytest.raises(TypeError, match=re.escape("vector must be an n x 1 Matrix with n = 5, got ")):
+                call(basis, v)
+
+
+def test_a_type_builds_its_plan_once(monkeypatch):
+    t = random_conjugate(jordan_matrix(JordanType.of({0: [(1, 1), (2, 2)], 1: [(1, 1)]})), 5)
+    builds, build = [], JordanType.plan.func
+
+    def counting(jt):
+        builds.append(jt)
+        return build(jt)
+
+    monkeypatch.setattr(JordanType.plan, "func", counting)
+    basis = jordan_basis(t)
+    jt = basis.jordan_type
+    label = label_for(jt, [(0, 1), (1,)])
+    for coords in ([0, 1, 0, 0, 1, 0], [1] * 6):
+        classify_chain_coordinates(jt, Matrix.column(coords))
+    assert classify_vector(basis, basis.transform @ representative(jt, label)).label == label
+    assert invariant_positions(jt, label) == (2, 4, 5)
+    assert compare_with_prediction(jt, 3).passed
+    assert len(builds) == 1 and builds[0] is jt
+
+
 @pytest.mark.parametrize("coords, shape", [(Matrix.column([0]), "1x1"), (Matrix([[0, 0], [0, 0]]), "2x2")])
 def test_chain_coordinates_need_an_n_by_1_vector(coords, shape):
     jt = JordanType.of({0: [(2, 1)]})
@@ -311,7 +343,7 @@ def test_the_packed_scan_is_the_lazy_scan_on_chains_with_leading_zeros(corpus):
         basis = jordan_basis(random_conjugate(jordan_matrix(jt), seed)) if rational else None
         for _ in range(30):
             coords = leading_zero_coordinates(jt, rng)
-            expected = reference_scan(chain_plan(jt), coords.__getitem__)
+            expected = reference_scan(reference_plan(jt), coords.__getitem__)
             assert classify_chain_coordinates(jt, Matrix.column(coords)) == expected, (jt, coords)
             if basis is not None:
                 v = plain_product(basis.transform, Matrix.column(coords))

@@ -488,6 +488,22 @@ def test_a_count_too_long_to_write_is_still_one_refusal(capsys, monkeypatch, arg
     assert run_cli(capsys, argv[0], "-", *argv[1:]) == (3, "", f"error: refusing to enumerate {refusal}\n")
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (["analyze"], {"matrix": [[2, 0, 0], [1, 2, 0], [0, 0, 5]]}),
+    (["analyze"], {"jordan": [{"eigenvalue": "0", "blocks": [[1, 1], [2, 2]]}, {"eigenvalue": "x", "blocks": [[3, 1]]}]}),
+    (["lattice"], {"jordan": [{"eigenvalue": "0", "blocks": [[1, 1], [2, 2]]}, {"eigenvalue": "x", "blocks": [[3, 1]]}]}),
+    (["lattice", "--format", "dot"], {"jordan": [{"eigenvalue": "0", "blocks": [[2, 1], [3, 1]]}]}),
+])
+def test_analyze_and_lattice_build_no_chain_layout(tmp_path, capsys, monkeypatch, argv, doc):
+    # only walkers of chain coordinates read JordanType.plan; these verbs count and list labels
+    def refuse(jt):
+        raise AssertionError(f"{argv[0]} built the chain layout of {jt}")
+
+    monkeypatch.setattr(JordanType.plan, "func", refuse)
+    code, out, err = run_cli(capsys, argv[0], write(tmp_path, "spec.json", doc), *argv[1:])
+    assert code == 0 and out and err == ""
+
+
 def test_large_prime_eigenvalues_end_at_once(tmp_path, capsys):
     spec = write(tmp_path, "primes.json", {"matrix": [["100000007", "0"], ["0", "100000037"]]})
     start = time.perf_counter()

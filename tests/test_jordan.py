@@ -1,7 +1,10 @@
 import dataclasses
 import itertools
+import pickle
 import random
 import re
+import sys
+import threading
 import time
 from fractions import Fraction
 from math import isqrt
@@ -16,7 +19,6 @@ from centorbits.jordan import (
     ChainPlan,
     JordanType,
     NonSplittingCharPoly,
-    chain_plan,
     chain_slots,
     characteristic_polynomial,
     jordan_basis,
@@ -673,16 +675,82 @@ def test_jordan_basis_inverts_only_integer_columns(monkeypatch):
     assert basis.inverse_transform @ basis.transform == Matrix.identity(t.rows)
 
 
-def test_the_basis_carries_the_plan_of_its_type():
+def reference_plan(jt):
+    """The chain layout walked afresh over ``eigen_blocks``: the reference for ``JordanType.plan``."""
+    sizes, mults, offsets = [], [], []
+    offset = 0
+    for _, blocks in jt.eigen_blocks:
+        size_row, mult_row = zip(*blocks)
+        sizes.append(size_row)
+        mults.append(mult_row)
+        columns = []
+        for size, mult in blocks:
+            columns.append(tuple(range(offset, offset + size * mult, size)))
+            offset += size * mult
+        offsets.append(tuple(columns))
+    return ChainPlan(tuple(sizes), tuple(mults), tuple(offsets))
+
+
+def seeded_type(seed):
+    """A type of 1 to 3 eigenvalues, rational or symbolic, with 1 to 3 sizes of multiplicity 1 to 3 each."""
+    rng = random.Random(seed)
+    eigenvalues = rng.sample([0, 1, Fraction(-1, 2), Fraction(7, 3), "a", "b", "c"], rng.randint(1, 3))
+    return JordanType.of({eig: [(size, rng.randint(1, 3)) for size in rng.sample(range(1, 7), rng.randint(1, 3))]
+                          for eig in eigenvalues})
+
+
+def test_the_type_carries_its_plan():
     jt = JordanType.of({0: [(1, 2), (3, 1)], Fraction(1, 2): [(2, 2)]})
     basis = jordan_basis(random_conjugate(jordan_matrix(jt), 3))
-    assert basis.plan == chain_plan(jt) == ChainPlan(
+    assert basis.jordan_type.plan == jt.plan == reference_plan(jt) == ChainPlan(
         sizes=((1, 3), (2,)), mults=((2, 1), (2,)), offsets=(((0, 1), (2,)), ((5, 7),)))
-    flat = [o for columns in basis.plan.offsets for chains in columns for o in chains]
-    assert flat == [slot.offset for slot in chain_slots(jt)]
     assert hash(basis) == hash(jordan_basis(basis.matrix))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        basis.plan = None
+        jt.plan = None
+
+
+def test_the_plan_and_the_chain_slots_are_the_reference_walk():
+    types = [seeded_type(seed) for seed in range(60)]
+    assert any(isinstance(eig, str) for jt in types for eig, _ in jt.eigen_blocks)
+    assert any(mult > 1 for jt in types for _, blocks in jt.eigen_blocks for _, mult in blocks)
+    for jt in types + corpus_types():
+        plan = reference_plan(jt)
+        assert jt.plan == plan, jt
+        flat = [offset for columns in plan.offsets for chains in columns for offset in chains]
+        assert [slot.offset for slot in chain_slots(jt)] == flat, jt
+
+
+def test_threads_reading_a_fresh_plan_all_get_the_same_plan():
+    jt = seeded_type(7)
+    barrier, plans = threading.Barrier(8), []
+
+    def read():
+        barrier.wait(timeout=10)
+        plans.append(jt.plan)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert plans == [reference_plan(jt)] * 8
+
+
+def test_reading_the_plan_changes_no_equality_hash_repr_or_pickle():
+    jt, twin = (JordanType.of({0: [(1, 2), (3, 1)], "a": [(2, 1)]}) for _ in range(2))
+    before = hash(jt), repr(jt), pickle.loads(pickle.dumps(jt))
+    assert jt.plan == reference_plan(jt)
+    assert jt == twin == before[2] and before[2] == jt
+    assert (hash(jt), repr(jt)) == before[:2] == (hash(twin), repr(twin))
+    after = pickle.loads(pickle.dumps(jt))
+    assert after == jt == before[2] and hash(after) == hash(jt) and repr(after) == repr(jt)
+    assert after.plan == jt.plan
 
 
 def test_reconstruction_check_catches_a_wrong_chain(j23, monkeypatch):
@@ -778,10 +846,22 @@ def test_chain_slots_layout():
     (((Fraction(0), ()),), "eigenvalue Fraction(0, 1) has no blocks"),
     (((Fraction(0), ((2, 1), (1, 1))),), "block sizes for eigenvalue Fraction(0, 1) must strictly increase"),
     (((Fraction(0), ((1, 1), (1, 2))),), "block sizes for eigenvalue Fraction(0, 1) must strictly increase"),
+    # labels that JordanType.of would read as a rational or strip
+    ((("0", ((1, 1),)),), "eigenvalue '0' is not in canonical form; use JordanType.of"),
+    ((("3/6", ((1, 1),)),), "eigenvalue '3/6' is not in canonical form; use JordanType.of"),
+    (((" a ", ((1, 1),)),), "eigenvalue ' a ' is not in canonical form; use JordanType.of"),
+    (((Fraction(0), ((1, 1),)), ("a ", ((1, 1),))), "eigenvalue 'a ' is not in canonical form; use JordanType.of"),
 ])
 def test_non_canonical_types_are_refused(eigen_blocks, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         JordanType(eigen_blocks)
+
+
+@pytest.mark.parametrize("eig", [0, True, 1.5, None])
+def test_eigenvalues_of_another_type_are_refused(eig):
+    with pytest.raises(TypeError, match=re.escape(f"eigenvalue {eig!r} must be a Fraction or a symbolic label; "
+                                                  "use JordanType.of")):
+        JordanType(((eig, ((1, 1),)),))
 
 
 def test_char_poly_needs_a_square_matrix():
