@@ -93,7 +93,8 @@ def sample_invertible(cb: CentralizerBasis, rng_seed: int) -> Matrix:
             if src == tgt and shift == 0:
                 while c == 0:
                     c = rng.randint(-9, 9)
-            for a in range(min(src.size, tgt.size - shift)):  # the 1s of shift_operator_rows
+            # the 1s of shift_operator_rows, added in place: paid by matrix_cli's compare, one sample per call
+            for a in range(min(src.size, tgt.size - shift)):
                 acc[tgt.offset + shift + a][src.offset + a] += c
         if len(_integer_rref(acc)[1]) == n:
             return cb.basis.transform @ Matrix._reduced(acc, 1) @ cb.basis.inverse_transform

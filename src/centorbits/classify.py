@@ -89,6 +89,7 @@ def _scan(plan: ChainPlan, z: int, width: int) -> OrbitReport:
             column[k] = max(column[k], column[k + 1] - (sizes[k + 1] - sizes[k]))
         heights.append(tuple(column))
         dimension += sum(map(mul, mults, column))
+    # valid by construction, so OrbitLabel's checks are skipped: paid by classify_stream, one label per vector
     return OrbitReport(OrbitLabel._scanned(tuple(heights), plan.sizes), dimension)
 
 

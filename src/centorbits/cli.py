@@ -65,7 +65,7 @@ class OperatorSpec:
 
 
 def _entry(value, field: str) -> tuple:
-    if type(value) is int:  # a JSON int, not a bool, is its own numerator over 1
+    if type(value) is int:  # a JSON int, not a bool, is its own numerator over 1: paid by matrix_cli's int grids
         return value, 1
     try:
         return as_ratio(value)
@@ -97,13 +97,6 @@ def _over_common_denominator(entries, longest: int, what: str) -> Matrix:
     return Matrix._reduced([[x * (den // d) for x, d in row] for row in entries], den)
 
 
-def _parse_eigenvalue(raw, field: str):
-    try:
-        return _normalize_eigenvalue(raw)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{field}: {exc}") from None
-
-
 def _parse_jordan(raw, field: str) -> JordanType:
     if not isinstance(raw, list) or not raw:
         raise SpecError(f"{field}: expected a non-empty list of eigenvalue entries")
@@ -112,7 +105,10 @@ def _parse_jordan(raw, field: str) -> JordanType:
         here = f"{field}[{i}]"
         if not isinstance(item, dict) or set(item) != {"eigenvalue", "blocks"}:
             raise SpecError(f"{here}: expected an object with 'eigenvalue' and 'blocks'")
-        eig = _parse_eigenvalue(item["eigenvalue"], f"{here}.eigenvalue")
+        try:
+            eig = _normalize_eigenvalue(item["eigenvalue"])
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"{here}.eigenvalue: {exc}") from None
         if eig in types:
             raise SpecError(f"{here}.eigenvalue: duplicate eigenvalue {_echo(item['eigenvalue'])}")
         blocks_raw = item["blocks"]
@@ -180,15 +176,6 @@ def spec_type(spec: OperatorSpec) -> JordanType:
     if spec.jordan is not None:
         return spec.jordan
     return jordan_type(spec.matrix)
-
-
-def spec_matrix(spec: OperatorSpec, verb: str) -> Matrix:
-    if spec.matrix is None:
-        raise SpecError(
-            f"'{verb}' needs a concrete matrix: vectors live in matrix coordinates, "
-            "but this input supplies only Jordan block data"
-        )
-    return spec.matrix
 
 
 def _parse_vector(text: str, n: int, field: str) -> Matrix:
@@ -265,7 +252,10 @@ def _classification_payload(jt, report) -> dict:
 
 def _basis_and_vectors(args, verb: str, fields) -> tuple:
     """The chain basis of the spec's matrix, then each --vector flag as a column named by fields."""
-    matrix = spec_matrix(load_spec(args.spec), verb)
+    matrix = load_spec(args.spec).matrix
+    if matrix is None:
+        raise SpecError(f"'{verb}' needs a concrete matrix: vectors live in matrix coordinates, "
+                        "but this input supplies only Jordan block data")
     vectors = [_parse_vector(text, matrix.rows, field) for text, field in zip(args.vector, fields)]
     return jordan_basis(matrix), vectors
 

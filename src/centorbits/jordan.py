@@ -34,8 +34,8 @@ disc(g), so the input bounds the walk. The roots mod p, found by evaluation,
 are simple and lift by Newton's (Hensel's) iteration past twice Fujiwara's
 bound read off g, where the symmetric residue is the integer root
 (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 14-15). A
-candidate is accepted, with its multiplicity, only by exact synthetic
-division of c; a factor left over means an irrational or complex root. Each
+candidate is accepted, with its multiplicity, only by exact
+division of c by x - r; a factor left over means an irrational or complex root. Each
 accepted root r gives the eigenvalue r / d. Every entry point on T starts
 here, refusing first n > MATRIX_DIMENSION_CAP or a grid integer (d included)
 over grid_bits(n) bits. Building a Matrix has no cap: J may hold longer entries.
@@ -101,9 +101,9 @@ class CapExceeded(RuntimeError):
 
 def eigenvalue_sort_key(eig: Eigenvalue) -> tuple:
     """Canonical eigenvalue order: rationals by (numerator, denominator), then labels."""
-    if isinstance(eig, Fraction):
-        return (0, eig.numerator, eig.denominator)
-    return (1, str(eig))
+    if isinstance(eig, str) or not isinstance(eig, Fraction):  # str first: a Fraction check of a str goes through abc
+        return (1, str(eig))
+    return (0, eig.numerator, eig.denominator)
 
 
 def _normalize_eigenvalue(eig) -> Eigenvalue:
@@ -169,6 +169,10 @@ class JordanType:
             offsets.append(tuple(columns))
         return ChainPlan(tuple(sizes), tuple(mults), tuple(offsets))
 
+    def __reduce__(self):
+        """A pickle or copy rebuilds the type from its blocks, without the plan."""
+        return type(self), (self.eigen_blocks,)
+
     @classmethod
     def of(cls, blocks_by_eigenvalue) -> "JordanType":
         """Canonicalize block data given as a mapping of eigenvalue to blocks.
@@ -188,7 +192,15 @@ class JordanType:
             (eig, tuple(sorted(per_size.items())))
             for eig, per_size in sorted(merged.items(), key=lambda kv: eigenvalue_sort_key(kv[0]))
         )
-        return cls(canonical)
+        if not canonical:
+            raise ValueError("a Jordan type needs at least one eigenvalue")
+        for eig, blocks in canonical:
+            if not blocks:
+                raise ValueError(f"eigenvalue {eig!r} has no blocks")
+        # every other check of __post_init__ holds by construction: skipping it parses each label once
+        jt = object.__new__(cls)
+        object.__setattr__(jt, "eigen_blocks", canonical)
+        return jt
 
     @property
     def dimension(self) -> int:
@@ -279,7 +291,7 @@ def _integer_charpoly(t: Matrix) -> tuple:
     for k, row in enumerate(a):
         r, column = row[:k], [a[i][k] for i in range(k)]
         toeplitz = [1, -row[k]]
-        if any(r) and any(column):
+        if any(r) and any(column):  # paid by diagonal and triangular grids, such as 64 diagonal 45-bit entries
             toeplitz.append(-sum(map(mul, r, column)))
             for _ in range(k - 1):  # M^k C would go unread
                 column = [sum(map(mul, a[i], column)) for i in range(k)]
@@ -367,6 +379,7 @@ def _square_free_part(f: list) -> list:
     # SQUARE_FREE_PRIME is prime: Miller-Rabin on it would cost more than the gcd
     for q in itertools.chain([SQUARE_FREE_PRIME], filter(_is_prime, itertools.count(SQUARE_FREE_PRIME + 1))):
         power = next(x for x in itertools.accumulate(itertools.repeat(q), mul) if x > bound)
+        # q first, paid by square-free char polys with wide roots: one gcd mod q, far cheaper than mod the power
         for m in dict.fromkeys((q, power)):
             h = _gcd_mod(f, m)
             if h is None:
@@ -419,21 +432,15 @@ def _integer_roots(c: list) -> list:
 
     The candidates, 0 among them when c(0) = 0, come from p-adic lifting of
     the roots of the square-free part modulo a small prime; each one, and
-    its multiplicity, is confirmed by exact synthetic division. Raises
+    its multiplicity, is confirmed by exact division by x - r. Raises
     NonSplittingCharPoly when a nontrivial factor remains after every
     integer root has been divided out.
     """
     work, roots = list(c), []
     for cand in _root_candidates(_square_free_part(work)):
         mult = 0
-        while len(work) > 1:
-            quotient = [work[0]]
-            for x in work[1:-1]:
-                quotient.append(x + cand * quotient[-1])
-            if work[-1] + cand * quotient[-1] != 0:
-                break
-            work = quotient
-            mult += 1
+        while len(work) > 1 and (quotient := _monic_quotient(work, [1, -cand])) is not None:
+            work, mult = quotient, mult + 1
         if mult:
             roots.append((cand, mult))
     if len(work) > 1:
@@ -472,6 +479,7 @@ def _kernel_chains(t: Matrix):
         # with T = A/d, r = eig d is an integer root of det(xI - A) and N = (A - rI)/d
         r = eig.numerator * (d // eig.denominator)
         grid = [[x - r if i == j else x for j, x in enumerate(row)] for i, row in enumerate(t._grid)]
+        # R N and N v as plain dot products, the shorter code: packing N was measured to pay on no input
         reductions, columns = [_integer_rref(grid)], list(zip(*grid))
         while n - len(reductions[-1][1]) < alg_mult:
             rows, pivots = reductions[-1]
@@ -554,7 +562,7 @@ def jordan_basis(t: Matrix) -> JordanBasis:
     jt = JordanType.of(data)
     den = lcm(*(d for _, d in columns))
     p = Matrix._reduced(list(zip(*[[x * (den // d) for x in values] for values, d in columns])), den)
-    # P = Q diag(1/d_j) for Q the integer columns, so P^-1 is Q^-1 with row j times d_j
+    # P = Q diag(1/d_j), Q the integer columns, so P^-1 is Q^-1 with row j times d_j: paid by triangular 250-bit grids
     q_inv = Matrix._reduced(list(zip(*[values for values, _ in columns])), 1).inverse()
     p_inv = Matrix._reduced([[d * x for x in row] for row, (_, d) in zip(q_inv._grid, columns)], q_inv._den)
     if t @ p != p @ jordan_matrix(jt):

@@ -300,7 +300,7 @@ def _blocks(tables: list, derive, piece, sep: str):
     kept if one run holds them all, else derived anew per prefix, so what is kept beside the whole tables stays bounded.
     """
     *earlier, last = tables
-    kept = [derive(last)] if len(last) <= _BLOCK else None
+    kept = [derive(last)] if len(last) <= _BLOCK else None  # lattice_jordan's last tables are short: derive them once
     texts = (piece(*prefix, run) for prefix in _prefixes(earlier)
              for run in kept or map(derive, (last[i:i + _BLOCK] for i in range(0, len(last), _BLOCK))))
     lead = ""

@@ -150,14 +150,14 @@ class Matrix:
     gcd of ``_den`` and every entry is 1). That form is unique, so ``==`` and
     ``hash`` compare integers. ``m[i, j]`` and ``row(i)`` read entries back
     as ``Fraction``s. ``_packed`` memoizes the columns packed for
-    :func:`_apply`; it takes no part in ``==``, ``hash`` or ``repr``.
+    :func:`_apply`; it takes no part in ``==``, ``hash`` or ``repr``, and a
+    pickle or copy rebuilds the matrix from its grid without it.
     """
 
     __slots__ = ("rows", "cols", "_grid", "_den", "_packed")
 
     def __init__(self, rows_data: Iterable[Sequence[Scalar]]):
-        data = [[x.as_integer_ratio() if type(x) in (int, Fraction) else as_ratio(x) for x in row]
-                for row in rows_data]
+        data = [[as_ratio(x) for x in row] for row in rows_data]
         if not data or not data[0]:
             raise ShapeError("a matrix needs at least one row and one column")
         if any(len(row) != len(data[0]) for row in data):
@@ -199,6 +199,7 @@ class Matrix:
     @classmethod
     def _column(cls, values: Sequence[int], den: int) -> "Matrix":
         """The n x 1 matrix values / den, for integers already in lowest terms over den > 0."""
+        # beside _reduced, as its gcd pass is already done: paid by classify_stream, one column product per vector
         m = object.__new__(cls)
         m.rows, m.cols, m._grid, m._den, m._packed = len(values), 1, tuple([(x,) for x in values]), den, None
         return m
@@ -219,6 +220,9 @@ class Matrix:
 
     def __hash__(self) -> int:
         return hash((self._den, self._grid))
+
+    def __reduce__(self):
+        return Matrix._reduced, (self._grid, self._den)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(_entry_text(x, self._den) for x in row) for row in self._grid)
@@ -260,11 +264,13 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         den = self._den * other._den
+        # by a column, packed: paid by classify_stream, whose U v and P^-1 v reuse one packing per matrix
         if other.cols == 1:
             fields, width, _ = _apply(self, [x for (x,) in other._grid])
             mask, half = (1 << width) - 1, 1 << (width - 1)
             values = [((fields >> s) & mask) - half for s in range(0, width * self.rows, width)]
             return Matrix._column(*_lowest_terms(values, den))
+        # by a wider right factor, plain: paid by jordan_basis's T P on triangular 250-bit grids, one use per matrix
         cols = list(zip(*other._grid))
         return Matrix._reduced([[sum(map(mul, row, col)) for col in cols] for row in self._grid], den)
 
@@ -335,15 +341,14 @@ def _apply(m: Matrix, values: Sequence[int]) -> tuple:
     in [1, 2^width): no field borrows from or carries into the next. Column j
     packed is sum_i entry(i, j) 2^(width i), so x = sum_j values[j] * column j,
     one small-by-big multiply per column. The packing is memoized in
-    ``m._packed`` at a width rounded up to a multiple of 32; a wider call packs
+    ``m._packed`` at the width of the call that made it; a wider call packs
     anew and replaces it, and the memo is read once and never changed in place,
     so threads sharing m each use a packing wide enough for their own call.
     """
     memo = m._packed
     a = memo[0] if memo else max(map(abs, chain.from_iterable(m._grid))).bit_length()
-    need = a + max(map(abs, values)).bit_length() + m.cols.bit_length() + 1
-    if memo is None or memo[1] < need:
-        width = -(-need // 32) * 32
+    width = a + max(map(abs, values)).bit_length() + m.cols.bit_length() + 1
+    if memo is None or memo[1] < width:
         columns = []
         for column in zip(*m._grid):
             packed = 0

@@ -229,7 +229,7 @@ def _echelon(vectors, f: _Packing) -> tuple:
         if x != 1:
             v = f.reduce(v * pow(x, -1, p))
         rows[top] = v
-        if len(rows) == f.n:
+        if len(rows) == f.n:  # fp_verify's spans A v are often the whole space: no clearing pass then
             return f.units
     field = (1 << w) - 1
     cleared = []
@@ -263,6 +263,7 @@ def _line_spans(algebra: tuple, f: _Packing):
         for c, col in enumerate(x):
             if col:
                 by_column[c].append((i, col))
+    # images updated per step, not computed afresh per line: paid by fp_verify, a scan of every line
     for lead in range(n):
         v, images = unit[lead], [0] * len(algebra)
         for i, col in by_column[lead]:

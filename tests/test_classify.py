@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 import sys
@@ -285,6 +287,27 @@ def test_a_type_builds_its_plan_once(monkeypatch):
     assert invariant_positions(jt, label) == (2, 4, 5)
     assert compare_with_prediction(jt, 3).passed
     assert len(builds) == 1 and builds[0] is jt
+
+
+def test_pickles_and_copies_of_a_type_and_a_basis_leave_their_memos_behind():
+    wide = JordanType.of({0: [(1, 1000)], 1: [(2, 500)]})
+    size = len(pickle.dumps(wide))
+    assert len(wide.plan.offsets[0][0]) == 1000 and len(pickle.dumps(wide)) == size
+    jt = JordanType.of({0: [(1, 1), (3, 1)], 2: [(2, 2)], "a": [(1, 1)]})
+    rng = random.Random(36)
+    coords = [Matrix.column([rng.randint(0, 1) for _ in range(jt.dimension)]) for _ in range(8)]
+    reports = [classify_chain_coordinates(jt, c) for c in coords]
+    basis = jordan_basis(random_conjugate(jordan_matrix(JordanType.of({0: [(1, 1), (3, 1)], 2: [(2, 2)]})), 36))
+    vectors = [Matrix.column([rng.getrandbits(200) for _ in range(basis.dimension)]) for _ in range(8)]
+    labels = [classify_vector(basis, v) for v in vectors]
+    for duplicate in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        twin = duplicate(jt)
+        assert "plan" not in vars(twin) and twin == jt and hash(twin) == hash(jt) and repr(twin) == repr(jt)
+        assert [classify_chain_coordinates(twin, c) for c in coords] == reports
+        twin = duplicate(basis)
+        if duplicate is not copy.copy:  # a shallow copy of a basis shares its matrices and type
+            assert twin.inverse_transform._packed is None and "plan" not in vars(twin.jordan_type)
+        assert twin == basis and [classify_vector(twin, v) for v in vectors] == labels
 
 
 @pytest.mark.parametrize("coords, shape", [(Matrix.column([0]), "1x1"), (Matrix([[0, 0], [0, 0]]), "2x2")])

@@ -267,6 +267,18 @@ def test_square_free_part_walks_past_primes_where_roots_coincide(monkeypatch):
         assert all(m % primes[-1] == 0 for m in moduli[moduli.index(primes[-1]):])
 
 
+def test_a_square_free_char_poly_takes_one_gcd_mod_the_first_prime(monkeypatch):
+    # 20 distinct 250-bit roots: the gcd mod a power of q past Mignotte's bound would cost ~100 times more
+    moduli, gcd_mod = [], jordan._gcd_mod
+    monkeypatch.setattr(jordan, "_gcd_mod", lambda f, m: moduli.append(m) or gcd_mod(f, m))
+    rng = random.Random(20)
+    for _ in range(3):
+        c = poly_product([[1, -rng.getrandbits(250)] for _ in range(20)])
+        moduli.clear()
+        assert jordan._square_free_part(c) == c
+        assert moduli == [jordan.SQUARE_FREE_PRIME]
+
+
 def test_a_gcd_mod_q_that_divides_f_but_not_f_prime_is_refused():
     # 1 and 1 + q coincide mod q, where x - 1 divides f exactly but not f', and f is square-free
     q = jordan.SQUARE_FREE_PRIME
@@ -855,6 +867,29 @@ def test_chain_slots_layout():
 def test_non_canonical_types_are_refused(eigen_blocks, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         JordanType(eigen_blocks)
+
+
+def test_of_parses_each_label_once(monkeypatch):
+    calls, normalize = [], jordan._normalize_eigenvalue
+    monkeypatch.setattr(jordan, "_normalize_eigenvalue", lambda eig: calls.append(eig) or normalize(eig))
+    jt = JordanType.of({**{f"e{i}": [(1, 1)] for i in range(50)}, "1/2": [(2, 1)], " b ": [(1, 2)]})
+    assert sorted(calls, key=str) == sorted([f"e{i}" for i in range(50)] + ["1/2", " b "], key=str)
+    assert jt.eigen_blocks[0] == (Fraction(1, 2), ((2, 1),)) and ("b", ((1, 2),)) in jt.eigen_blocks
+    # a type built directly still has every label parsed
+    calls.clear()
+    assert JordanType(jt.eigen_blocks) == jt and sorted(calls) == sorted(eig for eig, _ in jt.eigen_blocks[1:])
+
+
+@pytest.mark.parametrize("blocks_by_eigenvalue, message", [
+    ({}, "a Jordan type needs at least one eigenvalue"),
+    ({0: []}, "eigenvalue Fraction(0, 1) has no blocks"),
+    ({"b": [], 1: [(1, 1)], "a": []}, "eigenvalue 'a' has no blocks"),
+])
+def test_of_refuses_a_type_without_an_eigenvalue_or_a_block(blocks_by_eigenvalue, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        JordanType.of(blocks_by_eigenvalue)
+    # keys that merge into one eigenvalue with blocks make a type
+    assert JordanType.of({0: [], "0": [(1, 1)]}) == JordanType.of({0: [(1, 1)]})
 
 
 @pytest.mark.parametrize("eig", [0, True, 1.5, None])

@@ -247,8 +247,8 @@ def test_a_column_product_matches_fraction_sums_in_lowest_terms():
 
 
 # (n, a, v): a sum of n products of a-bit entries by v-bit values. The field width is a + v +
-# n.bit_length() + 1 rounded up to a multiple of 32. At (3, 15, 15) and (127, 12, 13) that sum is 33
-# and n (2^a - 1)(2^v - 1) passes 2^31, so a width without the + 1 would round to 32 and overflow.
+# n.bit_length() + 1. Where n (2^a - 1)(2^v - 1) passes 2^(a + v + n.bit_length() - 1), as at n = 3,
+# 7 and 127, a width without the + 1 would overflow.
 WIDTH_CASES = [(1, 1, 1), (1, 15, 15), (1, 31, 31), (2, 3, 4), (3, 15, 15), (7, 9, 13), (127, 12, 12),
                (127, 12, 13), (128, 1, 1), (128, 12, 11), (128, 40, 70), (5, 64, 200)]
 
@@ -282,10 +282,12 @@ def test_the_packing_memo_only_widens():
     narrow = Matrix.column([rng.randint(-9, 9) for _ in range(6)])
     wide = Matrix.column([rng.randint(-2 ** 300, 2 ** 300) for _ in range(6)])
     widths = []
+    bound = [max(abs(x) for row in grid for x in row).bit_length() for grid in (m._grid, narrow._grid, wide._grid)]
     for v in (narrow, wide, narrow):
         assert m @ v == plain_product(m, v)
         widths.append(m._packed[1])
-    assert widths[0] == 32 and widths[1] > 300 and widths[2] == widths[1]
+    # the exact bound a + v + cols.bit_length() + 1 of _apply, no wider
+    assert widths == [bound[0] + bound[1] + 4, bound[0] + bound[2] + 4, bound[0] + bound[2] + 4]
 
 
 def test_the_packing_memo_changes_no_equality_hash_repr_or_copy():
@@ -298,6 +300,31 @@ def test_the_packing_memo_changes_no_equality_hash_repr_or_copy():
     for copied in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert copied == m and (hash(copied), repr(copied)) == before
         assert copied @ v == product == plain_product(m, v)
+
+
+def test_a_product_by_a_wider_right_factor_leaves_the_left_unpacked():
+    rng = random.Random(36)
+    t = Matrix([[rng.getrandbits(250) if j >= i else 0 for j in range(6)] for i in range(6)])
+    p = Matrix([[Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(4)] for _ in range(6)])
+    expected = [[sum((t[i, k] * p[k, j] for k in range(6)), Fraction(0)) for j in range(4)] for i in range(6)]
+    assert t @ p == Matrix(expected)
+    assert t._packed is None and p._packed is None
+    t @ Matrix.column([1] * 6)
+    assert t._packed is not None
+
+
+def test_pickles_and_copies_leave_the_packing_memo_behind():
+    rng = random.Random(18)
+    m = Matrix([[Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(18)] for _ in range(18)])
+    v = Matrix.column([rng.getrandbits(200) - 2 ** 199 for _ in range(18)])
+    size = len(pickle.dumps(m))
+    product = m @ v
+    assert m._packed is not None and len(pickle.dumps(m)) == size
+    for copied in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert copied._packed is None and copied is not m
+        assert copied == m and hash(copied) == hash(m) and repr(copied) == repr(m)
+        assert copied @ v == product == plain_product(m, v)
+        assert copied @ m == m @ m
 
 
 WIDE_ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-2 ** 140, 2 ** 140)).flatmap(
