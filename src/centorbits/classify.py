@@ -38,9 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .jordan import ChainPlan, JordanBasis, JordanType, _check_vector
+from .jordan import ChainPlan, JordanBasis, JordanType
 from .lattice import OrbitLabel, column_sizes, leq, top
-from .linalg import Matrix, _apply
+from .linalg import Matrix, ShapeError, _apply, _echo
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,14 @@ def _scan(plan: ChainPlan, z: int, width: int) -> OrbitReport:
         dimension += sum(map(mul, mults, column))
     # valid by construction, so OrbitLabel's checks are skipped: paid by classify_stream, one label per vector
     return OrbitReport(OrbitLabel._scanned(tuple(heights), plan.sizes), dimension)
+
+
+def _check_vector(n: int, v: Matrix):
+    """Refuse anything but an n x 1 matrix."""
+    if not isinstance(v, Matrix):
+        raise TypeError(f"vector must be an n x 1 Matrix with n = {n}, got {_echo(v)}")
+    if v.rows != n or v.cols != 1:
+        raise ShapeError(f"vector must be {n}x1, got {v.rows}x{v.cols}")
 
 
 def classify_chain_coordinates(jt: JordanType, coords: Matrix) -> OrbitReport:

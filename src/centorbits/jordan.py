@@ -64,11 +64,10 @@ when it lies outside the span of the columns before it. Each chain (v, Nv,
 The count of generators must match the block multiplicities, and the result
 is verified outright: P, assembled once, must satisfy T P == P J, checked
 against `jordan_matrix`, and computing P^-1 certifies that P is invertible, so
-P^-1 T P == J. P^-1 comes from Q, the integer columns before they are put
-over one denominator: P = Q diag(1/d_j), so P^-1 is Q^-1 with row j times
-d_j, and the elimination runs on Q's short integers, not on P's over the
-lcm. P is the only record of the chains: the chain at ``chain_slots(jt)[i]``
-is the run of P's columns from its offset.
+P^-1 T P == J (`Matrix.inverse` eliminates on the chain columns' primitive
+integer parts, not on P's over the lcm). P is the only record of the
+chains: the chain at ``chain_slots(jt)[i]`` is the run of P's columns from
+its offset.
 """
 
 from __future__ import annotations
@@ -536,8 +535,7 @@ class JordanBasis:
 
 
 def jordan_basis(t: Matrix) -> JordanBasis:
-    """P and P^-1 from the (integers, denominator) columns of :func:`_kernel_vectors`; P is assembled once,
-    and P^-1 is read off the inverse of the integer columns, which has denominator 1."""
+    """P, assembled once from the (integers, denominator) columns of :func:`_kernel_vectors`, and P^-1."""
     n, data, columns = t.rows, {}, []
     for eig, blocks, grid, reductions in _kernel_chains(t):
         data[eig] = blocks
@@ -562,17 +560,6 @@ def jordan_basis(t: Matrix) -> JordanBasis:
     jt = JordanType.of(data)
     den = lcm(*(d for _, d in columns))
     p = Matrix._reduced(list(zip(*[[x * (den // d) for x in values] for values, d in columns])), den)
-    # P = Q diag(1/d_j), Q the integer columns, so P^-1 is Q^-1 with row j times d_j: paid by triangular 250-bit grids
-    q_inv = Matrix._reduced(list(zip(*[values for values, _ in columns])), 1).inverse()
-    p_inv = Matrix._reduced([[d * x for x in row] for row, (_, d) in zip(q_inv._grid, columns)], q_inv._den)
     if t @ p != p @ jordan_matrix(jt):
         raise RuntimeError("Jordan basis reconstruction check failed; this is a bug")
-    return JordanBasis(t, jt, p, p_inv)
-
-
-def _check_vector(n: int, v: Matrix):
-    """Refuse anything but an n x 1 matrix."""
-    if not isinstance(v, Matrix):
-        raise TypeError(f"vector must be an n x 1 Matrix with n = {n}, got {_echo(v)}")
-    if v.rows != n or v.cols != 1:
-        raise ShapeError(f"vector must be {n}x1, got {v.rows}x{v.cols}")
+    return JordanBasis(t, jt, p, p.inverse())

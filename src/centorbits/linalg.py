@@ -19,8 +19,8 @@ integers short. Scaling a row by a nonzero number changes neither its span
 nor the span of the rows, and the reduced row echelon form depends only on
 the row space, so the reduced form read off the integer rows, row i over
 its pivot, is the one exact rational Gauss-Jordan elimination gives:
-ranks, kernel bases and inverses are unchanged. Kernel vectors and
-inverses are written over the lcm of the pivots they divide by.
+ranks, kernel bases and inverses are unchanged. Kernel vectors are written over
+the lcm of the pivots; an inverse first divides each column by its content.
 
 Row reduction pivots on the first nonzero entry of each column (exact
 arithmetic needs no numerical pivot selection), which makes ranks, reduced
@@ -285,16 +285,23 @@ class Matrix:
         return Matrix._reduced(reduced, den), pivots
 
     def inverse(self) -> "Matrix":
+        """T^-1 in lowest terms; ShapeError if T is not square, ValueError("matrix is singular") if T is singular.
+
+        Row j of (A/d)^-1 is d / c_j times row j of B^-1, B being A with column j over its content c_j (1 if 0)."""
         if not self.is_square():
             raise ShapeError(f"only square matrices invert, got {self.rows}x{self.cols}")
         n, d = self.rows, self._den
-        # T = A/d, so [A | dI] row-reduces to [I | T^-1]
-        grid = [[*row, *(d * (i == j) for j in range(n))] for i, row in enumerate(self._grid)]
-        m, pivots = _integer_rref(grid)
+        # eliminating on B keeps the integers short where a wide common d makes A's columns long multiples of
+        # short ones, as in jordan_basis's P; a zero column keeps content 1 and leaves B singular
+        contents = [gcd(*column) or 1 for column in zip(*self._grid)]
+        m, pivots = _integer_rref([[*(x // c for x, c in zip(row, contents)), *(int(i == j) for j in range(n))]
+                                   for i, row in enumerate(self._grid)])
         if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular")
-        den = lcm(*(row[i] for i, row in enumerate(m[:n])))
-        return Matrix._reduced([[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(m[:n])], den)
+        # row i is e m[i][n:] over f m[i][i], for e / f = d / c_i in lowest terms, taken before any row is scaled
+        scales = [(d // g, c // g * m[i][i]) for i, c in enumerate(contents) for g in (gcd(d, c),)]
+        den = lcm(*(q for _, q in scales))
+        return Matrix._reduced([[x * (e * (den // q)) for x in row[n:]] for (e, q), row in zip(scales, m)], den)
 
 
 def _integer_rref(rows: Iterable[Sequence[int]]) -> tuple[list, tuple]:

@@ -7,13 +7,13 @@ import sys
 import threading
 import time
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from centorbits import jordan
+from centorbits import jordan, linalg
 from centorbits.jordan import (
     CapExceeded,
     ChainPlan,
@@ -26,7 +26,7 @@ from centorbits.jordan import (
     jordan_type,
     rational_eigenvalues,
 )
-from centorbits.linalg import Matrix, _primitive
+from centorbits.linalg import Matrix, _integer_rref, _lowest_terms, _primitive
 
 from conftest import RATIONALS, corpus_types, power, rank, rational_corpus_types, transform_column
 from test_cli import primorial_below
@@ -654,37 +654,53 @@ def triangular_grid(rng: random.Random, n: int, bits: int) -> Matrix:
     return Matrix([[rng.getrandbits(bits) if j >= i else 0 for j in range(n)] for i in range(n)])
 
 
-@pytest.mark.parametrize("n", [4, 7, 10])
-def test_p_inverse_from_the_integer_columns_is_the_inverse_of_p(n):
-    # p.inverse() is the reference: it row-reduces P over the lcm of its column denominators
+def reference_chain_inverse(p: Matrix) -> Matrix:
+    """P^-1 read off the integer chain columns: with P = Q diag(1/d_j), each column of P in lowest terms
+    over its own d_j, P^-1 is Q^-1 with row j times d_j, and [Q | I] row-reduces to Q^-1."""
+    n = p.rows
+    columns = [_lowest_terms(list(column), p._den) for column in zip(*p._grid)]
+    m, pivots = _integer_rref([[*(values[i] for values, _ in columns), *(int(i == j) for j in range(n))]
+                               for i in range(n)])
+    assert pivots[:n] == tuple(range(n))
+    den = lcm(*(row[i] for i, row in enumerate(m)))
+    q_inv = [[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(m)]
+    return Matrix._reduced([[d * x for x in row] for row, (_, d) in zip(q_inv, columns)], den)
+
+
+@pytest.mark.parametrize("n, bits", [(6, 250), (8, 64), (10, 150), (12, 250)])
+def test_p_inverse_is_the_inverse_of_the_integer_columns_with_rows_scaled(n, bits):
     rng = random.Random(n)
-    for _ in range(3):
-        basis = jordan_basis(triangular_grid(rng, n, 250))
+    for _ in range(2):
+        basis = jordan_basis(triangular_grid(rng, n, bits))
         assert basis.transform._den > 1
-        assert basis.inverse_transform == basis.transform.inverse()
+        assert basis.inverse_transform == reference_chain_inverse(basis.transform)
 
 
-def test_p_inverse_of_the_planted_goldens_is_the_inverse_of_p():
+def test_p_inverse_of_the_planted_goldens_is_the_integer_column_reference():
     for seed in EXACT_SEEDS:
         basis = jordan_basis(planted_matrix(seed))
-        assert basis.inverse_transform == basis.transform.inverse(), seed
+        assert basis.inverse_transform == reference_chain_inverse(basis.transform), seed
 
 
-def test_jordan_basis_inverts_only_integer_columns(monkeypatch):
-    jt = JordanType.of({0: [(1, 2), (3, 1)], Fraction(1, 2): [(2, 2)]})
-    t = random_conjugate(jordan_matrix(jt), 3)
-    inverted, inverse = [], Matrix.inverse
+def test_p_inverse_eliminates_on_columns_no_longer_than_the_integer_chain_columns(monkeypatch):
+    basis = jordan_basis(triangular_grid(random.Random(1), 10, 150))
+    p = basis.transform
+    # Q's columns: P's, each in lowest terms over its own denominator
+    q = [_lowest_terms(list(column), p._den)[0] for column in zip(*p._grid)]
+    longest = max(abs(x).bit_length() for column in q for x in column)
+    reduced, integer_rref = [], linalg._integer_rref
 
-    def recording(self):
-        inverted.append(self)
-        return inverse(self)
+    def spy(rows):
+        reduced.append([list(row) for row in rows])
+        return integer_rref(reduced[-1])
 
-    monkeypatch.setattr(Matrix, "inverse", recording)
-    basis = jordan_basis(t)
-    # the chain columns carry denominators, so P is over one; Q, the integer columns, is not
-    assert basis.transform._den > 1
-    assert [m._den for m in inverted] == [1]
-    assert basis.inverse_transform @ basis.transform == Matrix.identity(t.rows)
+    monkeypatch.setattr(linalg, "_integer_rref", spy)
+    assert p.inverse() == basis.inverse_transform
+    [rows] = reduced
+    left = [row[:p.cols] for row in rows]
+    assert all(gcd(*column) == 1 for column in zip(*left))
+    assert max(abs(x).bit_length() for row in left for x in row) <= longest
+    assert basis.inverse_transform @ p == Matrix.identity(p.rows)
 
 
 def reference_plan(jt):

@@ -207,6 +207,38 @@ def test_inverse_matches_fraction_gauss_jordan(m):
         assert m.inverse() == Matrix([row[n:] for row in reduced])
 
 
+def wide_column_rows(rng: random.Random, n: int) -> list:
+    """Fraction rows whose column j is small integers, some with a common factor, over a wide denominator of its own."""
+    columns = []
+    for _ in range(n):
+        den, factor = rng.getrandbits(rng.randint(64, 200)) | 1, rng.choice((1, 1, 6, 35))
+        columns.append([Fraction(factor * rng.randint(-20, 20), den) for _ in range(n)])
+    return [list(row) for row in zip(*columns)]
+
+
+def test_inverse_of_wide_column_matrices_matches_fraction_gauss_jordan():
+    rng = random.Random(37)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        rows = wide_column_rows(rng, n)
+        reduced, pivots = reference_rref([row + [Fraction(int(i == j)) for j in range(n)]
+                                          for i, row in enumerate(rows)])
+        m = Matrix(rows)
+        if pivots[:n] != tuple(range(n)):
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                m.inverse()
+            continue
+        inverse = m.inverse()
+        assert inverse == Matrix([row[n:] for row in reduced])
+        assert_canonical(inverse)
+        if n > 1:
+            # a zero column and a repeated column (the same entries over the same denominator) are singular
+            k, j = rng.sample(range(n), 2)
+            for column in ([Fraction(0)] * n, [row[j] for row in rows]):
+                with pytest.raises(ValueError, match="^matrix is singular$"):
+                    Matrix([[*row[:k], x, *row[k + 1:]] for row, x in zip(rows, column)]).inverse()
+
+
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
 @settings(deadline=None)
 def test_matmul_matches_schoolbook_fraction_sums(r, k, c, data):
